@@ -12,18 +12,12 @@ from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["stream", "substream", "as_fraction", "parse_alpha"]
+__all__ = ["stream", "as_fraction", "parse_alpha"]
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Generator for ``(seed, key...)``; equal arguments give equal streams."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
-
-
-def substream(rng: np.random.Generator, index: int) -> np.random.Generator:
-    """Derived stream ``index`` of ``rng`` (used for per-replicate parallelism)."""
-    seed = int(rng.bit_generator.seed_seq.generate_state(1, np.uint64)[0])
-    return stream(seed, index)
 
 
 def as_fraction(x) -> Fraction:

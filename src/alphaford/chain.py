@@ -17,12 +17,13 @@ alpha-Ford law, and the Feynman-Kac matrix identity
     exp(t Q_fwd) = exp(t (Q_bwd + diag(beta)))^T.
 
 An event-driven simulator with O(1) moves runs the same dynamics on trees
-with hundreds of leaves, with shape-polynomial observables estimated by
-Monte Carlo.
+with hundreds of leaves, with shape-polynomial observables for any m <= 8
+estimated by Monte Carlo from batched quartet queries.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -192,7 +193,7 @@ def backward_rate_matrix(alpha, m: int) -> RateMatrix:
 
 def beta_potential(alpha, m: int) -> dict:
     """The potential beta(t) = (1 - 2 alpha) (#cherries(t) (2m - 5) - m(m - 1)),
-    keyed by canonical key; identically zero at alpha = 1/2."""
+    keyed by canonical key in state order; identically zero at alpha = 1/2."""
     alpha = parse_alpha(alpha)
     states, *_ , n_cherries = _move_tables(m)
     return {
@@ -201,20 +202,12 @@ def beta_potential(alpha, m: int) -> dict:
     }
 
 
-def _beta_vector(alpha, m: int) -> list[Fraction]:
-    states, *_, n_cherries = _move_tables(m)
-    alpha = parse_alpha(alpha)
-    return [
-        (1 - 2 * alpha) * (c * (2 * m - 5) - m * (m - 1)) for c in n_cherries
-    ]
-
-
 def verify_beta_is_rate_discrepancy(alpha, m: int) -> bool:
     """Exact check: total backward rate minus total forward rate equals the
     potential at every state (self-moves included on both sides)."""
     fwd = forward_rate_matrix(alpha, m)
     bwd = backward_rate_matrix(alpha, m)
-    beta = _beta_vector(alpha, m)
+    beta = list(beta_potential(alpha, m).values())
     return all(
         bwd.total_rate(s) - fwd.total_rate(s) == beta[s] for s in range(len(fwd.states))
     )
@@ -261,7 +254,7 @@ def verify_feynman_kac(alpha, m: int, t: float) -> float:
     the deviation only measures floating-point exponentiation error."""
     qf = forward_rate_matrix(alpha, m).to_dense()
     qb = backward_rate_matrix(alpha, m).to_dense()
-    beta = np.array([float(b) for b in _beta_vector(alpha, m)])
+    beta = np.array([float(b) for b in beta_potential(alpha, m).values()])
     lhs = matrix_exponential(qf, t)
     rhs = matrix_exponential(qb + np.diag(beta), t)
     return float(np.abs(lhs - rhs.T).max())
@@ -442,35 +435,56 @@ def simulate_chain(state: ChainState, horizon: float, observe_times=(), observer
     return {"time": state.time, "jumps": jumps, "observations": observations}
 
 
-def _quartet_code_of_target(target: Cladogram) -> int:
-    v = target.adjacency[1][0]
-    partner = next(x for x in target.adjacency[v] if x > 0 and x != 1)
-    return partner - 1  # 1, 2, 3 for partner 2, 3, 4
+@lru_cache(maxsize=None)
+def _shape_codes(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quartet codes of the m-cladograms, sorted, with their state indices.
+
+    Rooted at label 1, a binary tree is determined by its rooted triples, so
+    a state is coded by one digit per triple j < k < l of the other labels:
+    1, 2 or 3 as label 1 pairs with j, k or l, the codes of
+    :meth:`FiniteMeasureTree.quartet_partners`.  Read in bijective base 3,
+    the digits of m = 8 (35 triples) still fit in int64.  Label 1 pairs with
+    j iff some split (the side without label 1) holds k and l but not j.
+    """
+    states = enumerate_cladograms(m)
+    masks = np.array([[sum(1 << x for x in split) for split in t.key[1]] for t in states])
+
+    def clustered(y: int, z: int, x: int) -> np.ndarray:
+        pair = (1 << y) | (1 << z)
+        return (((masks & pair) == pair) & (((masks >> x) & 1) == 0)).any(axis=1)
+
+    codes = np.zeros(len(states), dtype=np.int64)
+    for j, k, l in itertools.combinations(range(2, m + 1), 3):
+        codes = 3 * codes + np.where(clustered(k, l, j), 1, np.where(clustered(j, l, k), 2, 3))
+    order = np.argsort(codes)
+    return codes[order], order
+
+
+def _shape_indices(tree: FiniteMeasureTree, tuples: np.ndarray) -> np.ndarray:
+    """State index, in ``enumerate_cladograms(m)`` order, of the cladogram
+    spanned by each row of pairwise distinct leaf ids (label i is column
+    i - 1, as in :func:`alphaford.cladogram.shape`)."""
+    m = tuples.shape[1]
+    sorted_codes, order = _shape_codes(m)
+    code = np.zeros(len(tuples), dtype=np.int64)
+    for j, k, l in itertools.combinations(range(1, m), 3):
+        code *= 3
+        code += tree.quartet_partners(tuples[:, 0], tuples[:, j], tuples[:, k], tuples[:, l])
+    return order[np.searchsorted(sorted_codes, code)]
 
 
 def estimate_shape_vector(tree, m: int, samples: int, rng):
     """Match fractions (and the multinomial draw counts) for every m-leaf
-    target in canonical state order, from one batch of iid leaf m-tuples."""
+    target in canonical state order, from one batch of iid leaf m-tuples;
+    tuples with repeats match no target."""
     states = enumerate_cladograms(m)
     draws = rng.integers(1, tree.n + 1, size=(samples, m))
     distinct = np.ones(samples, dtype=bool)
     for i in range(m):
         for j in range(i + 1, m):
             distinct &= draws[:, i] != draws[:, j]
-    counts = np.zeros(len(states), dtype=np.int64)
-    if m == 4:
-        code_to_state = {_quartet_code_of_target(t): i for i, t in enumerate(states)}
-        if distinct.any():
-            d = draws[distinct]
-            codes = tree.quartet_partners(d[:, 0], d[:, 1], d[:, 2], d[:, 3])
-            for code in (1, 2, 3):
-                counts[code_to_state[code]] = int((codes == code).sum())
-    else:
-        from alphaford.cladogram import shape
-
-        index = {t.key: i for i, t in enumerate(states)}
-        for row in draws[distinct]:
-            counts[index[shape(tree, row.tolist()).key]] += 1
+    draws = draws[distinct]  # frees the full batch before classifying
+    counts = np.bincount(_shape_indices(tree, draws), minlength=len(states))
     return counts / samples, counts
 
 
@@ -480,20 +494,8 @@ def estimate_shape_polynomial(tree: FiniteMeasureTree, m: int, target: Cladogram
     Returns (estimate, standard error)."""
     if target.m != m:
         raise StructureError("target must be an m-cladogram")
-    if m == 4:
-        fractions, _ = estimate_shape_vector(tree, 4, samples, rng)
-        states = enumerate_cladograms(4)
-        i = next(i for i, s in enumerate(states) if s.key == target.key)
-        p = float(fractions[i])
-    else:
-        from alphaford.cladogram import shape
-
-        draws = rng.integers(1, tree.n + 1, size=(samples, m))
-        hits = 0
-        for row in draws:
-            if len(set(row.tolist())) == m and shape(tree, row.tolist()).key == target.key:
-                hits += 1
-        p = hits / samples
+    fractions, _ = estimate_shape_vector(tree, m, samples, rng)
+    p = float(fractions[enumerate_cladograms(m).index(target)])
     se = math.sqrt(max(p * (1.0 - p), 0.0) / samples)
     return p, se
 
@@ -514,6 +516,31 @@ class DualityCheck:
         return (self.lhs - self.rhs) / math.sqrt(self.lhs_se**2 + self.rhs_se**2)
 
 
+def _duality_samples(
+    alpha, m, n_leaves, t, replicates, seed, tuples_per_replicate, phi_samples, initial
+):
+    """The raw terms of the chain-vs-dual comparison: a (replicates, states)
+    array of per-replicate chain estimates at time t, the tilted backward
+    propagator exp(t (Q_bwd + diag beta)), and the initial shape vector."""
+    if t < 0 or replicates < 2:
+        raise ValueError(f"need t >= 0 and replicates >= 2, got t={t}, replicates={replicates}")
+    alpha = parse_alpha(alpha)
+    # the rate matrix bounds m, so an unsupported m fails before any sampling
+    qb = backward_rate_matrix(alpha, m).to_dense()
+    beta = np.array([float(b) for b in beta_potential(alpha, m).values()])
+    mat = matrix_exponential(qb + np.diag(beta), t)
+    if initial is None:
+        initial = sample_ford_tree(alpha, n_leaves, stream(seed, 0))
+    phi0, _ = estimate_shape_vector(initial, m, phi_samples, stream(seed, 1))
+    est = np.empty((replicates, len(phi0)))
+    for r in range(replicates):
+        rng = stream(seed, 2, r)
+        state = ChainState(initial, alpha, rng)
+        state.run_until(t)
+        est[r], _ = estimate_shape_vector(state.as_tree(), m, tuples_per_replicate, rng)
+    return est, mat, phi0
+
+
 def verify_chain_diffusion_duality(
     alpha,
     m: int,
@@ -527,43 +554,24 @@ def verify_chain_diffusion_duality(
 ) -> list[DualityCheck]:
     """Compare E[Phi^{m,target}(X_t)] for the N-leaf chain started at a fixed
     tree against the dual expectation computed exactly on the m-cladogram
-    backward chain tilted by the potential.
+    backward chain tilted by the potential, for 4 <= m <= 7.
 
-    Left side: ``replicates`` independent chain runs, each contributing a
-    shape-polynomial estimate from ``tuples_per_replicate`` leaf m-tuples;
-    the replicate spread yields the standard error.  Right side:
-    exp(t (Q_bwd + diag beta)) applied to the vector of shape polynomials of
-    the initial tree (estimated once from ``phi_samples`` tuples, with the
-    multinomial covariance propagated through the matrix).
+    Left side: ``replicates`` (at least 2) independent chain runs, each
+    contributing a shape-polynomial estimate from ``tuples_per_replicate``
+    leaf m-tuples; the replicate spread yields the standard error.  Right
+    side: exp(t (Q_bwd + diag beta)) applied to the vector of shape
+    polynomials of the initial tree (estimated once from ``phi_samples``
+    tuples, with the multinomial covariance propagated through the matrix).
     """
-    if m not in (4, 5):
-        raise StructureError("the desk-scale duality check supports m = 4 or 5")
-    alpha = parse_alpha(alpha)
-    if initial is None:
-        initial = sample_ford_tree(alpha, n_leaves, stream(seed, 0))
+    est, mat, phi0 = _duality_samples(
+        alpha, m, n_leaves, t, replicates, seed, tuples_per_replicate, phi_samples, initial
+    )
     states = enumerate_cladograms(m)
-
-    # right-hand side
-    phi0, counts = estimate_shape_vector(initial, m, phi_samples, stream(seed, 1))
-    qb = backward_rate_matrix(alpha, m).to_dense()
-    beta = np.array([float(b) for b in _beta_vector(alpha, m)])
-    mat = matrix_exponential(qb + np.diag(beta), t)
     rhs = mat @ phi0
     cov_phi = (np.diag(phi0) - np.outer(phi0, phi0)) / phi_samples
     rhs_var = np.einsum("ij,jk,ik->i", mat, cov_phi, mat)
-
-    # left-hand side
-    sums = np.zeros(len(states))
-    sq = np.zeros(len(states))
-    for r in range(replicates):
-        rng = stream(seed, 2, r)
-        state = ChainState(initial, alpha, rng)
-        state.run_until(t)
-        est, _ = estimate_shape_vector(state.as_tree(), m, tuples_per_replicate, rng)
-        sums += est
-        sq += est * est
-    lhs = sums / replicates
-    lhs_var = (sq / replicates - lhs**2) / (replicates - 1)
+    lhs = est.sum(axis=0) / replicates
+    lhs_var = ((est * est).sum(axis=0) / replicates - lhs**2) / (replicates - 1)
 
     return [
         DualityCheck(

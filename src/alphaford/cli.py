@@ -16,21 +16,18 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import hashlib
-import itertools
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from alphaford import __version__, cladogram, moments
+from alphaford import __version__, moments
 from alphaford import chain as chain_mod
 from alphaford import ford as ford_mod
 from alphaford._rng import parse_alpha, stream
-from alphaford.cladogram import Cladogram, StructureError, enumerate_cladograms, to_newick
+from alphaford.cladogram import StructureError, enumerate_cladograms, to_newick
 from alphaford.ford import build_comb_tree, exact_distribution, sample_ford_tree
 from alphaford.tree import FiniteMeasureTree
 
@@ -266,14 +263,11 @@ def _cmd_moments_verify(config: RunConfig) -> int:
 def _parse_observable(text: str) -> int:
     if not text.startswith("shape:m="):
         raise StructureError(f"unsupported observable {text!r}; use shape:m=M")
-    m = int(text.split("=", 1)[1])
-    if m != 4:
-        raise StructureError("shape observables are implemented for m = 4")
-    return m
+    return int(text.split("=", 1)[1])
 
 
 def _chain_run_replicate(args: tuple) -> tuple[int, list]:
-    alpha_str, n_leaves, horizon, n_obs_times, tuples, seed, r = args
+    alpha_str, n_leaves, horizon, n_obs_times, m, tuples, seed, r = args
     alpha = Fraction(alpha_str)
     rng = stream(seed, r)
     state = chain_mod.ChainState(sample_ford_tree(alpha, n_leaves, rng), alpha, rng)
@@ -281,7 +275,7 @@ def _chain_run_replicate(args: tuple) -> tuple[int, list]:
     times = [horizon * (i + 1) / n_obs_times for i in range(n_obs_times)]
     for t in times:
         state.run_until(t)
-        est, _ = chain_mod.estimate_shape_vector(state.as_tree(), 4, tuples, rng)
+        est, _ = chain_mod.estimate_shape_vector(state.as_tree(), m, tuples, rng)
         rows.append((r, repr(t), *(repr(float(x)) for x in est)))
     return r, rows
 
@@ -290,9 +284,11 @@ def _cmd_chain_run(config: RunConfig) -> int:
     p = config.params
     alpha = parse_alpha(p["alpha"])
     m = _parse_observable(p["observe"])
+    if p["t"] < 0 or min(p["replicates"], p["obs_times"], p["tuples"]) < 1:
+        raise StructureError("need --t >= 0 and --replicates, --obs-times, --tuples >= 1")
     labels = [f'"{to_newick(t)}"' for t in enumerate_cladograms(m)]
     work = [
-        (_alpha_str(alpha), p["leaves"], p["t"], p["obs_times"], p["tuples"], config.seed, r)
+        (_alpha_str(alpha), p["leaves"], p["t"], p["obs_times"], m, p["tuples"], config.seed, r)
         for r in range(p["replicates"])
     ]
     if config.threads > 1:
@@ -417,9 +413,7 @@ def _cmd_verify(config: RunConfig) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base seed (64-bit unsigned)")
-    common.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     common.add_argument("--out", help=f"output path (relative paths honor ${OUTPUT_DIR_ENV})")
-    common.add_argument("--format", dest="fmt", choices=["csv", "json", "newick"])
 
     parser = argparse.ArgumentParser(prog="alphaford", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -431,12 +425,14 @@ def _build_parser() -> argparse.ArgumentParser:
     fs.add_argument("--alpha", required=True)
     fs.add_argument("--leaves", type=int, required=True)
     fs.add_argument("--count", type=int, default=1)
+    fs.add_argument("--format", dest="fmt", choices=["newick", "json"], default="newick")
     fe = fsub.add_parser("exact", parents=[common])
     fe.add_argument("--alpha", required=True)
     fe.add_argument("--m", type=int, required=True)
     fc = fsub.add_parser("coalescent", parents=[common])
     fc.add_argument("--m", type=int, required=True)
     fc.add_argument("--count", type=int, default=1)
+    fc.add_argument("--format", dest="fmt", choices=["newick", "json"], default="newick")
 
     chain_p = sub.add_parser("chain", help="chain simulation and verifications")
     csub = chain_p.add_subparsers(dest="subcommand", required=True)
@@ -448,6 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cr.add_argument("--replicates", type=int, default=1)
     cr.add_argument("--obs-times", type=int, default=1, help="equally spaced observation times")
     cr.add_argument("--tuples", type=int, default=4096, help="leaf tuples per shape estimate")
+    cr.add_argument("--threads", type=int, default=os.cpu_count() or 1, help="worker processes")
     cv = csub.add_parser("verify", parents=[common])
     cv.add_argument("check", choices=["invariance", "duality", "beta"])
     cv.add_argument("--alpha", required=True)
@@ -523,9 +520,9 @@ def main(argv=None) -> int:
         command=command,
         params=params,
         seed=args.seed,
-        threads=args.threads,
+        threads=getattr(args, "threads", 0),
         out=args.out,
-        fmt=args.fmt,
+        fmt=getattr(args, "fmt", None),
     )
     try:
         return run(config)

@@ -4,10 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from alphaford._rng import stream
 from alphaford.chain import (
     ChainState,
+    _duality_samples,
+    _shape_codes,
+    _shape_indices,
     backward_rate_matrix,
     beta_potential,
     chain_move,
@@ -20,7 +24,7 @@ from alphaford.chain import (
     verify_feynman_kac,
     verify_invariance,
 )
-from alphaford.cladogram import Cladogram, StructureError, enumerate_cladograms
+from alphaford.cladogram import Cladogram, StructureError, enumerate_cladograms, shape
 from alphaford.ford import build_comb_tree, exact_distribution, sample_ford_tree
 from alphaford.tree import FiniteMeasureTree
 
@@ -253,11 +257,46 @@ def test_simulator_million_moves_audit():
 
 def test_simulator_self_moves_leave_state_unchanged():
     state = ChainState(build_comb_tree(8), "0", stream(16))
-    before = state.as_tree().topology
-    moved = [state.move() for _ in range(300)]
+    moved = []
+    for _ in range(300):
+        before = state.as_tree().topology.key
+        moved.append(state.move())
+        # a self-move keeps the labeled tree, every other move changes it
+        assert (state.as_tree().topology.key != before) == moved[-1]
     assert any(moved) and not all(moved)
     state.audit()
-    del before
+
+
+JUMP_ALPHAS = ["0", "1/3", "1"]
+
+
+@pytest.mark.parametrize("alpha", JUMP_ALPHAS)
+@pytest.mark.parametrize("n", [5, 6])
+def test_simulator_one_step_law_matches_rate_row(alpha, n):
+    # one move() from a fixed state lands on t with probability
+    # q_fwd(s, t) / total rate, and stays at s with the self-move rate;
+    # the start is a 5-leaf caterpillar or the 6-leaf three-cherry tree
+    fwd = forward_rate_matrix(alpha, n)
+    s = next(i for i, t in enumerate(fwd.states) if len(t.cherries()) == 2 * (n - 3))
+    start = FiniteMeasureTree(fwd.states[s])
+    rng = stream(31, n, JUMP_ALPHAS.index(alpha))
+    moves = 20_000
+    tally = {}
+    for _ in range(moves):
+        state = ChainState(start, alpha, rng)
+        state.move()
+        t = fwd.index[state.as_tree().topology.key]
+        tally[t] = tally.get(t, 0) + 1
+    total = fwd.total_rate(s)
+    law = {t: r / total for t, r in fwd.rows[s].items() if r}
+    if fwd.self_rates[s]:
+        law[s] = fwd.self_rates[s] / total
+    assert sum(law.values()) == 1
+    assert set(tally) <= set(law), "move() reached a state the rate row forbids"
+    targets = sorted(law)
+    observed = [tally.get(t, 0) for t in targets]
+    expected = [float(law[t]) * moves for t in targets]
+    assert chisquare(observed, expected).pvalue > 1e-3
 
 
 def test_simulate_chain_observers():
@@ -339,6 +378,23 @@ def test_shape_polynomial_sum_is_distinct_probability():
     assert abs(total - p_distinct) < 0.02
 
 
+@pytest.mark.parametrize("m", range(2, 9))
+def test_shape_classifier_matches_shape(m):
+    states = enumerate_cladograms(m)
+    sorted_codes, _ = _shape_codes(m)
+    assert len(np.unique(sorted_codes)) == len(states)
+    index = {t.key: i for i, t in enumerate(states)}
+    trees = [
+        sample_ford_tree("0", 40, stream(32)),
+        sample_ford_tree("1/2", 40, stream(33)),
+        build_comb_tree(40),
+    ]
+    for i, tree in enumerate(trees):
+        tuples = tree.sample_distinct_leaves(150, m, stream(34, m, i))
+        got = _shape_indices(tree, tuples).tolist()
+        assert got == [index[shape(tree, row.tolist()).key] for row in tuples]
+
+
 def test_shape_polynomial_generic_path_m5():
     ft = build_comb_tree(10)
     targets = enumerate_cladograms(5)
@@ -363,8 +419,8 @@ def test_duality_small(alpha):
 
 
 def test_duality_m5():
-    # m = 5 runs the generic shape estimator; the finite-size generator gap
-    # is O(1/N), far below Monte Carlo noise at these sizes
+    # the finite-size generator gap is O(1/N), far below Monte Carlo noise at
+    # these sizes
     checks = verify_chain_diffusion_duality(
         "1/2", 5, 128, 0.05, replicates=150, seed=28, phi_samples=40_000
     )
@@ -374,5 +430,35 @@ def test_duality_m5():
 
 
 def test_duality_rejects_large_m():
-    with pytest.raises(StructureError):
-        verify_chain_diffusion_duality("1/2", 6, 64, 0.05, replicates=10)
+    # the rate matrices bound the check to 4 <= m <= 7
+    for m in (3, 8):
+        with pytest.raises(StructureError):
+            verify_chain_diffusion_duality("1/2", m, 64, 0.05, replicates=10)
+
+
+@pytest.mark.parametrize("t, replicates", [(0.05, 1), (0.05, 0), (-0.1, 10)])
+def test_duality_rejects_bad_replicates_and_time(t, replicates):
+    with pytest.raises(ValueError):
+        verify_chain_diffusion_duality("1/2", 4, 64, t, replicates=replicates)
+
+
+@pytest.mark.parametrize("alpha", ["0", "1/2"])
+def test_duality_m6_snowflake_fraction(alpha):
+    # Every 6-leaf subtree of a comb is a caterpillar, so the summed fraction
+    # of the 15 three-cherry ("snowflake") states is 0 at t = 0.  Unlike the
+    # m = 4, 5 vectors, this observable depends on the tree, so it tests the
+    # simulator's dynamics against the dual.
+    replicates, phi_samples = 1000, 200_000
+    est, mat, phi0 = _duality_samples(
+        alpha, 6, 64, 0.05, replicates, 41, 64, phi_samples, build_comb_tree(64)
+    )
+    w = np.array([len(t.cherries()) == 6 for t in enumerate_cladograms(6)], dtype=float)
+    assert w.sum() == 15 and w @ phi0 == 0
+    per_replicate = est @ w
+    lhs = per_replicate.mean()
+    lhs_se = per_replicate.std(ddof=1) / math.sqrt(replicates)
+    wm = w @ mat
+    rhs = wm @ phi0
+    rhs_var = ((wm * wm) @ phi0 - rhs**2) / phi_samples
+    assert rhs > 0.05
+    assert abs(lhs - rhs) < 4 * math.sqrt(lhs_se**2 + rhs_var)

@@ -1,3 +1,5 @@
+import csv
+import itertools
 import json
 import os
 
@@ -87,6 +89,46 @@ def test_chain_run_csv(capsys):
     rows = [line for line in out.splitlines() if not line.startswith("#")]
     assert rows[0].startswith("replicate,time,")
     assert len(rows) == 4
+
+
+def test_chain_run_shape_m5(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "chain", "run", "--alpha", "0", "--leaves", "12", "--t", "0.1", "--observe", "shape:m=5",
+        "--replicates", "2", "--seed", "6", "--tuples", "200", "--threads", "1",
+    )
+    assert code == 0
+    rows = list(csv.reader(line for line in out.splitlines() if not line.startswith("#")))
+    assert len(rows[0]) == 2 + 15 and len(rows) == 3
+    assert all(0 < sum(float(x) for x in row[2:]) <= 1 for row in rows[1:])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [["--t", "-0.1"], ["--replicates", "0"], ["--tuples", "0"], ["--observe", "shape:m=9"]],
+)
+def test_chain_run_rejects_bad_values(capsys, bad):
+    args = {"--t": "0.1", "--replicates": "2", "--tuples": "64", "--observe": "shape:m=4"}
+    args[bad[0]] = bad[1]
+    argv = ["chain", "run", "--alpha", "1/2", "--leaves", "8", "--threads", "1"]
+    code, out, err = run_cli(capsys, *argv, *itertools.chain(*args.items()))
+    assert code == 2 and out == ""
+    assert json.loads(err.strip())["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--alpha", "1/2", "--threads", "2"],
+        ["moments", "estimate", "--alpha", "0", "--leaves", "20", "--threads", "2"],
+        ["ford", "exact", "--alpha", "0", "--m", "4", "--format", "json"],
+        ["ford", "sample", "--alpha", "0", "--leaves", "5", "--format", "csv"],
+    ],
+)
+def test_options_only_where_honoured(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
 
 
 def test_moments_estimate_csv(capsys):
