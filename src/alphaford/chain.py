@@ -30,10 +30,17 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from alphaford._rng import parse_alpha, stream
-from alphaford.cladogram import Cladogram, StructureError, enumerate_cladograms
+from alphaford.cladogram import (
+    Cladogram,
+    StructureError,
+    _cherry_mask,
+    _deletions,
+    _insertions,
+    _state_index,
+    enumerate_cladograms,
+)
 from alphaford.ford import exact_distribution, sample_ford_tree
 from alphaford.tree import FiniteMeasureTree
 
@@ -65,49 +72,77 @@ def chain_move(t: Cladogram, k: int, edge) -> Cladogram:
     return t.delete_leaf(k).insert_leaf(edge, new_label=k)
 
 
-@lru_cache(maxsize=None)
-def _move_tables(m: int):
+@dataclass(frozen=True)
+class MoveTables:
     """Per-state move targets of the m-leaf chain, classified both ways.
 
-    For state s, ``fwd_ext[s]``/``fwd_int[s]`` count non-self moves by the
-    class of the insertion edge, ``bwd_ch[s]``/``bwd_non[s]`` the same moves
-    by whether the displaced leaf is a cherry.  Every (k, e) pair with
-    e the merged edge is a self-move; there are exactly m of them per state.
+    For state s, ``fwd_ext[s]``/``fwd_int[s]`` count non-self moves by target
+    and by the class of the insertion edge, ``bwd_ch[s]``/``bwd_non[s]`` the
+    same moves by whether the displaced leaf is a cherry.
+    """
+
+    states: tuple
+    index: dict
+    fwd_ext: tuple
+    fwd_int: tuple
+    bwd_ch: tuple
+    bwd_non: tuple
+    n_cherries: tuple
+
+
+@lru_cache(maxsize=None)
+def _move_tables(m: int) -> MoveTables:
+    """Move tables built on split bitmasks, with no tree per move.
+
+    Moving leaf k of state s goes through ``t.delete_leaf(k)``; states sharing
+    that reduced tree and k share their 2m - 5 targets, computed once.
+    Every (k, e) pair with e the merged edge is a self-move; there are
+    exactly m of them per state.
     """
     if not 4 <= m <= MAX_RATE_MATRIX_LEAVES:
         raise StructureError(f"rate matrices support 4 <= m <= {MAX_RATE_MATRIX_LEAVES}")
     states = enumerate_cladograms(m)
-    index = {t.key: i for i, t in enumerate(states)}
+    reduced_states = enumerate_cladograms(m - 1)
+    split_index = _state_index(m)
+    targets: dict[tuple[int, int], list[tuple[int, bool]]] = {}
     fwd_ext: list[dict[int, int]] = []
     fwd_int: list[dict[int, int]] = []
     bwd_ch: list[dict[int, int]] = []
     bwd_non: list[dict[int, int]] = []
     n_cherries = []
-    for s, t in enumerate(states):
+    for s, (t, reduced) in enumerate(zip(states, _deletions(m))):
         fe: dict[int, int] = {}
         fi: dict[int, int] = {}
         bc: dict[int, int] = {}
         bn: dict[int, int] = {}
-        cherries = t.cherries()
+        cherries = _cherry_mask(t.splits, m)
         self_moves = 0
-        for k in t.leaves:
-            reduced = t.delete_leaf(k)
-            is_cherry = k in cherries
-            for e in reduced.edges:
-                tgt = index[reduced.insert_leaf(e, new_label=k).key]
+        for k, r in enumerate(reduced, start=1):
+            moves = targets.get((k, r))
+            if moves is None:
+                moves = targets[k, r] = [
+                    (split_index[x], external)
+                    for x, external in _insertions(reduced_states[r].splits, m - 1, k)
+                ]
+            by_leaf = bc if cherries >> k & 1 else bn
+            for tgt, external in moves:
                 if tgt == s:
                     self_moves += 1
                     continue
-                external = e[0] > 0 or e[1] > 0
-                (fe if external else fi)[tgt] = (fe if external else fi).get(tgt, 0) + 1
-                (bc if is_cherry else bn)[tgt] = (bc if is_cherry else bn).get(tgt, 0) + 1
+                by_edge = fe if external else fi
+                by_edge[tgt] = by_edge.get(tgt, 0) + 1
+                by_leaf[tgt] = by_leaf.get(tgt, 0) + 1
         assert self_moves == m
         fwd_ext.append(fe)
         fwd_int.append(fi)
         bwd_ch.append(bc)
         bwd_non.append(bn)
-        n_cherries.append(len(cherries))
-    return states, index, fwd_ext, fwd_int, bwd_ch, bwd_non, tuple(n_cherries)
+        n_cherries.append(cherries.bit_count())
+    index = {t.key: i for i, t in enumerate(states)}
+    return MoveTables(
+        states, index, tuple(fwd_ext), tuple(fwd_int), tuple(bwd_ch), tuple(bwd_non),
+        tuple(n_cherries),
+    )
 
 
 @dataclass(frozen=True)
@@ -156,49 +191,54 @@ class RateMatrix:
             assert self.self_rates[s] >= 0
 
 
-def _assemble(alpha: Fraction, m: int, kind: str, weight_a, weight_b, tables_a, tables_b):
-    states, index, *_ = _move_tables(m)
-    _, _, _, _, _, _, n_cherries = _move_tables(m)
+def _assemble(alpha: Fraction, m: int, kind: str) -> RateMatrix:
+    """Rates 1 - alpha and alpha on the two classes of ``kind``'s moves:
+    external/internal insertion edge (forward), cherry/non-cherry leaf
+    (backward)."""
+    mt = _move_tables(m)
+    if kind == "forward":
+        tables_a, tables_b = mt.fwd_ext, mt.fwd_int
+    else:
+        tables_a, tables_b = mt.bwd_ch, mt.bwd_non
+    rates: dict[tuple[int, int], Fraction] = {}  # counts are small: few distinct rates
     rows = []
     self_rates = []
-    for s in range(len(states)):
+    for s in range(len(mt.states)):
+        a_row, b_row = tables_a[s], tables_b[s]
         row: dict[int, Fraction] = {}
-        for tgt, c in tables_a[s].items():
-            if weight_a:
-                row[tgt] = row.get(tgt, Fraction(0)) + weight_a * c
-        for tgt, c in tables_b[s].items():
-            if weight_b:
-                row[tgt] = row.get(tgt, Fraction(0)) + weight_b * c
+        for tgt in {**a_row, **b_row}:
+            counts = (a_row.get(tgt, 0), b_row.get(tgt, 0))
+            rate = rates.get(counts)
+            if rate is None:
+                rate = rates[counts] = (1 - alpha) * counts[0] + alpha * counts[1]
+            if rate:
+                row[tgt] = rate
         rows.append(row)
-        ch = n_cherries[s]
+        ch = mt.n_cherries[s]
         self_rates.append((1 - alpha) * ch + alpha * (m - ch))
-    return RateMatrix(alpha, m, kind, states, index, tuple(rows), tuple(self_rates))
+    return RateMatrix(alpha, m, kind, mt.states, mt.index, tuple(rows), tuple(self_rates))
 
 
 def forward_rate_matrix(alpha, m: int) -> RateMatrix:
     """Forward chain: insertion edges weighted 1 - alpha (external) / alpha
     (internal).  Total rate at every state is m(m - 1 - 3 alpha)."""
-    alpha = parse_alpha(alpha)
-    states, index, fwd_ext, fwd_int, *_ = _move_tables(m)
-    return _assemble(alpha, m, "forward", 1 - alpha, alpha, fwd_ext, fwd_int)
+    return _assemble(parse_alpha(alpha), m, "forward")
 
 
 def backward_rate_matrix(alpha, m: int) -> RateMatrix:
     """Backward chain: displaced leaf weighted 1 - alpha (cherry) / alpha
     (non-cherry), any insertion edge.  Entrywise q_bwd(t', t) = q_fwd(t, t')."""
-    alpha = parse_alpha(alpha)
-    states, index, _, _, bwd_ch, bwd_non, _ = _move_tables(m)
-    return _assemble(alpha, m, "backward", 1 - alpha, alpha, bwd_ch, bwd_non)
+    return _assemble(parse_alpha(alpha), m, "backward")
 
 
 def beta_potential(alpha, m: int) -> dict:
     """The potential beta(t) = (1 - 2 alpha) (#cherries(t) (2m - 5) - m(m - 1)),
     keyed by canonical key in state order; identically zero at alpha = 1/2."""
     alpha = parse_alpha(alpha)
-    states, *_ , n_cherries = _move_tables(m)
+    mt = _move_tables(m)
     return {
-        t.key: (1 - 2 * alpha) * (n_cherries[s] * (2 * m - 5) - m * (m - 1))
-        for s, t in enumerate(states)
+        t.key: (1 - 2 * alpha) * (ch * (2 * m - 5) - m * (m - 1))
+        for t, ch in zip(mt.states, mt.n_cherries)
     }
 
 
@@ -244,6 +284,8 @@ def matrix_exponential(mat: np.ndarray, t: float = 1.0) -> np.ndarray:
         raise ValueError(f"dimension {mat.shape[0]} exceeds guard {MAX_EXPM_DIM}")
     if not np.isfinite(mat).all():
         raise ValueError("matrix entries must be finite")
+    import scipy.linalg  # deferred: commands that never exponentiate skip its import
+
     return scipy.linalg.expm(t * mat)
 
 
@@ -444,10 +486,10 @@ def _shape_codes(m: int) -> tuple[np.ndarray, np.ndarray]:
     1, 2 or 3 as label 1 pairs with j, k or l, the codes of
     :meth:`FiniteMeasureTree.quartet_partners`.  Read in bijective base 3,
     the digits of m = 8 (35 triples) still fit in int64.  Label 1 pairs with
-    j iff some split (the side without label 1) holds k and l but not j.
+    j iff some split mask (:attr:`Cladogram.splits`) holds k and l but not j.
     """
     states = enumerate_cladograms(m)
-    masks = np.array([[sum(1 << x for x in split) for split in t.key[1]] for t in states])
+    masks = np.array([t.splits for t in states], dtype=np.int64)
 
     def clustered(y: int, z: int, x: int) -> np.ndarray:
         pair = (1 << y) | (1 << z)
@@ -513,7 +555,12 @@ class DualityCheck:
 
     @property
     def z_score(self) -> float:
-        return (self.lhs - self.rhs) / math.sqrt(self.lhs_se**2 + self.rhs_se**2)
+        """(lhs - rhs) over the combined standard error; with both errors 0,
+        0.0 for equal sides and a signed infinity otherwise."""
+        se = math.sqrt(self.lhs_se**2 + self.rhs_se**2)
+        if se == 0:
+            return 0.0 if self.lhs == self.rhs else math.copysign(math.inf, self.lhs - self.rhs)
+        return (self.lhs - self.rhs) / se
 
 
 def _duality_samples(

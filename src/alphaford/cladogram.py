@@ -7,13 +7,15 @@ and never mutate their inputs.
 
 Identity of labeled cladograms goes through :meth:`Cladogram.key`, the sorted
 tuple of internal-edge bipartitions encoded by the side that excludes label 1.
-Two cladograms are isomorphic as labeled trees iff their keys are equal.
+Two cladograms are isomorphic as labeled trees iff their keys are equal.  The
+same splits as integer bitmasks, :attr:`Cladogram.splits`, carry the exact
+layer: leaf deletion, cherries and chain moves act on them directly.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Cladogram",
@@ -53,12 +55,13 @@ class Cladogram:
         Undirected edges.  Internal vertices must use negative ids.
     """
 
-    __slots__ = ("m", "edges", "_adj", "_key", "_hash")
+    __slots__ = ("m", "edges", "_adj", "_splits", "_key", "_hash")
 
     def __init__(self, m: int, edges: Iterable[Edge], _validate: bool = True):
         self.m = int(m)
         self.edges: tuple[Edge, ...] = tuple(sorted(_edge(u, v) for u, v in edges))
         self._adj: dict[int, tuple[int, ...]] | None = None
+        self._splits: tuple[int, ...] | None = None
         self._key = None
         self._hash = None
         if _validate:
@@ -129,20 +132,36 @@ class Cladogram:
 
     # -- canonical identity --------------------------------------------------
 
-    def _split_side(self, u: int, avoid: int) -> list[int]:
-        """Leaf labels reachable from ``u`` without crossing edge (u, avoid)."""
-        labels = []
-        seen = {avoid, u}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            if x > 0:
-                labels.append(x)
-            for w in self.adjacency[x]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return labels
+    @property
+    def splits(self) -> tuple[int, ...]:
+        """Internal-edge splits as sorted integer bitmasks.
+
+        Bit x stands for label x, and each split is stored as its side
+        without label 1: rooted at leaf 1, the leaf set below the edge.  One
+        iterative post-order pass from leaf 1's neighbour computes them all.
+        """
+        if self._splits is None:
+            adj = self.adjacency
+            root = adj[1][0]
+            parent = {root: 1}
+            order = [root]
+            for v in order:  # breadth-first; reversed, children precede parents
+                for w in adj[v]:
+                    if w != parent[v]:
+                        parent[w] = v
+                        order.append(w)
+            side: dict[int, int] = {}
+            for v in reversed(order):
+                if v > 0:
+                    side[v] = 1 << v
+                else:
+                    below = 0
+                    for w in adj[v]:
+                        if w != parent[v]:
+                            below |= side[w]
+                    side[v] = below
+            self._splits = tuple(sorted(side[v] for v in order if v < 0 and v != root))
+        return self._splits
 
     @property
     def key(self) -> tuple:
@@ -154,24 +173,17 @@ class Cladogram:
         across processes (plain integer tuples).
         """
         if self._key is None:
-            splits = []
-            for u, v in self.edges:
-                if u < 0 and v < 0:
-                    side = self._split_side(u, v)
-                    if 1 in side:
-                        side = self._split_side(v, u)
-                    splits.append(tuple(sorted(side)))
-            self._key = (self.m, tuple(sorted(splits)))
+            self._key = _split_key(self.m, self.splits)
         return self._key
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cladogram):
             return NotImplemented
-        return self.key == other.key
+        return self.m == other.m and self.splits == other.splits
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self.key)
+            self._hash = hash((self.m, self.splits))
         return self._hash
 
     def __repr__(self) -> str:
@@ -248,6 +260,101 @@ class Cladogram:
         return tuple(ext), tuple(internal)
 
 
+# -- splits as bitmasks ----------------------------------------------------------
+#
+# The exact layer works on ``Cladogram.splits`` directly: a state is the sorted
+# tuple of its split masks, and one-leaf edits act on those integers without
+# building a tree.  Trivial splits (one label on either side) are never stored.
+
+
+# Label tuples of every mask over labels 1..MAX_ENUMERATION_LEAVES, shared by
+# the keys of all enumerable states instead of rebuilt for each.
+_SMALL_LABELS = tuple(
+    tuple(x for x in range(1, MAX_ENUMERATION_LEAVES + 1) if mask >> x & 1)
+    for mask in range(1 << (MAX_ENUMERATION_LEAVES + 1))
+)
+
+
+def _labels(mask: int) -> tuple[int, ...]:
+    """The labels whose bits are set in ``mask``, ascending."""
+    if mask < len(_SMALL_LABELS):
+        return _SMALL_LABELS[mask]
+    bits = bin(mask)[:1:-1]
+    return tuple(i for i, b in enumerate(bits) if b == "1")
+
+
+def _split_key(m: int, splits: Iterable[int]) -> tuple:
+    """:attr:`Cladogram.key` of the m-cladogram with these split masks."""
+    return (m, tuple(sorted(_labels(s) for s in splits)))
+
+
+def _delete_split_leaf(splits: Iterable[int], m: int, k: int) -> tuple[int, ...]:
+    """Splits of ``t.delete_leaf(k)``, given those of the m-cladogram t.
+
+    Bit k is dropped and higher bits shift down.  For k = 1 old label 2
+    becomes label 1, so a split holding it is replaced by its complement.
+    The two edges joined by the deletion give equal masks, kept once.
+    """
+    low = (1 << k) - 1
+    full = (1 << m) - 2  # labels 1..m-1
+    out = set()
+    for s in splits:
+        s = (s & low) | (s >> (k + 1) << k)
+        if s & 2:
+            s ^= full
+        if 2 <= s.bit_count() <= m - 3:
+            out.add(s)
+    return tuple(sorted(out))
+
+
+def _cherry_mask(splits: Iterable[int], m: int) -> int:
+    """Bitmask of :meth:`Cladogram.cherries`: the splits of size 2, and the
+    complements of size 2 (label 1 and its sibling)."""
+    full = (1 << (m + 1)) - 2  # labels 1..m
+    if m <= 3:
+        return full
+    out = 0
+    for s in splits:
+        size = s.bit_count()
+        if size == 2:
+            out |= s
+        if size == m - 2:
+            out |= full ^ s
+    return out
+
+
+def _insertions(splits: Iterable[int], m: int, k: int) -> list[tuple[tuple[int, ...], bool]]:
+    """Every ``insert_leaf(e, new_label=k)`` of the m-cladogram with these
+    splits, as ``(splits, e is external)``, one per edge e.  After
+    :func:`_delete_split_leaf` this is one chain move of leaf k.
+
+    Labels >= k shift up.  Edge e is named by its side s_e without label 1
+    (a single label for a leaf edge, all labels but 1 for leaf 1's edge).
+    Leaf k joins every split s with s_e inside s, and e itself becomes the
+    two splits s_e and s_e | k.  Labels are relative to the old label 1,
+    so for k = 1 splits holding the new label 1 are complemented.
+    """
+    low = (1 << k) - 1
+    kbit = 1 << k
+    full = (1 << (m + 2)) - 2  # labels 1..m+1
+
+    def up(s: int) -> int:
+        return (s & low) | (s >> k << (k + 1))
+
+    shifted = [up(s) for s in splits]
+    edges = [(up(1 << j), True) for j in range(2, m + 1)]
+    edges.append((up((1 << (m + 1)) - 4), True))
+    edges += [(s, False) for s in shifted]
+    out = []
+    for se, external in edges:
+        new = {s | kbit if s & se == se else s for s in shifted}
+        for s in (se, se | kbit):
+            if 2 <= s.bit_count() <= m - 1:
+                new.add(s)
+        out.append((tuple(sorted(full ^ s if s & 2 else s for s in new)), external))
+    return out
+
+
 def double_factorial(n: int) -> int:
     """n!! for odd n >= -1 (with (-1)!! = 1)."""
     out = 1
@@ -278,6 +385,20 @@ def enumerate_cladograms(m: int, m_max: int = MAX_ENUMERATION_LEAVES) -> tuple[C
         trees = [t.insert_leaf(e) for t in trees for e in t.edges]
     trees.sort(key=lambda t: t.key)
     return tuple(trees)
+
+
+@lru_cache(maxsize=None)
+def _state_index(m: int) -> dict[tuple[int, ...], int]:
+    """Position of each split tuple in ``enumerate_cladograms(m)``."""
+    return {t.splits: i for i, t in enumerate(enumerate_cladograms(m))}
+
+
+def _deletions(m: int) -> Iterator[tuple[int, ...]]:
+    """For each state of ``enumerate_cladograms(m)`` in turn, the positions of
+    ``t.delete_leaf(k)`` in ``enumerate_cladograms(m - 1)`` for k = 1..m."""
+    index = _state_index(m - 1)
+    for t in enumerate_cladograms(m):
+        yield tuple(index[_delete_split_leaf(t.splits, m, k)] for k in t.leaves)
 
 
 def shape(tree, samples: Sequence[int]) -> Cladogram:
@@ -372,19 +493,30 @@ def labelled_shape(tree, samples: Sequence[int]) -> LabelledCladogram:
 
 def to_newick(t: Cladogram) -> str:
     """Serialize with integer leaf labels, rooted at the internal vertex
-    adjacent to leaf 1 (the sole edge for m = 2)."""
+    adjacent to leaf 1 (the sole edge for m = 2).  Iterative, so deep trees
+    serialize at any depth."""
     if t.m == 2:
         return "(1,2);"
-    root = t.adjacency[1][0]
-
-    def sub(v: int, parent: int) -> str:
+    adj = t.adjacency
+    out = []
+    stack: list = [(adj[1][0], 0)]  # (vertex, parent) or literal text
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        v, parent = item
         if v > 0:
-            return str(v)
-        kids = [w for w in t.adjacency[v] if w != parent]
-        return "(" + ",".join(sub(w, v) for w in kids) + ")"
-
-    kids = t.adjacency[root]
-    return "(" + ",".join(sub(w, root) for w in kids) + ");"
+            out.append(str(v))
+            continue
+        out.append("(")
+        stack.append(")")
+        kids = [w for w in adj[v] if w != parent]
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((kids[i], v))
+            if i:
+                stack.append(",")
+    return "".join(out) + ";"
 
 
 def from_newick(s: str) -> Cladogram:
@@ -392,58 +524,56 @@ def from_newick(s: str) -> Cladogram:
 
     Accepts any binary unrooted Newick with integer leaf labels: the top
     level must have 3 children (or 2 for the two-leaf tree), every other
-    internal node exactly 2.
+    internal node exactly 2.  Internal vertices are numbered -1, -2, ... in
+    the order their parentheses open.  Iterative, so nesting depth is
+    unlimited.
     """
     s = s.strip()
     if s.endswith(";"):
         s = s[:-1]
+    n = len(s)
     pos = 0
-
-    def parse() -> tuple:
-        nonlocal pos
-        if s[pos] == "(":
+    open_nodes: list[tuple[int, list[int]]] = []  # (vertex, children so far)
+    children: dict[int, list[int]] = {}
+    next_id = 0
+    while True:
+        if pos < n and s[pos] == "(":
+            next_id -= 1
+            open_nodes.append((next_id, []))
             pos += 1
-            kids = [parse()]
-            while s[pos] == ",":
-                pos += 1
-                kids.append(parse())
-            if s[pos] != ")":
-                raise StructureError(f"expected ')' at position {pos}")
-            pos += 1
-            return tuple(kids)
+            continue
         start = pos
-        while pos < len(s) and s[pos] not in ",()":
+        while pos < n and s[pos] not in ",()":
             pos += 1
         token = s[start:pos]
-        if not token.lstrip("-").isdigit():
-            raise StructureError(f"leaf label {token!r} is not an integer")
-        return (int(token),)
-
-    top = parse()
-    if pos != len(s):
+        if not token.isdecimal() or int(token) == 0:
+            raise StructureError(f"leaf label {token!r} is not a positive integer")
+        node = int(token)
+        # attach the finished node, closing every parenthesis that follows it
+        while open_nodes:
+            open_nodes[-1][1].append(node)
+            if pos < n and s[pos] == ",":
+                pos += 1
+                break
+            if pos < n and s[pos] == ")":
+                pos += 1
+                node, kids = open_nodes.pop()
+                children[node] = kids
+                continue
+            raise StructureError(f"expected ')' at position {pos}")
+        else:
+            break
+    if pos != n:
         raise StructureError(f"trailing characters at position {pos}")
-    if len(top) == 2 and top[0] == (1,) and top[1] == (2,):
+    top = children.get(node, [node])
+    if top == [1, 2]:
         return Cladogram(2, [(1, 2)])
-
-    edges: list[Edge] = []
-    counter = [0]
-
-    def build(node: tuple) -> int:
-        if len(node) == 1 and isinstance(node[0], int):
-            return node[0]
-        if len(node) != 2:
-            raise StructureError("internal Newick nodes must be binary")
-        counter[0] -= 1
-        v = counter[0]
-        for child in node:
-            edges.append(_edge(v, build(child)))
-        return v
-
     if len(top) != 3:
         raise StructureError("unrooted Newick must have 3 children at the top level")
-    counter[0] -= 1
-    root = counter[0]
-    for child in top:
-        edges.append(_edge(root, build(child)))
+    edges: list[Edge] = []
+    for v, kids in children.items():
+        if v != node and len(kids) != 2:
+            raise StructureError("internal Newick nodes must be binary")
+        edges += [_edge(v, w) for w in kids]
     m = sum(1 for u, v in edges for x in (u, v) if x > 0)
     return Cladogram(m, edges)

@@ -132,6 +132,8 @@ def _alpha_str(alpha: Fraction) -> str:
 
 def _cmd_ford_sample(config: RunConfig) -> int:
     p = config.params
+    if p["count"] < 1:
+        raise StructureError("need --count >= 1")
     alpha = parse_alpha(p["alpha"])
     rng = stream(config.seed)
     trees = [
@@ -147,6 +149,8 @@ def _cmd_ford_sample(config: RunConfig) -> int:
 
 def _cmd_ford_coalescent(config: RunConfig) -> int:
     p = config.params
+    if p["count"] < 1:
+        raise StructureError("need --count >= 1")
     rng = stream(config.seed)
     trees = [ford_mod.sample_kingman_cladogram(p["m"], rng) for _ in range(p["count"])]
     newicks = [to_newick(t) for t in trees]

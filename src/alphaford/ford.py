@@ -14,10 +14,13 @@ one-leaf-removal recursion
 with uniform base case at m = 4 (insertion into the unique 3-cladogram sees
 three equal-weight external edges, which also sidesteps the vanishing
 denominator at alpha = 1, m = 4).  All probabilities are exact rationals.
+The recursion and the deletion check run on split bitmasks
+(:attr:`Cladogram.splits`), with no tree built per deleted leaf.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,7 +28,13 @@ from functools import lru_cache
 import numpy as np
 
 from alphaford._rng import parse_alpha
-from alphaford.cladogram import Cladogram, StructureError, enumerate_cladograms
+from alphaford.cladogram import (
+    Cladogram,
+    StructureError,
+    _cherry_mask,
+    _deletions,
+    enumerate_cladograms,
+)
 from alphaford.tree import FiniteMeasureTree
 
 __all__ = [
@@ -162,21 +171,28 @@ def build_comb_tree(n_leaves: int) -> FiniteMeasureTree:
 
 @lru_cache(maxsize=None)
 def _exact_distribution(alpha: Fraction, m: int) -> ExactDistribution:
+    states = enumerate_cladograms(m)
     if m <= 4:
-        states = enumerate_cladograms(m)
         p = Fraction(1, len(states))
         return ExactDistribution(alpha, m, {t.key: p for t in states})
-    prev = _exact_distribution(alpha, m - 1)
-    denom = m * (m - 1 - 3 * alpha)
+    prev = _exact_distribution(alpha, m - 1).as_vector(enumerate_cladograms(m - 1))
+    # Sums run over integer numerators of one common denominator, and with
+    # alpha = a / b the weights 1 - alpha, alpha and the factor
+    # m (m - 1 - 3 alpha) are all scaled by b: one Fraction per state.
+    common = math.lcm(*(p.denominator for p in prev))
+    num = [p.numerator * (common // p.denominator) for p in prev]
+    a, b = alpha.numerator, alpha.denominator
+    scale = common * m * ((m - 1) * b - 3 * a)
     table = {}
-    for t in enumerate_cladograms(m):
-        cherries = t.cherries()
-        acc = Fraction(0)
-        for k in t.leaves:
-            weight = (1 - alpha) if k in cherries else alpha
-            if weight:
-                acc += weight * prev.table[t.delete_leaf(k).key]
-        table[t.key] = acc / denom
+    for t, reduced in zip(states, _deletions(m)):
+        cherries = _cherry_mask(t.splits, m)
+        cherry_sum = other_sum = 0
+        for k, r in enumerate(reduced, start=1):
+            if cherries >> k & 1:
+                cherry_sum += num[r]
+            else:
+                other_sum += num[r]
+        table[t.key] = Fraction((b - a) * cherry_sum + a * other_sum, scale)
     dist = ExactDistribution(alpha, m, table)
     assert dist.total() == 1
     return dist
@@ -194,16 +210,12 @@ def deletion_stability_check(alpha, m: int) -> tuple[bool, Fraction]:
     the (m-1)-leaf law.  Returns (exact equality, max residual)."""
     if m < 3:
         raise StructureError("deletion stability needs m >= 3")
-    dist = exact_distribution(alpha, m)
-    marginal: dict = {}
-    for t in enumerate_cladograms(m):
-        p = dist.table[t.key] / m
-        for k in t.leaves:
-            key = t.delete_leaf(k).key
-            marginal[key] = marginal.get(key, Fraction(0)) + p
-    target = exact_distribution(alpha, m - 1)
-    keys = set(marginal) | set(target.table)
-    residual = max(
-        abs(marginal.get(k, Fraction(0)) - target.table.get(k, Fraction(0))) for k in keys
-    )
+    probs = exact_distribution(alpha, m).as_vector(enumerate_cladograms(m))
+    target = exact_distribution(alpha, m - 1).as_vector(enumerate_cladograms(m - 1))
+    marginal = [Fraction(0)] * len(target)
+    for p, reduced in zip(probs, _deletions(m)):
+        p /= m
+        for r in reduced:
+            marginal[r] += p
+    residual = max(abs(x - y) for x, y in zip(marginal, target))
     return residual == 0, residual

@@ -9,7 +9,9 @@ from scipy.stats import chisquare
 from alphaford._rng import stream
 from alphaford.chain import (
     ChainState,
+    DualityCheck,
     _duality_samples,
+    _move_tables,
     _shape_codes,
     _shape_indices,
     backward_rate_matrix,
@@ -24,7 +26,15 @@ from alphaford.chain import (
     verify_feynman_kac,
     verify_invariance,
 )
-from alphaford.cladogram import Cladogram, StructureError, enumerate_cladograms, shape
+from alphaford.cladogram import (
+    Cladogram,
+    StructureError,
+    _delete_split_leaf,
+    _insertions,
+    _split_key,
+    enumerate_cladograms,
+    shape,
+)
 from alphaford.ford import build_comb_tree, exact_distribution, sample_ford_tree
 from alphaford.tree import FiniteMeasureTree
 
@@ -57,6 +67,36 @@ def test_chain_move_produces_valid_states():
         for e in t.delete_leaf(k).edges:
             got = chain_move(t, k, e)
             assert got.m == 6  # constructor validates the rest
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 7])
+def test_move_tables_match_cladogram_edits(m):
+    """Split-mask moves and tables against moves built through chain_move:
+    every (state, leaf, edge) with the edge's class in the reduced tree and
+    the leaf's cherry class."""
+    states = enumerate_cladograms(m)
+    index = {t.key: i for i, t in enumerate(states)}
+    ref: tuple[list, list, list, list] = ([], [], [], [])
+    for s, t in enumerate(states):
+        fe, fi, bc, bn = {}, {}, {}, {}
+        cherries = t.cherries()
+        for k in t.leaves:
+            moves = [
+                (chain_move(t, k, e).key, e[0] > 0 or e[1] > 0) for e in t.delete_leaf(k).edges
+            ]
+            masks = _insertions(_delete_split_leaf(t.splits, m, k), m - 1, k)
+            assert sorted(moves) == sorted((_split_key(m, x), ext) for x, ext in masks)
+            for key, external in moves:
+                tgt = index[key]
+                if tgt != s:
+                    for row in (fe if external else fi, bc if k in cherries else bn):
+                        row[tgt] = row.get(tgt, 0) + 1
+        for table, row in zip(ref, (fe, fi, bc, bn)):
+            table.append(row)
+    mt = _move_tables(m)
+    assert mt.states == states and mt.index == index
+    assert (mt.fwd_ext, mt.fwd_int, mt.bwd_ch, mt.bwd_non) == tuple(tuple(x) for x in ref)
+    assert mt.n_cherries == tuple(len(t.cherries()) for t in states)
 
 
 # -- rate matrices -----------------------------------------------------------------
@@ -434,6 +474,19 @@ def test_duality_rejects_large_m():
     for m in (3, 8):
         with pytest.raises(StructureError):
             verify_chain_diffusion_duality("1/2", m, 64, 0.05, replicates=10)
+
+
+def test_z_score_with_zero_standard_errors():
+    checks = verify_chain_diffusion_duality(
+        "0", 6, 16, 0.0, replicates=3, seed=1, phi_samples=2000, initial=build_comb_tree(16)
+    )
+    silent = [c for c in checks if c.lhs_se == c.rhs_se == 0]
+    assert silent
+    assert all(c.z_score == (0.0 if c.lhs == c.rhs else math.inf * (c.lhs - c.rhs)) for c in silent)
+    assert DualityCheck((), 0.25, 0.0, 0.0, 0.0).z_score == math.inf
+    assert DualityCheck((), 0.0, 0.0, 0.25, 0.0).z_score == -math.inf
+    assert DualityCheck((), 0.25, 0.0, 0.25, 0.0).z_score == 0.0
+    assert DualityCheck((), 0.25, 0.03, 0.1, 0.04).z_score == pytest.approx(3.0)
 
 
 @pytest.mark.parametrize("t, replicates", [(0.05, 1), (0.05, 0), (-0.1, 10)])

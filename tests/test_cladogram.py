@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from alphaford.cladogram import (
     Cladogram,
     StructureError,
+    _cherry_mask,
+    _delete_split_leaf,
+    _split_key,
     enumerate_cladograms,
     from_newick,
     num_cladograms,
@@ -15,7 +18,7 @@ from alphaford.cladogram import (
     to_newick,
 )
 from alphaford.tree import FiniteMeasureTree
-from alphaford.ford import build_comb_tree
+from alphaford.ford import build_comb_tree, sample_ford_cladogram
 
 from conftest import random_cladogram
 
@@ -240,3 +243,92 @@ def test_newick_roundtrip_all_m5():
 def test_newick_two_leaf():
     assert to_newick(T2) == "(1,2);"
     assert from_newick("(1,2);") == T2
+
+
+# -- split bitmasks against the tree operations -------------------------------------
+
+
+def dfs_key(t: Cladogram) -> tuple:
+    """Reference key: one DFS per internal edge, side without label 1."""
+
+    def side(u: int, avoid: int) -> list[int]:
+        labels, seen, stack = [], {u, avoid}, [u]
+        while stack:
+            x = stack.pop()
+            if x > 0:
+                labels.append(x)
+            for w in t.adjacency[x]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return labels
+
+    splits = []
+    for u, v in t.edges:
+        if u < 0 and v < 0:
+            s = side(u, v)
+            splits.append(tuple(sorted(side(v, u) if 1 in s else s)))
+    return (t.m, tuple(sorted(splits)))
+
+
+@pytest.mark.parametrize("alpha", ["0", "1/2", "1"])
+def test_key_matches_dfs_reference_on_large_trees(alpha):
+    rng = np.random.default_rng(11)
+    for n in (50, 137, 300):
+        t = sample_ford_cladogram(alpha, n, rng)
+        assert t.key == dfs_key(t)
+        assert len(t.splits) == n - 3
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_split_deletion_matches_delete_leaf(m):
+    for t in enumerate_cladograms(m):
+        for k in t.leaves:
+            assert _split_key(m - 1, _delete_split_leaf(t.splits, m, k)) == t.delete_leaf(k).key
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_cherry_mask_matches_cherries(m):
+    for t in enumerate_cladograms(m):
+        mask = _cherry_mask(t.splits, m)
+        assert {k for k in t.leaves if mask >> k & 1} == t.cherries()
+        assert mask >> (m + 1) == 0 and mask & 1 == 0
+
+
+def recursive_newick(t: Cladogram) -> str:
+    """Reference serializer: the recursive form of :func:`to_newick`."""
+    if t.m == 2:
+        return "(1,2);"
+    root = t.adjacency[1][0]
+
+    def sub(v: int, parent: int) -> str:
+        if v > 0:
+            return str(v)
+        return "(" + ",".join(sub(w, v) for w in t.adjacency[v] if w != parent) + ")"
+
+    return "(" + ",".join(sub(w, root) for w in t.adjacency[root]) + ");"
+
+
+@pytest.mark.parametrize("alpha", ["0", "1/2", "1"])
+def test_newick_matches_recursive_reference(alpha):
+    rng = np.random.default_rng(5)
+    for n in (3, 4, 7, 60, 200):
+        t = sample_ford_cladogram(alpha, n, rng)
+        assert to_newick(t) == recursive_newick(t)
+
+
+@pytest.mark.parametrize("alpha", [None, "1"])
+def test_newick_roundtrip_deep_trees(alpha):
+    """1500-leaf comb and alpha = 1 Ford tree: far deeper than the recursion limit."""
+    if alpha is None:
+        t = build_comb_tree(1500).topology
+    else:
+        t = sample_ford_cladogram(alpha, 1500, np.random.default_rng(2))
+    assert from_newick(to_newick(t)) == t
+    assert repr(t).startswith("Cladogram(m=1500, '(")
+
+
+@pytest.mark.parametrize("text", ["", "(1,2", "(1,2,(3,4)", "(1,,3);", "(1,2,-3);", "(0,2,3);"])
+def test_newick_malformed_is_structure_error(text):
+    with pytest.raises(StructureError):
+        from_newick(text)

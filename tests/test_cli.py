@@ -2,11 +2,17 @@ import csv
 import itertools
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from alphaford import cli, moments
-from alphaford.cladogram import from_newick
+from alphaford.cladogram import from_newick, to_newick
+from alphaford.ford import build_comb_tree
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +67,17 @@ def test_ford_coalescent(capsys):
     code, out, _ = run_cli(capsys, "ford", "coalescent", "--m", "5", "--count", "4", "--seed", "1")
     assert code == 0
     assert len(out.strip().splitlines()) == 4
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+@pytest.mark.parametrize(
+    "argv",
+    [["ford", "sample", "--alpha", "1/2", "--leaves", "5"], ["ford", "coalescent", "--m", "5"]],
+)
+def test_ford_count_must_be_positive(capsys, argv, count):
+    code, out, err = run_cli(capsys, *argv, "--count", count)
+    assert code == 2 and out == ""
+    assert json.loads(err.strip())["error"]
 
 
 def test_chain_verify_invariance_passes(capsys):
@@ -162,6 +179,26 @@ def test_tree_nu_comb(capsys):
     assert code == 0
     rows = [line for line in out.splitlines() if not line.startswith("#")]
     assert len(rows) == 1 + 10  # 6 leaves + 4 internal vertices
+
+
+def test_tree_nu_deep_newick_file(tmp_path, capsys):
+    path = tmp_path / "comb.nwk"
+    path.write_text(to_newick(build_comb_tree(1500).topology) + "\n")
+    code, out, _ = run_cli(capsys, "tree", "nu", "--newick-file", str(path))
+    assert code == 0
+    rows = [line for line in out.splitlines() if not line.startswith("#")]
+    assert len(rows) == 1 + 1500 + 1498
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, alphaford.cli; print('scipy' in sys.modules)"
+    path = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_tree_rmu_newick(capsys):
