@@ -294,6 +294,8 @@ def verify_feynman_kac(alpha, m: int, t: float) -> float:
 
     The underlying matrix identity Q_fwd^T = Q_bwd + diag(beta) is exact, so
     the deviation only measures floating-point exponentiation error."""
+    if t < 0:
+        raise ValueError(f"need t >= 0, got t={t}")
     qf = forward_rate_matrix(alpha, m).to_dense()
     qb = backward_rate_matrix(alpha, m).to_dense()
     beta = np.array([float(b) for b in beta_potential(alpha, m).values()])

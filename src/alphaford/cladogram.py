@@ -112,12 +112,6 @@ class Cladogram:
             self._adj = {v: tuple(sorted(nb)) for v, nb in adj.items()}
         return self._adj
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def is_leaf(self, v: int) -> bool:
-        return v > 0
-
     @property
     def leaves(self) -> range:
         return range(1, self.m + 1)
@@ -372,14 +366,16 @@ def num_cladograms(m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def enumerate_cladograms(m: int, m_max: int = MAX_ENUMERATION_LEAVES) -> tuple[Cladogram, ...]:
+def enumerate_cladograms(m: int) -> tuple[Cladogram, ...]:
     """All (2m-5)!! labeled m-cladograms, sorted by canonical key.
 
     Growth by inserting leaf k+1 at every edge produces each labeled
     cladogram exactly once, so no deduplication is needed.
     """
-    if not 2 <= m <= m_max:
-        raise StructureError(f"enumeration supports 2 <= m <= {m_max}, got {m}")
+    if not 2 <= m <= MAX_ENUMERATION_LEAVES:
+        raise StructureError(
+            f"enumeration supports 2 <= m <= {MAX_ENUMERATION_LEAVES}, got {m}"
+        )
     trees = [Cladogram(2, [(1, 2)])]
     for _ in range(m - 2):
         trees = [t.insert_leaf(e) for t in trees for e in t.edges]

@@ -176,6 +176,8 @@ def _cmd_ford_exact(config: RunConfig) -> int:
 
 
 def _degree_indices(max_degree: int):
+    if max_degree < 0:
+        raise StructureError("need --max-degree >= 0")
     out = []
     for s in range(max_degree + 1):
         for k1 in range(s, -1, -1):
@@ -200,8 +202,10 @@ def _cmd_moments_exact(config: RunConfig) -> int:
 def _cmd_moments_estimate(config: RunConfig) -> int:
     p = config.params
     alpha = parse_alpha(p["alpha"])
-    tree = sample_ford_tree(alpha, p["leaves"], stream(config.seed, 0))
     ks = [k for k in _degree_indices(p["max_degree"]) if sum(k) >= 1]
+    if p["triples"] < 2:
+        raise StructureError("need --triples >= 2 for a standard error")
+    tree = sample_ford_tree(alpha, p["leaves"], stream(config.seed, 0))
     est = moments.estimate_mass_moments(tree, ks, p["triples"], stream(config.seed, 1))
     rows = []
     for k in ks:
@@ -290,6 +294,8 @@ def _cmd_chain_run(config: RunConfig) -> int:
     m = _parse_observable(p["observe"])
     if p["t"] < 0 or min(p["replicates"], p["obs_times"], p["tuples"]) < 1:
         raise StructureError("need --t >= 0 and --replicates, --obs-times, --tuples >= 1")
+    if m > p["leaves"]:
+        raise StructureError(f"shape:m={m} needs --leaves >= {m}")
     labels = [f'"{to_newick(t)}"' for t in enumerate_cladograms(m)]
     work = [
         (_alpha_str(alpha), p["leaves"], p["t"], p["obs_times"], m, p["tuples"], config.seed, r)
@@ -380,11 +386,12 @@ def _cmd_verify(config: RunConfig) -> int:
     p = config.params
     alpha = parse_alpha(p["alpha"])
     m = p["m"]
+    universal = _moments_suite("universal", p["max_degree"])  # first: validates --max-degree
     reports = [
         _chain_check("invariance", alpha, m, p["t"]),
         _chain_check("beta", alpha, m, p["t"]),
         _chain_check("duality", alpha, m, p["t"]),
-        _moments_suite("universal", p["max_degree"]),
+        universal,
     ]
     t0 = time.perf_counter()
     ok, residual = ford_mod.deletion_stability_check(alpha, m)
@@ -480,7 +487,6 @@ def _build_parser() -> argparse.ArgumentParser:
         tp.add_argument("--alpha", default="1/2")
 
     ver = sub.add_parser("verify", parents=[common], help="aggregated verification suite")
-    ver.add_argument("--suite", default="all", choices=["all"])
     ver.add_argument("--alpha", required=True)
     ver.add_argument("--m", type=int, default=5)
     ver.add_argument("--t", type=float, default=0.5)
@@ -502,7 +508,7 @@ _DISPATCH = {
     ("moments", "verify"): (_cmd_moments_verify, ["suite", "max_degree"]),
     ("tree", "nu"): (_cmd_tree_nu, ["newick", "newick_file", "comb", "ford", "alpha"]),
     ("tree", "rmu"): (_cmd_tree_rmu, ["newick", "newick_file", "comb", "ford", "alpha"]),
-    ("verify", None): (_cmd_verify, ["suite", "alpha", "m", "t", "max_degree"]),
+    ("verify", None): (_cmd_verify, ["alpha", "m", "t", "max_degree"]),
 }
 
 

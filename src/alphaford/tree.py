@@ -7,9 +7,11 @@ trees).  Leaf labels of the underlying topology are kept for addressing but
 carry no probabilistic meaning.
 
 Single-point queries return exact rationals.  Batched queries (used by the
-Monte Carlo estimators) run on flat numpy arrays with an Euler-tour sparse
-table for O(1) LCA lookups, mirroring the usual array-backed phylogenetics
-layout.
+Monte Carlo estimators) run on flat numpy arrays built by one DFS from leaf
+1.  Its Euler tour answers every ancestor query: a sparse table over the tour
+gives O(1) LCA lookups, and the first and last visits of a vertex bound its
+subtree, which gives O(1) ancestor tests and picks the child of v that
+leads to u.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ __all__ = ["FiniteMeasureTree"]
 
 
 class _Index:
-    """Flat-array view of a tree rooted at leaf 1: parents, depths, subtree
-    leaf counts, Euler-tour LCA, and binary-lifting ancestor jumps."""
+    """Flat-array view of a tree rooted at leaf 1, built in one DFS: parents,
+    depths, children, subtree leaf counts, and the Euler tour, whose sparse
+    table answers LCA queries and whose first/last visits answer ancestor
+    tests."""
 
     def __init__(self, clad: Cladogram):
         n = clad.m
@@ -38,65 +42,53 @@ class _Index:
         V = len(ids)
         nbr = [[self.pos[w] for w in clad.adjacency[v]] for v in ids]
 
-        parent = np.full(V, -1, np.int64)
-        depth = np.zeros(V, np.int64)
-        order = []
-        stack = [0]
-        seen = bytearray(V)
-        seen[0] = 1
+        parent = [-1] * V
+        depth = [0] * V
+        first = [0] * V
+        last = [0] * V
+        # two slots per vertex; position 0 (leaf 1) is nobody's child, so 0
+        # marks an empty slot. Leaf 1 stores its one child twice.
+        children = [0] * (2 * V)
+        leafcnt = [1] * n + [0] * (V - n)
+        tour = [0]
+        stack = [(0, iter(nbr[0]))]
         while stack:
-            v = stack.pop()
-            order.append(v)
-            for w in nbr[v]:
-                if not seen[w]:
-                    seen[w] = 1
+            v, todo = stack[-1]
+            for w in todo:
+                if w != parent[v]:
+                    # down: first visit of w
+                    slot = 2 * v
+                    if children[slot]:
+                        slot += 1
+                    children[slot] = w
                     parent[w] = v
                     depth[w] = depth[v] + 1
-                    stack.append(w)
-        self.parent = parent
-        self.depth = depth
-
-        leafcnt = np.zeros(V, np.int64)
-        leafcnt[:n] = 1
-        for v in reversed(order):
-            if v != 0:
-                leafcnt[parent[v]] += leafcnt[v]
-        self.leafcnt = leafcnt
-
-        # Euler tour (iterative DFS re-visiting a vertex after each child)
-        tour = np.empty(2 * V - 1, np.int64)
-        first = np.full(V, -1, np.int64)
-        tin = np.empty(V, np.int64)
-        tout = np.empty(V, np.int64)
-        children = [[] for _ in range(V)]
-        for v in order[1:]:
-            children[parent[v]].append(v)
-        ptr = 0
-        clock = 0
-        dfs: list[tuple[int, int]] = [(0, 0)]
-        while dfs:
-            v, ci = dfs.pop()
-            if ci == 0:
-                first[v] = ptr
-                tin[v] = clock
-                clock += 1
-            tour[ptr] = v
-            ptr += 1
-            if ci < len(children[v]):
-                dfs.append((v, ci + 1))
-                dfs.append((children[v][ci], 0))
+                    first[w] = len(tour)
+                    tour.append(w)
+                    stack.append((w, iter(nbr[w])))
+                    break
             else:
-                tout[v] = clock
-        self.tour = tour
-        self.first = first
-        self.tin = tin
-        self.tout = tout
+                # up: v is done, its parent is visited again
+                stack.pop()
+                last[v] = len(tour) - 1
+                if stack:
+                    p = parent[v]
+                    leafcnt[p] += leafcnt[v]
+                    tour.append(p)
+        children[1] = children[0]
+
+        self.parent = np.array(parent, np.int64)
+        self.depth = depth = np.array(depth, np.int64)
+        self.first = np.array(first, np.int64)
+        self.last = np.array(last, np.int64)
+        # ascending positions: the order internal_component_counts reports
+        self.children = np.sort(np.array(children, np.int64).reshape(V, 2), axis=1)
+        self.leafcnt = np.array(leafcnt, np.int64)
+        self.tour = tour = np.array(tour, np.int64)
 
         tour_depth = depth[tour]
         L = len(tour)
-        logs = np.zeros(L + 1, np.int64)
-        for i in range(2, L + 1):
-            logs[i] = logs[i // 2] + 1
+        logs = np.frexp(np.arange(L + 1))[1] - 1
         self.logs = logs
         K = logs[L] + 1
         sparse = np.empty((K, L), np.int64)
@@ -110,14 +102,6 @@ class _Index:
             )
         self.sparse = sparse
         self.tour_depth = tour_depth
-
-        LOG = max(1, int(depth.max()).bit_length())
-        up = np.empty((LOG, V), np.int64)
-        up[0] = np.where(parent >= 0, parent, 0)
-        for j in range(1, LOG):
-            up[j] = up[j - 1][up[j - 1]]
-        self.up = up
-        self.LOG = LOG
 
     # -- vectorized primitives (positions in, positions out) -------------------
 
@@ -139,22 +123,15 @@ class _Index:
         out = np.where(self.depth[b] > self.depth[a], b, a)
         return np.where(self.depth[c] > self.depth[out], c, out)
 
-    def kth_ancestor(self, u: np.ndarray, k: np.ndarray) -> np.ndarray:
-        u = np.array(u, copy=True)
-        k = np.maximum(k, 0)
-        for bit in range(self.LOG):
-            mask = (k >> bit) & 1 == 1
-            if mask.any():
-                u[mask] = self.up[bit, u[mask]]
-        return u
-
     def is_ancestor(self, a: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return (self.tin[a] <= self.tin[u]) & (self.tout[u] <= self.tout[a])
+        fu = self.first[u]
+        return (self.first[a] <= fu) & (fu <= self.last[a])
 
     def component_leaf_count(self, v: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Leaves in the component of (tree minus v) containing u, u != v."""
+        c0, c1 = self.children[v, 0], self.children[v, 1]
+        child = np.where(self.is_ancestor(c0, u), c0, c1)
         below = self.is_ancestor(v, u)
-        child = self.kth_ancestor(u, self.depth[u] - self.depth[v] - 1)
         return np.where(below, self.leafcnt[child], self.n_leaves - self.leafcnt[v])
 
 
@@ -225,13 +202,8 @@ class FiniteMeasureTree:
         idx = self.index
         n = self.n
         out = {}
-        children: dict[int, list[int]] = {}
-        for p in range(len(idx.ids)):
-            par = idx.parent[p]
-            if par >= 0:
-                children.setdefault(int(par), []).append(p)
         for p in range(n, len(idx.ids)):
-            c1, c2 = children[p]
+            c1, c2 = idx.children[p]
             out[idx.ids[p]] = (
                 int(idx.leafcnt[c1]),
                 int(idx.leafcnt[c2]),

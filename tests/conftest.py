@@ -43,6 +43,27 @@ def bf_quartet_partner(t: Cladogram, a: int, b: int, c: int, d: int) -> int:
     return 3
 
 
+def bf_components(t: Cladogram, v: int) -> list[set[int]]:
+    """Vertex sets of the components of (t minus v), one per neighbour of v,
+    by BFS over the adjacency with v removed."""
+    comps = []
+    for start in t.adjacency[v]:
+        seen = {v, start}
+        queue = [start]
+        while queue:
+            for w in t.adjacency[queue.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        seen.discard(v)
+        comps.append(seen)
+    return comps
+
+
+def leaf_count(vertices) -> int:
+    return sum(w > 0 for w in vertices)
+
+
 def random_cladogram(rng: np.random.Generator, m: int) -> Cladogram:
     """Uniform-edge growth; arbitrary but valid m-cladogram."""
     t = Cladogram(2, [(1, 2)])

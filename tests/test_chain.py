@@ -495,6 +495,11 @@ def test_duality_rejects_bad_replicates_and_time(t, replicates):
         verify_chain_diffusion_duality("1/2", 4, 64, t, replicates=replicates)
 
 
+def test_feynman_kac_rejects_negative_time():
+    with pytest.raises(ValueError):
+        verify_feynman_kac(0, 5, -1)
+
+
 @pytest.mark.parametrize("alpha", ["0", "1/2"])
 def test_duality_m6_snowflake_fraction(alpha):
     # Every 6-leaf subtree of a comb is a caterpillar, so the summed fraction

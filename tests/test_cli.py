@@ -167,6 +167,26 @@ def test_moments_verify_suites(capsys, suite):
     assert json.loads(out)["data"][0]["pass"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "exact", "--alpha", "0", "--max-degree", "-3"],
+        ["moments", "estimate", "--alpha", "0", "--leaves", "20", "--max-degree", "-1"],
+        ["moments", "verify", "--suite", "kingman", "--max-degree", "-1"],
+        ["verify", "--alpha", "0", "--m", "4", "--max-degree", "-1"],
+        ["chain", "verify", "duality", "--alpha", "0", "--m", "5", "--t", "-1"],
+        ["verify", "--alpha", "0", "--m", "4", "--t", "-1"],
+        ["moments", "estimate", "--alpha", "0", "--leaves", "20", "--triples", "0"],
+        ["moments", "estimate", "--alpha", "0", "--leaves", "20", "--triples", "1"],
+        ["chain", "run", "--alpha", "0", "--leaves", "6", "--t", "0.1", "--observe", "shape:m=7"],
+    ],
+)
+def test_out_of_range_values_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err.strip())["error"]
+
+
 def test_moments_verify_detects_failure(capsys, monkeypatch):
     monkeypatch.setattr(moments, "kingman_univariate", lambda k: 0)
     code, out, _ = run_cli(capsys, "moments", "verify", "--suite", "kingman", "--max-degree", "3")
@@ -238,7 +258,7 @@ def test_out_file_and_env_dir(tmp_path, capsys, monkeypatch):
 
 def test_verify_all_suite(capsys):
     code, out, err = run_cli(
-        capsys, "verify", "--suite", "all", "--alpha", "1/2", "--m", "5", "--max-degree", "4"
+        capsys, "verify", "--alpha", "1/2", "--m", "5", "--max-degree", "4"
     )
     assert code == 0
     doc = json.loads(out)

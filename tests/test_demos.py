@@ -8,7 +8,16 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["02_exact_laws.py", "03_chains_and_duality.py"])
+# 05_chain_vs_dual_monte_carlo.py is left out: it runs for about 34 s
+@pytest.mark.parametrize(
+    "demo",
+    [
+        "01_sampling_models.py",
+        "02_exact_laws.py",
+        "03_chains_and_duality.py",
+        "04_subtree_mass_moments.py",
+    ],
+)
 def test_exact_demo_runs(demo):
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}

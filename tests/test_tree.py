@@ -8,10 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphaford.cladogram import Cladogram, StructureError, enumerate_cladograms
-from alphaford.ford import build_comb_tree
+from alphaford.ford import build_comb_tree, sample_ford_tree
 from alphaford.tree import FiniteMeasureTree
 
-from conftest import bf_median, bf_path, bf_quartet_partner, random_cladogram
+from conftest import (
+    bf_components,
+    bf_median,
+    bf_path,
+    bf_quartet_partner,
+    leaf_count,
+    random_cladogram,
+)
 
 BALANCED4 = Cladogram(4, [(1, -1), (2, -1), (3, -2), (4, -2), (-1, -2)])
 
@@ -238,6 +245,41 @@ def test_triple_component_counts_matches_exact(rng):
     counts = ft.triple_component_counts(trips[:, 0], trips[:, 1], trips[:, 2])
     for row, cnt in zip(trips, counts):
         assert tuple(cnt) == ft.component_leaf_counts(tuple(int(x) for x in row))
+
+
+def _component_tree(name: str) -> FiniteMeasureTree:
+    if name == "comb300":
+        return build_comb_tree(300)
+    if name == "ford1_300":
+        return sample_ford_tree(1, 300, np.random.default_rng(300))
+    m = int(name.removeprefix("random"))
+    return FiniteMeasureTree(random_cladogram(np.random.default_rng(m), m))
+
+
+# the 300-leaf comb and alpha=1 tree have depth ~300, so sampled leaves lie far
+# below the branch point and the child leading to them is far above them
+@pytest.mark.parametrize(
+    "name",
+    ["random3", "random4", "random6", "random11", "random23", "random40", "comb300", "ford1_300"],
+)
+def test_component_counts_against_bfs_oracle(name):
+    ft = _component_tree(name)
+    t = ft.topology
+    trips = ft.sample_distinct_leaves(60, 3, np.random.default_rng(len(name)))
+    batched = ft.triple_component_counts(trips[:, 0], trips[:, 1], trips[:, 2])
+    for row, counts in zip(trips, batched):
+        u = tuple(int(x) for x in row)
+        comps = bf_components(t, bf_median(t, *u))
+        expected = tuple(leaf_count(next(c for c in comps if x in c)) for x in u)
+        assert tuple(int(c) for c in counts) == expected
+        assert ft.component_leaf_counts(u) == expected
+    internal = ft.internal_component_counts()
+    assert set(internal) == set(t.internal_vertices)
+    for v, (c1, c2, rest) in internal.items():
+        comps = bf_components(t, v)
+        # the third entry is the component holding leaf 1, the root of the index
+        assert rest == leaf_count(next(c for c in comps if 1 in c))
+        assert sorted((c1, c2)) == sorted(leaf_count(c) for c in comps if 1 not in c)
 
 
 def test_sample_distinct_leaves(rng):
