@@ -17,8 +17,9 @@ alpha-Ford law, and the Feynman-Kac matrix identity
     exp(t Q_fwd) = exp(t (Q_bwd + diag(beta)))^T.
 
 An event-driven simulator with O(1) moves runs the same dynamics on trees
-with hundreds of leaves, with shape-polynomial observables for any m <= 8
-estimated by Monte Carlo from batched quartet queries.
+with hundreds of leaves.  The sample-shape vector of a fixed tree is computed
+exactly by one pass over its subtrees, and that of a simulated tree is
+estimated from batched quartet queries.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ __all__ = [
     "RateMatrix",
     "ChainState",
     "DualityCheck",
-    "chain_move",
     "forward_rate_matrix",
     "backward_rate_matrix",
     "beta_potential",
@@ -57,19 +57,13 @@ __all__ = [
     "matrix_exponential",
     "verify_feynman_kac",
     "simulate_chain",
-    "estimate_shape_polynomial",
     "estimate_shape_vector",
+    "exact_shape_vector",
     "verify_chain_diffusion_duality",
 ]
 
 MAX_RATE_MATRIX_LEAVES = 7
 MAX_EXPM_DIM = 1024
-
-
-def chain_move(t: Cladogram, k: int, edge) -> Cladogram:
-    """The state reached by removing leaf k and reinserting it at ``edge`` of
-    the reduced (m-1)-cladogram."""
-    return t.delete_leaf(k).insert_leaf(edge, new_label=k)
 
 
 @dataclass(frozen=True)
@@ -532,16 +526,89 @@ def estimate_shape_vector(tree, m: int, samples: int, rng):
     return counts / samples, counts
 
 
-def estimate_shape_polynomial(tree: FiniteMeasureTree, m: int, target: Cladogram, samples: int, rng):
-    """Monte Carlo estimate of the probability that m iid uniform leaf draws
-    (with replacement) span ``target``; tuples with repeats never match.
-    Returns (estimate, standard error)."""
-    if target.m != m:
-        raise StructureError("target must be an m-cladogram")
-    fractions, _ = estimate_shape_vector(tree, m, samples, rng)
-    p = float(fractions[enumerate_cladograms(m).index(target)])
-    se = math.sqrt(max(p * (1.0 - p), 0.0) / samples)
-    return p, se
+@lru_cache(maxsize=None)
+def _shape_classes(m: int):
+    """Rooted shapes of at most m leaves and the unlabeled classes of the
+    m-cladograms.  Shapes are numbered by size, 0 being one leaf, and
+    ``join[i][j]`` is the shape with root children i and j.  ``read[i]`` is
+    the class spanned by shape i, its root suppressed if it has m leaves and
+    a leaf attached at its root if m - 1.  ``state_class`` gives the class of
+    each state, ``class_size`` its number of states: the orbit of its first
+    state under the m! relabelings."""
+    states = enumerate_cladograms(m)  # bounds m before the shapes are grown
+    sizes = [1]
+    sets = [[1]]  # leaf masks below every vertex of a shape, leaves on bits 0, 1, ...
+    join: list[dict[int, int]] = [{}]
+    for n in range(2, m + 1):
+        for i, j in itertools.combinations_with_replacement(range(len(sizes)), 2):
+            if sizes[i] + sizes[j] == n:
+                join[i][j] = join[j][i] = len(sizes)
+                sizes.append(n)
+                sets.append(sets[i] + [x << sizes[i] for x in sets[j]] + [(1 << n) - 1])
+                join.append({})
+
+    full = (1 << (m + 1)) - 2  # labels 1..m
+    masks = np.array([t.splits for t in states], dtype=np.int64).reshape(len(states), -1)
+    shifts = (m + 1) * np.arange(masks.shape[1])  # m - 3 masks of m + 1 bits fit in int64
+    codes = (masks << shifts).sum(axis=1)
+    order = np.argsort(codes)
+    relabel = np.left_shift(1, np.array(list(itertools.permutations(range(1, m + 1)))))
+    state_class = np.full(len(states), -1)
+    class_size: list[int] = []
+    for s in range(len(states)):
+        if state_class[s] < 0:
+            images = relabel @ ((masks[s][:, None] >> np.arange(1, m + 1)) & 1).T
+            images = np.sort(np.where(images & 2, full ^ images, images), axis=1)
+            orbit = np.unique((images << shifts).sum(axis=1))
+            state_class[order[np.searchsorted(codes, orbit, sorter=order)]] = len(class_size)
+            class_size.append(len(orbit))
+
+    def spanned(i: int, first_label: int) -> int:
+        labelled = (x << first_label for x in sets[i])
+        splits = {full ^ x if x & 2 else x for x in labelled if 2 <= x.bit_count() <= m - 2}
+        return int(state_class[_state_index(m)[tuple(sorted(splits))]])
+
+    read = {i: spanned(i, 1 if n == m else 2) for i, n in enumerate(sizes) if n >= m - 1}
+    return join, read, tuple(state_class.tolist()), tuple(class_size)
+
+
+def exact_shape_vector(tree: FiniteMeasureTree, m: int) -> list[Fraction]:
+    """Phi^m of ``tree`` exactly, for 2 <= m <= 8: for each state t of
+    ``enumerate_cladograms(m)``, the probability that m iid uniform leaves
+    are distinct and span t.
+
+    Rooted at leaf 1, one post-order pass counts at every vertex the leaf
+    subsets of its subtree, up to m leaves, by the rooted shape they span: a
+    vertex adds its children's counts and, for every pair of child shapes,
+    the product of their counts at the joined shape.  At leaf 1's neighbour
+    the m-subsets are read off, and the (m-1)-subsets, joined by leaf 1, are
+    the m-subsets that hold it.  Labels are exchangeable, so the m! orderings
+    of a subset fall evenly on the states of its class.
+    """
+    join, read, state_class, class_size = _shape_classes(m)
+    idx = tree.index
+    n = tree.n
+    kids = idx.children.tolist()
+    tables: dict[int, dict[int, int]] = {}
+    for v in reversed(np.argsort(idx.first)[1:].tolist()):  # children first, leaf 1 left out
+        if v < n:
+            tables[v] = {0: 1}
+            continue
+        a, b = (tables.pop(c) for c in kids[v])
+        table = dict(a)
+        for j, count in b.items():
+            table[j] = table.get(j, 0) + count
+        for i, count in a.items():
+            for j, k in join[i].items():
+                if j in b:
+                    table[k] = table.get(k, 0) + count * b[j]
+        tables[v] = table
+    counts = [0] * len(class_size)
+    for i, count in tables[kids[0][0]].items():
+        if i in read:
+            counts[read[i]] += count
+    orderings = math.factorial(m)
+    return [Fraction(counts[c] * orderings, class_size[c] * n**m) for c in state_class]
 
 
 @dataclass(frozen=True)
@@ -553,24 +620,21 @@ class DualityCheck:
     lhs: float
     lhs_se: float
     rhs: float
-    rhs_se: float
 
     @property
     def z_score(self) -> float:
-        """(lhs - rhs) over the combined standard error; with both errors 0,
+        """(lhs - rhs) over the standard error of lhs; with that error 0,
         0.0 for equal sides and a signed infinity otherwise."""
-        se = math.sqrt(self.lhs_se**2 + self.rhs_se**2)
-        if se == 0:
+        if self.lhs_se == 0:
             return 0.0 if self.lhs == self.rhs else math.copysign(math.inf, self.lhs - self.rhs)
-        return (self.lhs - self.rhs) / se
+        return (self.lhs - self.rhs) / self.lhs_se
 
 
-def _duality_samples(
-    alpha, m, n_leaves, t, replicates, seed, tuples_per_replicate, phi_samples, initial
-):
+def _duality_samples(alpha, m, n_leaves, t, replicates, seed, tuples_per_replicate, initial):
     """The raw terms of the chain-vs-dual comparison: a (replicates, states)
     array of per-replicate chain estimates at time t, the tilted backward
-    propagator exp(t (Q_bwd + diag beta)), and the initial shape vector."""
+    propagator exp(t (Q_bwd + diag beta)), and the exact shape vector of the
+    initial tree."""
     if t < 0 or replicates < 2:
         raise ValueError(f"need t >= 0 and replicates >= 2, got t={t}, replicates={replicates}")
     alpha = parse_alpha(alpha)
@@ -580,7 +644,7 @@ def _duality_samples(
     mat = matrix_exponential(qb + np.diag(beta), t)
     if initial is None:
         initial = sample_ford_tree(alpha, n_leaves, stream(seed, 0))
-    phi0, _ = estimate_shape_vector(initial, m, phi_samples, stream(seed, 1))
+    phi0 = np.array([float(p) for p in exact_shape_vector(initial, m)])
     est = np.empty((replicates, len(phi0)))
     for r in range(replicates):
         rng = stream(seed, 2, r)
@@ -598,7 +662,6 @@ def verify_chain_diffusion_duality(
     replicates: int,
     seed: int = 0,
     tuples_per_replicate: int = 64,
-    phi_samples: int = 200_000,
     initial: FiniteMeasureTree | None = None,
 ) -> list[DualityCheck]:
     """Compare E[Phi^{m,target}(X_t)] for the N-leaf chain started at a fixed
@@ -606,29 +669,24 @@ def verify_chain_diffusion_duality(
     backward chain tilted by the potential, for 4 <= m <= 7.
 
     Left side: ``replicates`` (at least 2) independent chain runs, each
-    contributing a shape-polynomial estimate from ``tuples_per_replicate``
-    leaf m-tuples; the replicate spread yields the standard error.  Right
-    side: exp(t (Q_bwd + diag beta)) applied to the vector of shape
-    polynomials of the initial tree (estimated once from ``phi_samples``
-    tuples, with the multinomial covariance propagated through the matrix).
+    contributing a shape-vector estimate from ``tuples_per_replicate`` leaf
+    m-tuples; the replicate spread yields the standard error.  Right side:
+    exp(t (Q_bwd + diag beta)) applied to the exact shape vector of the
+    initial tree (:func:`exact_shape_vector`).
+
+    For m <= 5 all m-cladograms share one unlabeled shape, so the shape
+    vector is the same for every tree and every time: such checks test the
+    estimator and the dual propagator, not the chain's dynamics.  From m = 6
+    on the vector depends on the tree (a comb spans no three-cherry 6-leaf
+    tree), and the check sees the dynamics.
     """
     est, mat, phi0 = _duality_samples(
-        alpha, m, n_leaves, t, replicates, seed, tuples_per_replicate, phi_samples, initial
+        alpha, m, n_leaves, t, replicates, seed, tuples_per_replicate, initial
     )
-    states = enumerate_cladograms(m)
-    rhs = mat @ phi0
-    cov_phi = (np.diag(phi0) - np.outer(phi0, phi0)) / phi_samples
-    rhs_var = np.einsum("ij,jk,ik->i", mat, cov_phi, mat)
     lhs = est.sum(axis=0) / replicates
     lhs_var = ((est * est).sum(axis=0) / replicates - lhs**2) / (replicates - 1)
-
+    lhs_se = np.sqrt(np.maximum(lhs_var, 0.0))
     return [
-        DualityCheck(
-            target_key=states[i].key,
-            lhs=float(lhs[i]),
-            lhs_se=float(math.sqrt(max(lhs_var[i], 0.0))),
-            rhs=float(rhs[i]),
-            rhs_se=float(math.sqrt(max(rhs_var[i], 0.0))),
-        )
-        for i in range(len(states))
+        DualityCheck(t.key, float(lhs[i]), float(lhs_se[i]), float(rhs))
+        for i, (t, rhs) in enumerate(zip(enumerate_cladograms(m), mat @ phi0))
     ]

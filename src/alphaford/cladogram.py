@@ -19,13 +19,11 @@ from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Cladogram",
-    "LabelledCladogram",
     "StructureError",
     "double_factorial",
     "num_cladograms",
     "enumerate_cladograms",
     "shape",
-    "labelled_shape",
     "to_newick",
     "from_newick",
     "MAX_ENUMERATION_LEAVES",
@@ -57,15 +55,14 @@ class Cladogram:
 
     __slots__ = ("m", "edges", "_adj", "_splits", "_key", "_hash")
 
-    def __init__(self, m: int, edges: Iterable[Edge], _validate: bool = True):
+    def __init__(self, m: int, edges: Iterable[Edge]):
         self.m = int(m)
         self.edges: tuple[Edge, ...] = tuple(sorted(_edge(u, v) for u, v in edges))
         self._adj: dict[int, tuple[int, ...]] | None = None
         self._splits: tuple[int, ...] | None = None
         self._key = None
         self._hash = None
-        if _validate:
-            self._validate()
+        self._validate()
 
     # -- structure ----------------------------------------------------------
 
@@ -246,13 +243,6 @@ class Cladogram:
                 out.append(leaf)
         return frozenset(out)
 
-    def classify_edges(self) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
-        """Return ``(external, internal)`` edges; external = incident to a leaf."""
-        ext, internal = [], []
-        for e in self.edges:
-            (ext if e[0] > 0 or e[1] > 0 else internal).append(e)
-        return tuple(ext), tuple(internal)
-
 
 # -- splits as bitmasks ----------------------------------------------------------
 #
@@ -430,58 +420,6 @@ def shape(tree, samples: Sequence[int]) -> Cladogram:
         else:
             raise StructureError("no attachment edge found; tree is not binary")
     return Cladogram(m, edges)
-
-
-class LabelledCladogram:
-    """A cladogram together with a surjective, not necessarily injective,
-    label map: label i carries leaf ``labels[i - 1]`` of ``topology``.
-
-    This is what the shape of m sampled points degenerates to when samples
-    repeat; with all samples distinct it reduces to a plain cladogram.
-    """
-
-    __slots__ = ("topology", "labels")
-
-    def __init__(self, topology: Cladogram, labels: Sequence[int]):
-        labels = tuple(int(x) for x in labels)
-        if set(labels) != set(topology.leaves):
-            raise StructureError("label map must be surjective onto the leaves")
-        self.topology = topology
-        self.labels = labels
-
-    @property
-    def m(self) -> int:
-        return len(self.labels)
-
-    @property
-    def is_injective(self) -> bool:
-        return len(set(self.labels)) == len(self.labels)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LabelledCladogram):
-            return NotImplemented
-        return self.labels == other.labels and self.topology == other.topology
-
-    def __hash__(self) -> int:
-        return hash((self.topology, self.labels))
-
-    def __repr__(self) -> str:
-        return f"LabelledCladogram(labels={self.labels}, {to_newick(self.topology)!r})"
-
-
-def labelled_shape(tree, samples: Sequence[int]) -> LabelledCladogram:
-    """Shape of ``samples`` with repeats allowed: repeated samples collapse
-    onto one leaf of the underlying cladogram, so the label map is surjective
-    but not injective.  At least two distinct samples are required."""
-    reps: list[int] = []
-    labels = []
-    for u in samples:
-        if u not in reps:
-            reps.append(u)
-        labels.append(reps.index(u) + 1)
-    if len(reps) < 2:
-        raise StructureError("need at least 2 distinct sampled leaves")
-    return LabelledCladogram(shape(tree, reps), labels)
 
 
 # -- Newick serialization ------------------------------------------------------

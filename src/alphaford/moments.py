@@ -279,6 +279,8 @@ def estimate_mass_moments(
     for testing the O(1/N) gap to iid sampling is far below the Monte Carlo
     noise).  Returns ``{k: (mean, standard error)}``.
     """
+    if triples < 2:
+        raise ValueError(f"need at least 2 triples for a standard error, got {triples}")
     indices = [_norm_index(k) for k in indices]
     draws = tree.sample_distinct_leaves(triples, 3, rng)
     counts = tree.triple_component_counts(draws[:, 0], draws[:, 1], draws[:, 2])
@@ -287,7 +289,7 @@ def estimate_mass_moments(
     for k in indices:
         vals = eta[:, 0] ** k[0] * eta[:, 1] ** k[1] * eta[:, 2] ** k[2]
         mean = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(triples)) if triples > 1 else float("nan")
+        se = float(vals.std(ddof=1) / math.sqrt(triples))
         out[k] = (mean, se)
     return out
 

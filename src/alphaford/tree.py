@@ -91,7 +91,7 @@ class _Index:
         logs = np.frexp(np.arange(L + 1))[1] - 1
         self.logs = logs
         K = logs[L] + 1
-        sparse = np.empty((K, L), np.int64)
+        sparse = np.empty((K, L), np.int32)  # tour positions, below 4N
         sparse[0] = np.arange(L)
         for j in range(1, K):
             span = 1 << (j - 1)

@@ -64,6 +64,12 @@ def leaf_count(vertices) -> int:
     return sum(w > 0 for w in vertices)
 
 
+def chain_move(t: Cladogram, k: int, edge) -> Cladogram:
+    """The state reached by removing leaf k of t and reinserting it at
+    ``edge`` of the reduced (m-1)-cladogram, through the tree edits."""
+    return t.delete_leaf(k).insert_leaf(edge, new_label=k)
+
+
 def random_cladogram(rng: np.random.Generator, m: int) -> Cladogram:
     """Uniform-edge growth; arbitrary but valid m-cladogram."""
     t = Cladogram(2, [(1, 2)])

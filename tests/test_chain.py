@@ -16,8 +16,8 @@ from alphaford.chain import (
     _shape_indices,
     backward_rate_matrix,
     beta_potential,
-    chain_move,
-    estimate_shape_polynomial,
+    estimate_shape_vector,
+    exact_shape_vector,
     forward_rate_matrix,
     matrix_exponential,
     simulate_chain,
@@ -38,7 +38,7 @@ from alphaford.cladogram import (
 from alphaford.ford import build_comb_tree, exact_distribution, sample_ford_tree
 from alphaford.tree import FiniteMeasureTree
 
-from conftest import bf_quartet_partner, random_cladogram
+from conftest import bf_quartet_partner, chain_move, random_cladogram
 
 ALPHAS = ["0", "1/4", "1/2", "1"]
 
@@ -360,13 +360,20 @@ def test_long_run_shape_frequencies_reach_uniform():
     state.run_until(2.0)
     tree = state.as_tree()
     rng = stream(21)
-    for target in enumerate_cladograms(4):
-        est, se = estimate_shape_polynomial(tree, 4, target, 40000, rng)
+    for i in range(3):
+        est, se = estimated_fraction(tree, 4, i, 40000, rng)
         expect = (49 / 50) * (48 / 50) * (47 / 50) / 3
         assert abs(est - expect) < 3 * se + 1e-12
 
 
 # -- shape polynomial estimation ------------------------------------------------------
+
+
+def estimated_fraction(tree, m, i, samples, rng):
+    """Fraction of ``samples`` iid leaf m-tuples spanning state i, with its
+    binomial standard error."""
+    p = float(estimate_shape_vector(tree, m, samples, rng)[0][i])
+    return p, math.sqrt(p * (1 - p) / samples)
 
 
 def exhaustive_shape_polynomial(tree: FiniteMeasureTree, target: Cladogram) -> Fraction:
@@ -393,15 +400,15 @@ def test_shape_polynomial_m3_exact_count():
         ft = build_comb_tree(n)
         exact = Fraction(n * (n - 1) * (n - 2), n**3)
         assert exhaustive_shape_polynomial(ft, t3) == exact if n <= 9 else True
-        est, se = estimate_shape_polynomial(ft, 3, t3, 20000, stream(22))
+        est, se = estimated_fraction(ft, 3, 0, 20000, stream(22))
         assert abs(est - float(exact)) < 4 * se + 1e-12
 
 
 def test_shape_polynomial_m4_exhaustive_oracle():
     ft = FiniteMeasureTree(Cladogram(4, [(1, -1), (2, -1), (3, -2), (4, -2), (-1, -2)]))
-    for target in enumerate_cladograms(4):
+    for i, target in enumerate(enumerate_cladograms(4)):
         exact = exhaustive_shape_polynomial(ft, target)
-        est, se = estimate_shape_polynomial(ft, 4, target, 60000, stream(23))
+        est, se = estimated_fraction(ft, 4, i, 60000, stream(23))
         assert abs(est - float(exact)) < 4 * se + 1e-12
     match = Cladogram(4, [(1, -1), (2, -1), (3, -2), (4, -2), (-1, -2)])
     assert exhaustive_shape_polynomial(ft, match) == Fraction(8, 256)
@@ -410,10 +417,7 @@ def test_shape_polynomial_m4_exhaustive_oracle():
 def test_shape_polynomial_sum_is_distinct_probability():
     ft = build_comb_tree(12)
     rng = stream(24)
-    total = sum(
-        estimate_shape_polynomial(ft, 4, target, 30000, rng)[0]
-        for target in enumerate_cladograms(4)
-    )
+    total = sum(estimated_fraction(ft, 4, i, 30000, rng)[0] for i in range(3))
     p_distinct = (11 / 12) * (10 / 12) * (9 / 12)
     assert abs(total - p_distinct) < 0.02
 
@@ -435,10 +439,72 @@ def test_shape_classifier_matches_shape(m):
         assert got == [index[shape(tree, row.tolist()).key] for row in tuples]
 
 
+def brute_force_shape_vector(tree: FiniteMeasureTree, m: int) -> list[Fraction]:
+    """Phi^m by its definition: every ordered m-tuple of distinct leaves,
+    classified by its quartet codes, out of all N^m tuples."""
+    tuples = np.array(list(itertools.permutations(tree.leaf_ids, m)))
+    counts = np.bincount(_shape_indices(tree, tuples), minlength=len(enumerate_cladograms(m)))
+    return [Fraction(int(c), tree.n**m) for c in counts]
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_exact_shape_vector_matches_brute_force(m):
+    # two 8-leaf Ford trees with three cherries each, and the 8-leaf comb
+    trees = [
+        sample_ford_tree("0", 8, stream(35)),
+        sample_ford_tree("1/2", 8, stream(38)),
+        build_comb_tree(8),
+    ]
+    assert [len(t.topology.cherries()) for t in trees] == [6, 6, 4]
+    for tree in trees:
+        assert exact_shape_vector(tree, m) == brute_force_shape_vector(tree, m)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_exact_shape_vector_sums_to_distinct_probability(m):
+    tree = sample_ford_tree("1/2", 128, stream(39))
+    assert sum(exact_shape_vector(tree, m)) == Fraction(math.perm(128, m), 128**m)
+
+
+def test_exact_shape_vector_depends_on_the_tree_from_six_leaves():
+    # up to 5 leaves every cladogram has the same unlabeled shape; at 6 the
+    # comb spans no three-cherry ("snowflake") state and a Yule tree does
+    comb = build_comb_tree(128)
+    yule = sample_ford_tree("0", 128, stream(40))
+    for m in range(2, 6):
+        assert exact_shape_vector(comb, m) == exact_shape_vector(yule, m)
+    snowflake = [len(t.cherries()) == 6 for t in enumerate_cladograms(6)]
+    comb6, yule6 = exact_shape_vector(comb, 6), exact_shape_vector(yule, 6)
+    assert all(p == 0 for p, s in zip(comb6, snowflake) if s)
+    assert all(p > 0 for p, s in zip(yule6, snowflake) if s)
+    assert all(p != q for p, q in zip(comb6, yule6))
+
+
+def test_exact_shape_vector_rejects_m_out_of_range():
+    for m in (1, 9):
+        with pytest.raises(StructureError):
+            exact_shape_vector(build_comb_tree(10), m)
+
+
+@pytest.mark.parametrize("m, samples", [(6, 40_000), (7, 40_000), (8, 100_000)])
+def test_estimate_shape_vector_chi_square_against_exact(m, samples):
+    tree = sample_ford_tree("1/2", 128, stream(36))
+    exact = np.array([float(p) for p in exact_shape_vector(tree, m)])
+    _, counts = estimate_shape_vector(tree, m, samples, stream(37, m))
+    # the last bin holds the tuples with a repeated leaf; states expected
+    # fewer than 5 times are pooled into one bin
+    observed = np.append(counts, samples - counts.sum())
+    expected = samples * np.append(exact, 1 - exact.sum())
+    small = expected < 5
+    if small.any():
+        observed = np.append(observed[~small], observed[small].sum())
+        expected = np.append(expected[~small], expected[small].sum())
+    assert chisquare(observed, expected).pvalue > 1e-3
+
+
 def test_shape_polynomial_generic_path_m5():
     ft = build_comb_tree(10)
-    targets = enumerate_cladograms(5)
-    est, se = estimate_shape_polynomial(ft, 5, targets[0], 2000, stream(25))
+    est, se = estimated_fraction(ft, 5, 0, 2000, stream(25))
     assert 0 <= est <= 1 and se >= 0
 
 
@@ -448,7 +514,7 @@ def test_shape_polynomial_generic_path_m5():
 def test_duality_time_zero_matches_initial_polynomials():
     checks = verify_chain_diffusion_duality("1/2", 4, 64, 0.0, replicates=40, seed=26)
     for c in checks:
-        assert abs(c.lhs - c.rhs) < 4 * math.sqrt(c.lhs_se**2 + c.rhs_se**2) + 1e-9
+        assert abs(c.lhs - c.rhs) < 4 * c.lhs_se + 1e-9
 
 
 @pytest.mark.parametrize("alpha", ["0", "1/2"])
@@ -461,9 +527,7 @@ def test_duality_small(alpha):
 def test_duality_m5():
     # the finite-size generator gap is O(1/N), far below Monte Carlo noise at
     # these sizes
-    checks = verify_chain_diffusion_duality(
-        "1/2", 5, 128, 0.05, replicates=150, seed=28, phi_samples=40_000
-    )
+    checks = verify_chain_diffusion_duality("1/2", 5, 128, 0.05, replicates=150, seed=28)
     assert len(checks) == 15
     for c in checks:
         assert abs(c.z_score) < 4
@@ -478,15 +542,15 @@ def test_duality_rejects_large_m():
 
 def test_z_score_with_zero_standard_errors():
     checks = verify_chain_diffusion_duality(
-        "0", 6, 16, 0.0, replicates=3, seed=1, phi_samples=2000, initial=build_comb_tree(16)
+        "0", 6, 16, 0.0, replicates=3, seed=1, initial=build_comb_tree(16)
     )
-    silent = [c for c in checks if c.lhs_se == c.rhs_se == 0]
+    silent = [c for c in checks if c.lhs_se == 0]
     assert silent
     assert all(c.z_score == (0.0 if c.lhs == c.rhs else math.inf * (c.lhs - c.rhs)) for c in silent)
-    assert DualityCheck((), 0.25, 0.0, 0.0, 0.0).z_score == math.inf
-    assert DualityCheck((), 0.0, 0.0, 0.25, 0.0).z_score == -math.inf
-    assert DualityCheck((), 0.25, 0.0, 0.25, 0.0).z_score == 0.0
-    assert DualityCheck((), 0.25, 0.03, 0.1, 0.04).z_score == pytest.approx(3.0)
+    assert DualityCheck((), 0.25, 0.0, 0.0).z_score == math.inf
+    assert DualityCheck((), 0.0, 0.0, 0.25).z_score == -math.inf
+    assert DualityCheck((), 0.25, 0.0, 0.25).z_score == 0.0
+    assert DualityCheck((), 0.25, 0.05, 0.1).z_score == pytest.approx(3.0)
 
 
 @pytest.mark.parametrize("t, replicates", [(0.05, 1), (0.05, 0), (-0.1, 10)])
@@ -506,17 +570,13 @@ def test_duality_m6_snowflake_fraction(alpha):
     # of the 15 three-cherry ("snowflake") states is 0 at t = 0.  Unlike the
     # m = 4, 5 vectors, this observable depends on the tree, so it tests the
     # simulator's dynamics against the dual.
-    replicates, phi_samples = 1000, 200_000
-    est, mat, phi0 = _duality_samples(
-        alpha, 6, 64, 0.05, replicates, 41, 64, phi_samples, build_comb_tree(64)
-    )
+    replicates = 1000
+    est, mat, phi0 = _duality_samples(alpha, 6, 64, 0.05, replicates, 41, 64, build_comb_tree(64))
     w = np.array([len(t.cherries()) == 6 for t in enumerate_cladograms(6)], dtype=float)
     assert w.sum() == 15 and w @ phi0 == 0
     per_replicate = est @ w
     lhs = per_replicate.mean()
     lhs_se = per_replicate.std(ddof=1) / math.sqrt(replicates)
-    wm = w @ mat
-    rhs = wm @ phi0
-    rhs_var = ((wm * wm) @ phi0 - rhs**2) / phi_samples
+    rhs = w @ mat @ phi0
     assert rhs > 0.05
-    assert abs(lhs - rhs) < 4 * math.sqrt(lhs_se**2 + rhs_var)
+    assert abs(lhs - rhs) < 4 * lhs_se

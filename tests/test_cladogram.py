@@ -108,16 +108,6 @@ def test_cherries_even_and_bounded():
             assert 4 <= c <= m
 
 
-def test_classify_edges_counts():
-    for m, n_int in ((3, 0), (4, 1), (7, 4)):
-        t = build_comb_tree(m).topology
-        ext, internal = t.classify_edges()
-        assert len(ext) == m
-        assert len(internal) == n_int
-        assert all(e[0] > 0 or e[1] > 0 for e in ext)
-        assert all(e[0] < 0 and e[1] < 0 for e in internal)
-
-
 def test_canonical_key_distinguishes_labelings():
     t_a = Cladogram(4, [(1, -1), (2, -1), (3, -2), (4, -2), (-1, -2)])
     t_b = Cladogram(4, [(1, -1), (3, -1), (2, -2), (4, -2), (-1, -2)])
@@ -190,23 +180,6 @@ def test_shape_rejects_duplicates():
     ft = build_comb_tree(6)
     with pytest.raises(StructureError):
         shape(ft, [1, 1, 2])
-
-
-def test_labelled_shape_collapses_duplicates():
-    from alphaford.cladogram import LabelledCladogram, labelled_shape
-
-    ft = build_comb_tree(6)
-    ls = labelled_shape(ft, [2, 2, 5, 6])
-    assert ls.m == 4
-    assert not ls.is_injective
-    assert ls.topology == T3
-    assert ls.labels == (1, 1, 2, 3)
-    distinct = labelled_shape(ft, [1, 4, 6])
-    assert distinct.is_injective
-    with pytest.raises(StructureError):
-        labelled_shape(ft, [3, 3, 3])
-    with pytest.raises(StructureError):
-        LabelledCladogram(T3, (1, 2, 2))  # leaf 3 uncovered
 
 
 def test_invalid_structures_rejected():

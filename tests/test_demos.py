@@ -8,7 +8,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-# 05_chain_vs_dual_monte_carlo.py is left out: it runs for about 34 s
 @pytest.mark.parametrize(
     "demo",
     [
@@ -16,6 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
         "02_exact_laws.py",
         "03_chains_and_duality.py",
         "04_subtree_mass_moments.py",
+        "05_chain_vs_dual_monte_carlo.py",
     ],
 )
 def test_exact_demo_runs(demo):

@@ -213,6 +213,12 @@ def test_estimate_constant_index_is_exact():
     assert est[(0, 0, 0)][0] == 1.0
 
 
+@pytest.mark.parametrize("triples", [0, 1, -3])
+def test_estimate_rejects_fewer_than_two_triples(triples):
+    with pytest.raises(ValueError):
+        estimate_mass_moments(build_comb_tree(20), [(1, 0, 0)], triples, stream(12))
+
+
 def test_estimate_matches_exact_tree_moment():
     ft = sample_ford_tree("1/2", 300, stream(10))
     ks = [(1, 0, 0), (2, 0, 0), (1, 1, 0), (3, 0, 0)]
