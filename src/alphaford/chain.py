@@ -16,10 +16,11 @@ alpha-Ford law, and the Feynman-Kac matrix identity
 
     exp(t Q_fwd) = exp(t (Q_bwd + diag(beta)))^T.
 
-An event-driven simulator with O(1) moves runs the same dynamics on trees
-with hundreds of leaves.  The sample-shape vector of a fixed tree is computed
-exactly by one pass over its subtrees, and that of a simulated tree is
-estimated from batched quartet queries.
+An event-driven simulator runs the same dynamics on trees with hundreds of
+leaves; each move rewrites three fixed edge slots after a fixed number of
+draws, with no rejection loop.  The sample-shape vector of a fixed tree is
+computed exactly by one pass over its subtrees, and that of a simulated tree
+is estimated from batched quartet queries.
 """
 
 from __future__ import annotations
@@ -304,10 +305,15 @@ def verify_feynman_kac(alpha, m: int, t: float) -> float:
 class ChainState:
     """Mutable N-leaf tree evolving under the alpha-Ford chain.
 
-    Dense vertex ids: leaves 0..N-1, internal vertices N..2N-3.  External and
-    internal edge pools are kept as swap-remove arrays so every move is O(1).
-    The clock includes self-moves: events arrive at rate N(N - 1 - 3 alpha)
-    and a move reinserting the leaf where it stood leaves the state unchanged.
+    Dense vertex ids: leaves 0..N-1, internal vertices N..2N-3.  Edges sit in
+    fixed slots: leaf l's edge is slot l for good, stored leaf first, and the
+    N - 3 internal edges fill slots N..2N-4.  ``ends[e]`` holds the endpoints
+    of edge e and ``inc[v]`` the slots at v (one at a leaf, three inside).
+    A move rewrites three slots in place after three draws: the leaf, the
+    class of the insertion edge and its index, remapped past the excluded
+    slot.  The clock includes self-moves: events arrive at rate
+    N(N - 1 - 3 alpha) and a move reinserting the leaf where it stood leaves
+    the state unchanged.
     """
 
     def __init__(self, tree: FiniteMeasureTree, alpha, rng: np.random.Generator):
@@ -321,92 +327,65 @@ class ChainState:
         internal_ids = sorted(top.internal_vertices, reverse=True)
         dense = {leaf: leaf - 1 for leaf in top.leaves}
         dense.update({v: n + i for i, v in enumerate(internal_ids)})
-        self.nbr: list[list[int]] = [[] for _ in range(2 * n - 2)]
-        self._edge_pos: dict[tuple[int, int], tuple[int, int]] = {}
-        self._pools: tuple[list, list] = ([], [])
-        for u, v in top.edges:
-            du, dv = dense[u], dense[v]
-            self.nbr[du].append(dv)
-            self.nbr[dv].append(du)
-            self._add_edge(du, dv)
+        self.ends: list[tuple[int, int]] = [(0, 0)] * (2 * n - 3)
+        self.inc: list[list[int]] = [[] for _ in range(2 * n - 2)]
+        slot = n
+        for u, w in top.edges:
+            u, w = dense[u], dense[w]
+            if w < n:
+                u, w = w, u
+            if u < n:
+                e = u
+            else:
+                e, slot = slot, slot + 1
+            self.ends[e] = (u, w)
+            self.inc[u].append(e)
+            self.inc[w].append(e)
         # class weights for picking the insertion edge in the reduced tree
         self._w_ext = (1.0 - self.alpha) * (n - 1)
-        self._w_int = self.alpha * (n - 4)
+        self._w_all = self._w_ext + self.alpha * (n - 4)
         self.total_rate = n * (n - 1 - 3 * self.alpha)
         self.time = 0.0
         self.jumps = 0
         self.rng = rng
 
-    # edge bookkeeping ---------------------------------------------------------
-
-    def _add_edge(self, u: int, v: int) -> None:
-        e = (u, v) if u < v else (v, u)
-        cls = 0 if e[0] < self.n else 1
-        pool = self._pools[cls]
-        self._edge_pos[e] = (cls, len(pool))
-        pool.append(e)
-
-    def _remove_edge(self, u: int, v: int) -> None:
-        e = (u, v) if u < v else (v, u)
-        cls, i = self._edge_pos.pop(e)
-        pool = self._pools[cls]
-        last = pool.pop()
-        if last != e:
-            pool[i] = last
-            self._edge_pos[last] = (cls, i)
-
-    # dynamics -----------------------------------------------------------------
-
     def move(self) -> bool:
-        """Execute one chain event; returns False for a self-move."""
+        """Execute one chain event; returns False for a self-move.
+
+        Leaf k hangs off v, whose other slots x and y lead to a and b.  The
+        internal one of them (y if both are) merges away as f; the other, g,
+        becomes (a, b), so a leaf keeps its slot.  The insertion edge z is a
+        leaf slot other than k or an internal slot other than f, and z = g
+        puts k back where it stood.  Otherwise z = (p, q) becomes (p, v),
+        which keeps a leaf p in its own slot, and f becomes (v, q).
+        """
         rng = self.rng
         n = self.n
+        ends, inc = self.ends, self.inc
         k = int(rng.integers(n))
-        v = self.nbr[k][0]
-        nv = self.nbr[v]
-        a, b = (x for x in nv if x != k)
-        leaf_nb = a if a < n else b if b < n else -1
-        pick_ext = rng.random() * (self._w_ext + self._w_int) < self._w_ext
-        ext_pool, int_pool = self._pools
-        if pick_ext:
-            kv = (k, v) if k < v else (v, k)
-            vl = None if leaf_nb < 0 else ((leaf_nb, v) if leaf_nb < v else (v, leaf_nb))
-            while True:
-                e = ext_pool[int(rng.integers(len(ext_pool)))]
-                if e == kv:
-                    continue
-                if e == vl:
-                    return False  # reinsertion at the merged edge
-                break
+        v = ends[k][1]
+        s0, s1, s2 = inc[v]
+        x, y = (s1, s2) if s0 == k else (s0, s2) if s1 == k else (s0, s1)
+        f, g = (y, x) if y >= n else (x, y)
+        if rng.random() * self._w_all < self._w_ext:
+            z = int(rng.integers(n - 1))
+            z += z >= k
         else:
-            ints = [x for x in (a, b) if x >= n]
-            reject = (ints[0], v) if ints[0] < v else (v, ints[0])
-            self_edge = None
-            if len(ints) == 2:
-                self_edge = (ints[1], v) if ints[1] < v else (v, ints[1])
-            while True:
-                e = int_pool[int(rng.integers(len(int_pool)))]
-                if e == reject:
-                    continue
-                if e == self_edge:
-                    return False
-                break
-        p, q = e
-        # splice v out: neighbors a, b become adjacent
-        na, nb_ = self.nbr[a], self.nbr[b]
-        na[na.index(v)] = b
-        nb_[nb_.index(v)] = a
-        self._remove_edge(v, a)
-        self._remove_edge(v, b)
-        self._add_edge(a, b)
-        # splice v into edge (p, q)
-        np_, nq = self.nbr[p], self.nbr[q]
-        np_[np_.index(q)] = v
-        nq[nq.index(p)] = v
-        self.nbr[v] = [k, p, q]
-        self._remove_edge(p, q)
-        self._add_edge(v, p)
-        self._add_edge(v, q)
+            z = n + int(rng.integers(n - 4))
+            z += z >= f
+        if z == g:
+            return False  # reinsertion at the merged edge
+        a0, a1 = ends[g]
+        b0, b1 = ends[f]
+        b = b0 + b1 - v
+        p, q = ends[z]
+        ends[g] = (a0 + a1 - v, b)
+        ends[z] = (p, v)
+        ends[f] = (v, q)
+        at_b, at_q = inc[b], inc[q]
+        at_b[at_b.index(f)] = g
+        at_q[at_q.index(z)] = f
+        inc[v] = [k, z, f]
         return True
 
     def run_until(self, horizon: float) -> int:
@@ -435,27 +414,20 @@ class ChainState:
     def as_tree(self) -> FiniteMeasureTree:
         """Snapshot of the current state as an immutable measure tree."""
         n = self.n
-        edges = []
-        for pool in self._pools:
-            for u, v in pool:
-                uu = u + 1 if u < n else n - u - 1
-                vv = v + 1 if v < n else n - v - 1
-                edges.append((uu, vv))
-        return FiniteMeasureTree(Cladogram(n, edges))
+        label = [*range(1, n + 1), *range(-1, 1 - n, -1)]
+        return FiniteMeasureTree(Cladogram(n, [(label[u], label[w]) for u, w in self.ends]))
 
     def audit(self) -> None:
         """Full invariant check (test builds call this periodically)."""
         n = self.n
-        assert len(self._pools[0]) == n
-        assert len(self._pools[1]) == n - 3
-        for i in range(n):
-            assert len(self.nbr[i]) == 1
-        for i in range(n, 2 * n - 2):
-            assert len(self.nbr[i]) == 3
-        for cls, pool in enumerate(self._pools):
-            for i, e in enumerate(pool):
-                assert self._edge_pos[e] == (cls, i)
-                assert e[1] in self.nbr[e[0]] and e[0] in self.nbr[e[1]]
+        assert len(self.ends) == 2 * n - 3 and len(self.inc) == 2 * n - 2
+        for v, slots in enumerate(self.inc):
+            assert len(slots) == (1 if v < n else 3)
+            assert all(v in self.ends[e] for e in slots)
+        for e, (u, w) in enumerate(self.ends):
+            assert e in self.inc[u] and e in self.inc[w]
+            # a leaf's slot is the leaf, stored first; the others join internal vertices
+            assert u == e if e < n else min(u, w) >= n
         self.as_tree()  # runs the full Cladogram validation
 
 
@@ -515,6 +487,8 @@ def estimate_shape_vector(tree, m: int, samples: int, rng):
     """Match fractions (and the multinomial draw counts) for every m-leaf
     target in canonical state order, from one batch of iid leaf m-tuples;
     tuples with repeats match no target."""
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
     states = enumerate_cladograms(m)
     draws = rng.integers(1, tree.n + 1, size=(samples, m))
     distinct = np.ones(samples, dtype=bool)
@@ -635,8 +609,11 @@ def _duality_samples(alpha, m, n_leaves, t, replicates, seed, tuples_per_replica
     array of per-replicate chain estimates at time t, the tilted backward
     propagator exp(t (Q_bwd + diag beta)), and the exact shape vector of the
     initial tree."""
-    if t < 0 or replicates < 2:
-        raise ValueError(f"need t >= 0 and replicates >= 2, got t={t}, replicates={replicates}")
+    if t < 0 or replicates < 2 or tuples_per_replicate < 1:
+        raise ValueError(
+            "need t >= 0, replicates >= 2 and tuples_per_replicate >= 1, got "
+            f"t={t}, replicates={replicates}, tuples_per_replicate={tuples_per_replicate}"
+        )
     alpha = parse_alpha(alpha)
     # the rate matrix bounds m, so an unsupported m fails before any sampling
     qb = backward_rate_matrix(alpha, m).to_dense()

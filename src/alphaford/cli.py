@@ -45,7 +45,7 @@ class RunConfig:
     command: str
     params: dict
     seed: int = 0
-    threads: int = 0
+    threads: int = 1
     out: str | None = None
     fmt: str | None = None
 
@@ -296,13 +296,17 @@ def _cmd_chain_run(config: RunConfig) -> int:
         raise StructureError("need --t >= 0 and --replicates, --obs-times, --tuples >= 1")
     if m > p["leaves"]:
         raise StructureError(f"shape:m={m} needs --leaves >= {m}")
+    cores = os.cpu_count() or 1
+    if not 1 <= config.threads <= cores:
+        raise StructureError(f"need 1 <= --threads <= {cores}, got {config.threads}")
     labels = [f'"{to_newick(t)}"' for t in enumerate_cladograms(m)]
     work = [
         (_alpha_str(alpha), p["leaves"], p["t"], p["obs_times"], m, p["tuples"], config.seed, r)
         for r in range(p["replicates"])
     ]
-    if config.threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.threads) as pool:
+    workers = min(config.threads, len(work))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_chain_run_replicate, work))
     else:
         results = [_chain_run_replicate(w) for w in work]
@@ -455,7 +459,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cr.add_argument("--replicates", type=int, default=1)
     cr.add_argument("--obs-times", type=int, default=1, help="equally spaced observation times")
     cr.add_argument("--tuples", type=int, default=4096, help="leaf tuples per shape estimate")
-    cr.add_argument("--threads", type=int, default=os.cpu_count() or 1, help="worker processes")
+    cr.add_argument(
+        "--threads", type=int, default=os.cpu_count() or 1, help="worker processes, 1 to all cores"
+    )
     cv = csub.add_parser("verify", parents=[common])
     cv.add_argument("check", choices=["invariance", "duality", "beta"])
     cv.add_argument("--alpha", required=True)
@@ -530,7 +536,7 @@ def main(argv=None) -> int:
         command=command,
         params=params,
         seed=args.seed,
-        threads=getattr(args, "threads", 0),
+        threads=getattr(args, "threads", 1),
         out=args.out,
         fmt=getattr(args, "fmt", None),
     )

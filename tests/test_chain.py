@@ -308,16 +308,20 @@ def test_simulator_self_moves_leave_state_unchanged():
 
 
 JUMP_ALPHAS = ["0", "1/3", "1"]
+# leaves in cherries at the start: a caterpillar (two cherries) at 5 and 7
+# leaves, the three-cherry tree at 6; in a caterpillar the middle leaves hang
+# off vertices with two internal neighbours
+JUMP_START_CHERRY_LEAVES = {5: 4, 6: 6, 7: 4}
 
 
 @pytest.mark.parametrize("alpha", JUMP_ALPHAS)
-@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("n", [5, 6, 7])
 def test_simulator_one_step_law_matches_rate_row(alpha, n):
     # one move() from a fixed state lands on t with probability
-    # q_fwd(s, t) / total rate, and stays at s with the self-move rate;
-    # the start is a 5-leaf caterpillar or the 6-leaf three-cherry tree
+    # q_fwd(s, t) / total rate, and stays at s with the self-move rate
     fwd = forward_rate_matrix(alpha, n)
-    s = next(i for i, t in enumerate(fwd.states) if len(t.cherries()) == 2 * (n - 3))
+    cherry_leaves = JUMP_START_CHERRY_LEAVES[n]
+    s = next(i for i, t in enumerate(fwd.states) if len(t.cherries()) == cherry_leaves)
     start = FiniteMeasureTree(fwd.states[s])
     rng = stream(31, n, JUMP_ALPHAS.index(alpha))
     moves = 20_000
@@ -341,7 +345,6 @@ def test_simulator_one_step_law_matches_rate_row(alpha, n):
 
 def test_simulate_chain_observers():
     state = ChainState(sample_ford_tree("1/2", 20, stream(17)), "1/2", stream(18))
-    seen = []
     summary = simulate_chain(
         state,
         horizon=1.0,
@@ -349,8 +352,10 @@ def test_simulate_chain_observers():
         observers=[lambda s: s.time, lambda s: s.jumps],
     )
     assert [t for t, _ in summary["observations"]] == [0.25, 0.5, 1.0]
+    assert all(seen_time == t for t, (seen_time, _) in summary["observations"])
+    jumps = [seen_jumps for _, (_, seen_jumps) in summary["observations"]]
+    assert jumps == sorted(jumps) and jumps[-1] == state.jumps
     assert summary["jumps"] == state.jumps
-    del seen
 
 
 def test_long_run_shape_frequencies_reach_uniform():
@@ -557,6 +562,24 @@ def test_z_score_with_zero_standard_errors():
 def test_duality_rejects_bad_replicates_and_time(t, replicates):
     with pytest.raises(ValueError):
         verify_chain_diffusion_duality("1/2", 4, 64, t, replicates=replicates)
+
+
+@pytest.mark.parametrize("tuples", [0, -1])
+def test_duality_rejects_no_tuples_before_simulating(monkeypatch, tuples):
+    def no_chain(*args):
+        raise AssertionError("a chain was started")
+
+    monkeypatch.setattr("alphaford.chain.ChainState", no_chain)
+    with pytest.raises(ValueError):
+        verify_chain_diffusion_duality(
+            "1/2", 4, 64, 0.05, replicates=10, tuples_per_replicate=tuples
+        )
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_estimate_shape_vector_rejects_no_samples(samples):
+    with pytest.raises(ValueError):
+        estimate_shape_vector(build_comb_tree(8), 4, samples, stream(0))
 
 
 def test_feynman_kac_rejects_negative_time():

@@ -133,6 +133,57 @@ def test_chain_run_rejects_bad_values(capsys, bad):
     assert json.loads(err.strip())["error"]
 
 
+CHAIN_RUN = ["chain", "run", "--alpha", "1/2", "--leaves", "8", "--t", "0.05", "--tuples", "64"]
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+@pytest.mark.parametrize("threads", ["0", "-1", "9"])
+def test_chain_run_rejects_threads_outside_cores(capsys, monkeypatch, threads):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    code, out, err = run_cli(capsys, *CHAIN_RUN, "--replicates", "3", "--threads", threads)
+    assert code == 2 and out == ""
+    assert "--threads" in json.loads(err.strip())["message"]
+
+
+@pytest.mark.parametrize(
+    "threads, replicates, pools", [("8", "3", [3]), ("2", "3", [2]), ("8", "1", []), ("1", "3", [])]
+)
+def test_chain_run_pool_size(capsys, monkeypatch, threads, replicates, pools):
+    # min(--threads, --replicates) workers, and no pool for one
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    serial = run_cli(capsys, *CHAIN_RUN, "--replicates", replicates, "--threads", "1")
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return map(fn, work)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    assert run_cli(capsys, *CHAIN_RUN, "--replicates", replicates, "--threads", threads) == serial
+    assert serial[0] == 0 and sizes == pools
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+def test_chain_run_two_workers_match_one(capsys):
+    argv = [*CHAIN_RUN, "--replicates", "2", "--seed", "9"]
+    serial = run_cli(capsys, *argv, "--threads", "1")
+    assert serial[0] == 0
+    assert run_cli(capsys, *argv, "--threads", "2") == serial
+
+
 @pytest.mark.parametrize(
     "argv",
     [
