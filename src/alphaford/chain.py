@@ -16,11 +16,12 @@ alpha-Ford law, and the Feynman-Kac matrix identity
 
     exp(t Q_fwd) = exp(t (Q_bwd + diag(beta)))^T.
 
-An event-driven simulator runs the same dynamics on trees with hundreds of
-leaves; each move rewrites three fixed edge slots after a fixed number of
-draws, with no rejection loop.  The sample-shape vector of a fixed tree is
-computed exactly by one pass over its subtrees, and that of a simulated tree
-is estimated from batched quartet queries.
+A simulator runs the same dynamics on trees with hundreds of leaves.  Every
+event has the same total rate, so a run to time t draws a Poisson event
+count and then the iid moves in vectorized blocks; each move rewrites three
+fixed edge slots, with no rejection loop.  The sample-shape vector of a
+fixed tree is computed exactly by one pass over its subtrees, and that of a
+simulated tree is estimated from batched quartet queries.
 """
 
 from __future__ import annotations
@@ -289,8 +290,8 @@ def verify_feynman_kac(alpha, m: int, t: float) -> float:
 
     The underlying matrix identity Q_fwd^T = Q_bwd + diag(beta) is exact, so
     the deviation only measures floating-point exponentiation error."""
-    if t < 0:
-        raise ValueError(f"need t >= 0, got t={t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"need finite t >= 0, got t={t}")
     qf = forward_rate_matrix(alpha, m).to_dense()
     qb = backward_rate_matrix(alpha, m).to_dense()
     beta = np.array([float(b) for b in beta_potential(alpha, m).values()])
@@ -301,6 +302,8 @@ def verify_feynman_kac(alpha, m: int, t: float) -> float:
 
 # -- event-driven simulation ----------------------------------------------------
 
+_BLOCK = 4096  # moves drawn at once by ChainState.run_until; bounds its buffers
+
 
 class ChainState:
     """Mutable N-leaf tree evolving under the alpha-Ford chain.
@@ -309,11 +312,12 @@ class ChainState:
     fixed slots: leaf l's edge is slot l for good, stored leaf first, and the
     N - 3 internal edges fill slots N..2N-4.  ``ends[e]`` holds the endpoints
     of edge e and ``inc[v]`` the slots at v (one at a leaf, three inside).
-    A move rewrites three slots in place after three draws: the leaf, the
-    class of the insertion edge and its index, remapped past the excluded
-    slot.  The clock includes self-moves: events arrive at rate
-    N(N - 1 - 3 alpha) and a move reinserting the leaf where it stood leaves
-    the state unchanged.
+    A move draws the leaf, the class of the insertion edge and its index,
+    and rewrites three slots in place.  Self-moves are events too: every
+    event has rate N(N - 1 - 3 alpha), whatever the state, and a move
+    reinserting the leaf where it stood leaves the state unchanged.  So a run
+    over [s, t) is a Poisson(N(N - 1 - 3 alpha)(t - s)) number of iid moves,
+    drawn in blocks of ``_BLOCK``.
     """
 
     def __init__(self, tree: FiniteMeasureTree, alpha, rng: np.random.Generator):
@@ -350,28 +354,33 @@ class ChainState:
         self.rng = rng
 
     def move(self) -> bool:
-        """Execute one chain event; returns False for a self-move.
+        """Execute one chain event; returns False for a self-move."""
+        rng = self.rng
+        n = self.n
+        k = int(rng.integers(n))
+        if rng.random() * self._w_all < self._w_ext:
+            z = int(rng.integers(n - 1))
+            return self._step(k, True, z + (z >= k))
+        return self._step(k, False, n + int(rng.integers(n - 4)))
+
+    def _step(self, k: int, external: bool, z: int) -> bool:
+        """Move leaf k onto slot z; returns False for a self-move.
 
         Leaf k hangs off v, whose other slots x and y lead to a and b.  The
         internal one of them (y if both are) merges away as f; the other, g,
-        becomes (a, b), so a leaf keeps its slot.  The insertion edge z is a
-        leaf slot other than k or an internal slot other than f, and z = g
-        puts k back where it stood.  Otherwise z = (p, q) becomes (p, v),
-        which keeps a leaf p in its own slot, and f becomes (v, q).
+        becomes (a, b), so a leaf keeps its slot.  An external z is a leaf
+        slot other than k; an internal z is drawn from N..2N-5 and remapped
+        past f here.  z = g puts k back where it stood.  Otherwise z = (p, q)
+        becomes (p, v), which keeps a leaf p in its own slot, and f becomes
+        (v, q).
         """
-        rng = self.rng
         n = self.n
         ends, inc = self.ends, self.inc
-        k = int(rng.integers(n))
         v = ends[k][1]
         s0, s1, s2 = inc[v]
         x, y = (s1, s2) if s0 == k else (s0, s2) if s1 == k else (s0, s1)
         f, g = (y, x) if y >= n else (x, y)
-        if rng.random() * self._w_all < self._w_ext:
-            z = int(rng.integers(n - 1))
-            z += z >= k
-        else:
-            z = n + int(rng.integers(n - 4))
+        if not external:
             z += z >= f
         if z == g:
             return False  # reinsertion at the merged edge
@@ -389,27 +398,25 @@ class ChainState:
         return True
 
     def run_until(self, horizon: float) -> int:
-        """Advance the exponential clock to ``horizon``; returns jumps taken."""
+        """Advance the clock to ``horizon``; returns the events taken,
+        self-moves included."""
+        if not self.time <= horizon < math.inf:
+            raise ValueError(f"need {self.time} <= horizon < inf, got horizon={horizon}")
         rng = self.rng
-        rate = self.total_rate
-        taken = 0
-        t = self.time
-        buf = rng.exponential(scale=1.0 / rate, size=64)
-        i = 0
-        while True:
-            if i == len(buf):
-                buf = rng.exponential(scale=1.0 / rate, size=len(buf) * 2)
-                i = 0
-            t2 = t + buf[i]
-            i += 1
-            if t2 >= horizon:
-                self.time = horizon
-                return taken
-            t = t2
-            self.time = t
-            self.move()
-            self.jumps += 1
-            taken += 1
+        n = self.n
+        events = int(rng.poisson(self.total_rate * (horizon - self.time)))
+        step = self._step
+        for done in range(0, events, _BLOCK):
+            size = min(_BLOCK, events - done)
+            k = rng.integers(n, size=size)
+            ext = rng.random(size) * self._w_all < self._w_ext
+            r = rng.integers(np.where(ext, n - 1, n - 4))
+            z = np.where(ext, r + (r >= k), n + r)
+            for args in zip(k.tolist(), ext.tolist(), z.tolist()):
+                step(*args)
+        self.time = horizon
+        self.jumps += events
+        return events
 
     def as_tree(self) -> FiniteMeasureTree:
         """Snapshot of the current state as an immutable measure tree."""
@@ -609,9 +616,9 @@ def _duality_samples(alpha, m, n_leaves, t, replicates, seed, tuples_per_replica
     array of per-replicate chain estimates at time t, the tilted backward
     propagator exp(t (Q_bwd + diag beta)), and the exact shape vector of the
     initial tree."""
-    if t < 0 or replicates < 2 or tuples_per_replicate < 1:
+    if not 0 <= t < math.inf or replicates < 2 or tuples_per_replicate < 1:
         raise ValueError(
-            "need t >= 0, replicates >= 2 and tuples_per_replicate >= 1, got "
+            "need finite t >= 0, replicates >= 2 and tuples_per_replicate >= 1, got "
             f"t={t}, replicates={replicates}, tuples_per_replicate={tuples_per_replicate}"
         )
     alpha = parse_alpha(alpha)

@@ -17,6 +17,7 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -292,8 +293,8 @@ def _cmd_chain_run(config: RunConfig) -> int:
     p = config.params
     alpha = parse_alpha(p["alpha"])
     m = _parse_observable(p["observe"])
-    if p["t"] < 0 or min(p["replicates"], p["obs_times"], p["tuples"]) < 1:
-        raise StructureError("need --t >= 0 and --replicates, --obs-times, --tuples >= 1")
+    if not 0 <= p["t"] < math.inf or min(p["replicates"], p["obs_times"], p["tuples"]) < 1:
+        raise StructureError("need finite --t >= 0 and --replicates, --obs-times, --tuples >= 1")
     if m > p["leaves"]:
         raise StructureError(f"shape:m={m} needs --leaves >= {m}")
     cores = os.cpu_count() or 1

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 from fractions import Fraction
@@ -343,6 +344,49 @@ def test_simulator_one_step_law_matches_rate_row(alpha, n):
     assert chisquare(observed, expected).pvalue > 1e-3
 
 
+@pytest.mark.parametrize("alpha", JUMP_ALPHAS)
+@pytest.mark.parametrize("n", [5, 6])
+def test_simulator_time_t_law_matches_expm(alpha, n):
+    # run_until(t) from a fixed state s lands on u with probability
+    # exp(t Q_fwd)[s, u]; the bins expected below 5 are lumped into one
+    fwd = forward_rate_matrix(alpha, n)
+    cherry_leaves = JUMP_START_CHERRY_LEAVES[n]
+    s = next(i for i, t in enumerate(fwd.states) if len(t.cherries()) == cherry_leaves)
+    start = FiniteMeasureTree(fwd.states[s])
+    rng = stream(32, n, JUMP_ALPHAS.index(alpha))
+    runs, horizon = 10_000, 0.1
+    tally = np.zeros(len(fwd.states))
+    for _ in range(runs):
+        state = ChainState(start, alpha, rng)
+        state.run_until(horizon)
+        tally[fwd.index[state.as_tree().topology.key]] += 1
+    law = runs * matrix_exponential(fwd.to_dense(), horizon)[s]
+    small = law < 5
+    observed, expected = [*tally[~small]], [*law[~small]]
+    if small.any():
+        observed.append(tally[small].sum())
+        expected.append(law[small].sum())
+    assert chisquare(observed, expected).pvalue > 1e-3
+
+
+def _no_step(*args):
+    raise AssertionError("run_until moved")
+
+
+@pytest.mark.parametrize("horizon", [0.5, math.nan, math.inf])
+def test_run_until_rejects_bad_horizon_before_drawing(monkeypatch, horizon):
+    # an earlier horizon would rewind the clock; nan and inf would never end
+    state = ChainState(sample_ford_tree("1/2", 20, stream(40)), "1/2", stream(41))
+    taken = state.run_until(1.0)
+    assert taken == state.jumps > 0 and state.run_until(1.0) == 0
+    twin = copy.deepcopy(state.rng)
+    monkeypatch.setattr(state, "_step", _no_step)
+    with pytest.raises(ValueError, match="horizon"):
+        state.run_until(horizon)
+    assert (state.time, state.jumps) == (1.0, taken)
+    assert state.rng.random() == twin.random()  # nothing was drawn
+
+
 def test_simulate_chain_observers():
     state = ChainState(sample_ford_tree("1/2", 20, stream(17)), "1/2", stream(18))
     summary = simulate_chain(
@@ -558,18 +602,22 @@ def test_z_score_with_zero_standard_errors():
     assert DualityCheck((), 0.25, 0.05, 0.1).z_score == pytest.approx(3.0)
 
 
-@pytest.mark.parametrize("t, replicates", [(0.05, 1), (0.05, 0), (-0.1, 10)])
-def test_duality_rejects_bad_replicates_and_time(t, replicates):
+def _no_chain(*args):
+    raise AssertionError("a chain was started")
+
+
+@pytest.mark.parametrize(
+    "t, replicates", [(0.05, 1), (0.05, 0), (-0.1, 10), (math.nan, 10), (math.inf, 10)]
+)
+def test_duality_rejects_bad_replicates_and_time(monkeypatch, t, replicates):
+    monkeypatch.setattr("alphaford.chain.ChainState", _no_chain)
     with pytest.raises(ValueError):
         verify_chain_diffusion_duality("1/2", 4, 64, t, replicates=replicates)
 
 
 @pytest.mark.parametrize("tuples", [0, -1])
 def test_duality_rejects_no_tuples_before_simulating(monkeypatch, tuples):
-    def no_chain(*args):
-        raise AssertionError("a chain was started")
-
-    monkeypatch.setattr("alphaford.chain.ChainState", no_chain)
+    monkeypatch.setattr("alphaford.chain.ChainState", _no_chain)
     with pytest.raises(ValueError):
         verify_chain_diffusion_duality(
             "1/2", 4, 64, 0.05, replicates=10, tuples_per_replicate=tuples

@@ -120,24 +120,40 @@ def test_chain_run_shape_m5(capsys):
     assert all(0 < sum(float(x) for x in row[2:]) <= 1 for row in rows[1:])
 
 
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+def _no_chain(*args, **kwargs):
+    raise AssertionError("a chain was built")
+
+
 @pytest.mark.parametrize(
     "bad",
-    [["--t", "-0.1"], ["--replicates", "0"], ["--tuples", "0"], ["--observe", "shape:m=9"]],
+    [
+        ["--t", "-0.1"],
+        ["--replicates", "0"],
+        ["--tuples", "0"],
+        ["--observe", "shape:m=9"],
+        ["--t", "nan"],
+        ["--t", "inf"],
+    ],
 )
-def test_chain_run_rejects_bad_values(capsys, bad):
+def test_chain_run_rejects_bad_values(capsys, monkeypatch, bad):
+    # rejected before any pool starts or chain is built; a chain run to nan
+    # or inf would never end
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(cli.chain_mod, "ChainState", _no_chain)
     args = {"--t": "0.1", "--replicates": "2", "--tuples": "64", "--observe": "shape:m=4"}
     args[bad[0]] = bad[1]
-    argv = ["chain", "run", "--alpha", "1/2", "--leaves", "8", "--threads", "1"]
+    argv = ["chain", "run", "--alpha", "1/2", "--leaves", "8", "--threads", "2"]
     code, out, err = run_cli(capsys, *argv, *itertools.chain(*args.items()))
     assert code == 2 and out == ""
     assert json.loads(err.strip())["error"]
 
 
 CHAIN_RUN = ["chain", "run", "--alpha", "1/2", "--leaves", "8", "--t", "0.05", "--tuples", "64"]
-
-
-def _no_pool(*args, **kwargs):
-    raise AssertionError("a process pool was started")
 
 
 @pytest.mark.parametrize("threads", ["0", "-1", "9"])
@@ -147,6 +163,12 @@ def test_chain_run_rejects_threads_outside_cores(capsys, monkeypatch, threads):
     code, out, err = run_cli(capsys, *CHAIN_RUN, "--replicates", "3", "--threads", threads)
     assert code == 2 and out == ""
     assert "--threads" in json.loads(err.strip())["message"]
+
+
+@pytest.mark.parametrize("t", ["nan", "inf"])
+@pytest.mark.parametrize("argv", [["chain", "verify", "duality"], ["verify"]])
+def test_verify_rejects_non_finite_t(capsys, argv, t):
+    assert run_cli(capsys, *argv, "--alpha", "0", "--m", "5", "--t", t)[0] == 2
 
 
 @pytest.mark.parametrize(
