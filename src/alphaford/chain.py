@@ -20,8 +20,8 @@ A simulator runs the same dynamics on trees with hundreds of leaves.  Every
 event has the same total rate, so a run to time t draws a Poisson event
 count and then the iid moves in vectorized blocks; each move rewrites three
 fixed edge slots, with no rejection loop.  The sample-shape vector of a
-fixed tree is computed exactly by one pass over its subtrees, and that of a
-simulated tree is estimated from batched quartet queries.
+tree, fixed or simulated, is computed exactly by one pass over its rooted
+view; the chain-vs-dual check still estimates it from quartet queries.
 """
 
 from __future__ import annotations
@@ -180,11 +180,6 @@ class RateMatrix:
                 q[s, t] = float(r)
             q[s, s] = -q[s].sum()
         return q
-
-    def validate(self) -> None:
-        for s in range(len(self.states)):
-            assert all(r >= 0 for r in self.rows[s].values())
-            assert self.self_rates[s] >= 0
 
 
 def _assemble(alpha: Fraction, m: int, kind: str) -> RateMatrix:
@@ -418,6 +413,26 @@ class ChainState:
         self.jumps += events
         return events
 
+    def rooted_view(self) -> tuple[list[tuple[int, int, int]], int]:
+        """The current tree rooted at leaf 1, in the format of
+        :meth:`FiniteMeasureTree.rooted_view`, read by one DFS over the slots."""
+        n, ends, inc = self.n, self.ends, self.inc
+        top = ends[0][1]
+        order = []
+        stack = [(top, 0)]  # a vertex and the slot leading to its parent
+        while stack:
+            v, up = stack.pop()
+            s0, s1, s2 = inc[v]
+            x, y = (s1, s2) if s0 == up else (s0, s2) if s1 == up else (s0, s1)
+            a, b = sum(ends[x]) - v, sum(ends[y]) - v
+            order.append((v, a, b))
+            if a >= n:
+                stack.append((a, x))
+            if b >= n:
+                stack.append((b, y))
+        order.reverse()  # each vertex was listed before its descendants
+        return order, top
+
     def as_tree(self) -> FiniteMeasureTree:
         """Snapshot of the current state as an immutable measure tree."""
         n = self.n
@@ -553,29 +568,26 @@ def _shape_classes(m: int):
     return join, read, tuple(state_class.tolist()), tuple(class_size)
 
 
-def exact_shape_vector(tree: FiniteMeasureTree, m: int) -> list[Fraction]:
+def exact_shape_vector(tree: FiniteMeasureTree | ChainState, m: int) -> list[Fraction]:
     """Phi^m of ``tree`` exactly, for 2 <= m <= 8: for each state t of
     ``enumerate_cladograms(m)``, the probability that m iid uniform leaves
     are distinct and span t.
 
-    Rooted at leaf 1, one post-order pass counts at every vertex the leaf
-    subsets of its subtree, up to m leaves, by the rooted shape they span: a
-    vertex adds its children's counts and, for every pair of child shapes,
-    the product of their counts at the joined shape.  At leaf 1's neighbour
-    the m-subsets are read off, and the (m-1)-subsets, joined by leaf 1, are
-    the m-subsets that hold it.  Labels are exchangeable, so the m! orderings
-    of a subset fall evenly on the states of its class.
+    One post-order pass over ``tree.rooted_view()`` (a measure tree's or a
+    chain state's) counts at every vertex the leaf subsets of its subtree,
+    up to m leaves, by the rooted shape they span: a vertex adds its
+    children's counts and, for every pair of child shapes, the product of
+    their counts at the joined shape.  At leaf 1's neighbour the m-subsets
+    are read off, and the (m-1)-subsets, joined by leaf 1, are the m-subsets
+    that hold it.  Labels are exchangeable, so the m! orderings of a subset
+    fall evenly on the states of its class.
     """
     join, read, state_class, class_size = _shape_classes(m)
-    idx = tree.index
     n = tree.n
-    kids = idx.children.tolist()
-    tables: dict[int, dict[int, int]] = {}
-    for v in reversed(np.argsort(idx.first)[1:].tolist()):  # children first, leaf 1 left out
-        if v < n:
-            tables[v] = {0: 1}
-            continue
-        a, b = (tables.pop(c) for c in kids[v])
+    order, top = tree.rooted_view()
+    tables = dict.fromkeys(range(n), {0: 1})  # shared, never written: a leaf spans shape 0
+    for v, a, b in order:
+        a, b = tables.pop(a), tables.pop(b)
         table = dict(a)
         for j, count in b.items():
             table[j] = table.get(j, 0) + count
@@ -585,7 +597,7 @@ def exact_shape_vector(tree: FiniteMeasureTree, m: int) -> list[Fraction]:
                     table[k] = table.get(k, 0) + count * b[j]
         tables[v] = table
     counts = [0] * len(class_size)
-    for i, count in tables[kids[0][0]].items():
+    for i, count in tables[top].items():
         if i in read:
             counts[read[i]] += count
     orderings = math.factorial(m)

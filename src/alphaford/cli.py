@@ -276,7 +276,7 @@ def _parse_observable(text: str) -> int:
 
 
 def _chain_run_replicate(args: tuple) -> tuple[int, list]:
-    alpha_str, n_leaves, horizon, n_obs_times, m, tuples, seed, r = args
+    alpha_str, n_leaves, horizon, n_obs_times, m, seed, r = args
     alpha = Fraction(alpha_str)
     rng = stream(seed, r)
     state = chain_mod.ChainState(sample_ford_tree(alpha, n_leaves, rng), alpha, rng)
@@ -284,8 +284,8 @@ def _chain_run_replicate(args: tuple) -> tuple[int, list]:
     times = [horizon * (i + 1) / n_obs_times for i in range(n_obs_times)]
     for t in times:
         state.run_until(t)
-        est, _ = chain_mod.estimate_shape_vector(state.as_tree(), m, tuples, rng)
-        rows.append((r, repr(t), *(repr(float(x)) for x in est)))
+        phi = chain_mod.exact_shape_vector(state, m)
+        rows.append((r, repr(t), *(repr(float(x)) for x in phi)))
     return r, rows
 
 
@@ -293,16 +293,16 @@ def _cmd_chain_run(config: RunConfig) -> int:
     p = config.params
     alpha = parse_alpha(p["alpha"])
     m = _parse_observable(p["observe"])
-    if not 0 <= p["t"] < math.inf or min(p["replicates"], p["obs_times"], p["tuples"]) < 1:
-        raise StructureError("need finite --t >= 0 and --replicates, --obs-times, --tuples >= 1")
-    if m > p["leaves"]:
-        raise StructureError(f"shape:m={m} needs --leaves >= {m}")
+    if not 0 <= p["t"] < math.inf or min(p["replicates"], p["obs_times"]) < 1:
+        raise StructureError("need finite --t >= 0 and --replicates, --obs-times >= 1")
+    if p["leaves"] < max(5, m):  # the chain needs 5 leaves, the observable m
+        raise StructureError(f"a chain observed at shape:m={m} needs --leaves >= {max(5, m)}")
     cores = os.cpu_count() or 1
     if not 1 <= config.threads <= cores:
         raise StructureError(f"need 1 <= --threads <= {cores}, got {config.threads}")
     labels = [f'"{to_newick(t)}"' for t in enumerate_cladograms(m)]
     work = [
-        (_alpha_str(alpha), p["leaves"], p["t"], p["obs_times"], m, p["tuples"], config.seed, r)
+        (_alpha_str(alpha), p["leaves"], p["t"], p["obs_times"], m, config.seed, r)
         for r in range(p["replicates"])
     ]
     workers = min(config.threads, len(work))
@@ -459,7 +459,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cr.add_argument("--observe", default="shape:m=4")
     cr.add_argument("--replicates", type=int, default=1)
     cr.add_argument("--obs-times", type=int, default=1, help="equally spaced observation times")
-    cr.add_argument("--tuples", type=int, default=4096, help="leaf tuples per shape estimate")
     cr.add_argument(
         "--threads", type=int, default=os.cpu_count() or 1, help="worker processes, 1 to all cores"
     )
@@ -505,10 +504,7 @@ _DISPATCH = {
     ("ford", "sample"): (_cmd_ford_sample, ["alpha", "leaves", "count"]),
     ("ford", "exact"): (_cmd_ford_exact, ["alpha", "m"]),
     ("ford", "coalescent"): (_cmd_ford_coalescent, ["m", "count"]),
-    ("chain", "run"): (
-        _cmd_chain_run,
-        ["alpha", "leaves", "t", "observe", "replicates", "obs_times", "tuples"],
-    ),
+    ("chain", "run"): (_cmd_chain_run, ["alpha", "leaves", "t", "observe", "replicates", "obs_times"]),
     ("chain", "verify"): (_cmd_chain_verify, ["check", "alpha", "m", "t"]),
     ("moments", "exact"): (_cmd_moments_exact, ["alpha", "max_degree"]),
     ("moments", "estimate"): (_cmd_moments_estimate, ["alpha", "leaves", "triples", "max_degree"]),

@@ -171,6 +171,15 @@ class FiniteMeasureTree:
     def __repr__(self) -> str:
         return f"FiniteMeasureTree(n={self.n})"
 
+    def rooted_view(self) -> tuple[list[tuple[int, int, int]], int]:
+        """The tree rooted at leaf 1, on dense ids (leaf i is i - 1, internal
+        vertices from N on): a (vertex, child, child) triple per internal
+        vertex, children first, and leaf 1's neighbour."""
+        idx = self.index
+        kids = idx.children.tolist()
+        preorder = np.argsort(idx.first).tolist()
+        return [(v, *kids[v]) for v in reversed(preorder) if v >= self.n], kids[0][0]
+
     # -- exact single-point queries ---------------------------------------------
 
     def branch_point(self, x: int, y: int, z: int) -> int:

@@ -17,7 +17,13 @@ from scipy import stats
 
 from alphaford._rng import stream
 from alphaford.chain import (
+    ChainState,
+    backward_rate_matrix,
+    beta_potential,
+    exact_shape_vector,
     forward_rate_matrix,
+    matrix_exponential,
+    simulate_chain,
     verify_beta_is_rate_discrepancy,
     verify_chain_diffusion_duality,
     verify_feynman_kac,
@@ -226,4 +232,39 @@ def test_criterion_12_chain_diffusion_duality():
         ok,
         time.perf_counter() - t0,
         300.0,
+    )
+
+
+def test_criterion_13_chain_dynamics_against_dual():
+    # Criterion 12's m = 4 vector is the same for every tree.  At m = 6 the
+    # comb spans no three-cherry ("snowflake") state, so the mean of the exact
+    # per-replicate Phi^6(X_t) moves with the chain; by exchangeability each
+    # replicate's vector is constant on the 2 unlabeled classes.
+    t0 = time.perf_counter()
+    m, t, replicates = 6, 0.05, 1000
+    comb = build_comb_tree(64)
+    phi0 = np.array([float(p) for p in exact_shape_vector(comb, m)])
+    snowflake = np.array([len(s.cherries()) == 6 for s in enumerate_cladograms(m)])
+
+    def observe(state):
+        return [float(p) for p in exact_shape_vector(state, m)]
+
+    ok = phi0[snowflake].sum() == 0
+    worst = 0.0
+    for i, alpha in enumerate(("0", "1/2")):
+        qb = backward_rate_matrix(alpha, m).to_dense()
+        beta = np.array([float(b) for b in beta_potential(alpha, m).values()])
+        rhs = matrix_exponential(qb + np.diag(beta), t) @ phi0
+        phi = np.empty((replicates, len(phi0)))
+        for r in range(replicates):
+            state = ChainState(comb, alpha, stream(1300 + i, r))
+            phi[r] = simulate_chain(state, t, observers=[observe])["observations"][-1][1][0]
+        z = (phi.mean(axis=0) - rhs) / (phi.std(axis=0, ddof=1) / math.sqrt(replicates))
+        worst = max(worst, float(np.abs(z).max()))
+        ok = ok and rhs[snowflake].sum() > 0.05 and bool((np.abs(z) < 4).all())
+    _report(
+        f"criterion-13 chain dynamics vs dual, m=6 from a comb (max |z|={worst:.2f})",
+        ok,
+        time.perf_counter() - t0,
+        30.0,
     )

@@ -107,7 +107,8 @@ def test_move_tables_match_cladogram_edits(m):
 @pytest.mark.parametrize("m", [4, 5, 6])
 def test_forward_total_rate_and_row_sums(alpha, m):
     fwd = forward_rate_matrix(alpha, m)
-    fwd.validate()
+    assert all(r >= 0 for row in fwd.rows for r in row.values())
+    assert all(r >= 0 for r in fwd.self_rates)
     af = Fraction(alpha)
     for s in range(len(fwd.states)):
         assert fwd.total_rate(s) == m * (m - 1 - 3 * af)
@@ -527,6 +528,17 @@ def test_exact_shape_vector_depends_on_the_tree_from_six_leaves():
     assert all(p == 0 for p, s in zip(comb6, snowflake) if s)
     assert all(p > 0 for p, s in zip(yule6, snowflake) if s)
     assert all(p != q for p, q in zip(comb6, yule6))
+
+
+@pytest.mark.parametrize("n", [5, 6, 9, 128])
+def test_exact_shape_vector_of_chain_state_matches_its_snapshot(n):
+    # the chain's rooted view and the snapshot's _Index feed the same DP
+    for alpha, t in itertools.product(["0", "1/2", "1"], [0, 0.05, 0.3]):
+        state = ChainState(sample_ford_tree(alpha, n, stream(42, n)), alpha, stream(43, n))
+        state.run_until(t)
+        tree = state.as_tree()
+        for m in range(2, 9):
+            assert exact_shape_vector(state, m) == exact_shape_vector(tree, m)
 
 
 def test_exact_shape_vector_rejects_m_out_of_range():

@@ -9,8 +9,11 @@ from pathlib import Path
 import pytest
 
 from alphaford import cli, moments
+from alphaford._rng import stream
+from alphaford.chain import ChainState, exact_shape_vector
 from alphaford.cladogram import from_newick, to_newick
-from alphaford.ford import build_comb_tree
+from alphaford.ford import build_comb_tree, sample_ford_tree
+from alphaford.tree import FiniteMeasureTree
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -100,7 +103,7 @@ def test_chain_run_csv(capsys):
     code, out, _ = run_cli(
         capsys,
         "chain", "run", "--alpha", "1/2", "--leaves", "16", "--t", "0.2",
-        "--replicates", "3", "--seed", "5", "--tuples", "256", "--threads", "1",
+        "--replicates", "3", "--seed", "5", "--threads", "1",
     )
     assert code == 0
     rows = [line for line in out.splitlines() if not line.startswith("#")]
@@ -112,12 +115,31 @@ def test_chain_run_shape_m5(capsys):
     code, out, _ = run_cli(
         capsys,
         "chain", "run", "--alpha", "0", "--leaves", "12", "--t", "0.1", "--observe", "shape:m=5",
-        "--replicates", "2", "--seed", "6", "--tuples", "200", "--threads", "1",
+        "--replicates", "2", "--seed", "6", "--threads", "1",
     )
     assert code == 0
     rows = list(csv.reader(line for line in out.splitlines() if not line.startswith("#")))
     assert len(rows[0]) == 2 + 15 and len(rows) == 3
     assert all(0 < sum(float(x) for x in row[2:]) <= 1 for row in rows[1:])
+
+
+def test_chain_run_rows_are_exact_shapes_of_the_replayed_chain(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "chain", "run", "--alpha", "1/2", "--leaves", "20", "--t", "0.2", "--observe", "shape:m=6",
+        "--replicates", "2", "--obs-times", "2", "--seed", "7", "--threads", "1",
+    )
+    assert code == 0
+    rows = list(csv.reader(line for line in out.splitlines() if not line.startswith("#")))[1:]
+    replay = []
+    for r in range(2):
+        rng = stream(7, r)
+        state = ChainState(sample_ford_tree("1/2", 20, rng), "1/2", rng)
+        for t in (0.1, 0.2):
+            state.run_until(t)
+            phi = exact_shape_vector(state, 6)
+            replay.append([str(r), repr(t), *(repr(float(p)) for p in phi)])
+    assert rows == replay
 
 
 def _no_pool(*args, **kwargs):
@@ -133,10 +155,10 @@ def _no_chain(*args, **kwargs):
     [
         ["--t", "-0.1"],
         ["--replicates", "0"],
-        ["--tuples", "0"],
         ["--observe", "shape:m=9"],
         ["--t", "nan"],
         ["--t", "inf"],
+        ["--leaves", "4"],
     ],
 )
 def test_chain_run_rejects_bad_values(capsys, monkeypatch, bad):
@@ -145,15 +167,34 @@ def test_chain_run_rejects_bad_values(capsys, monkeypatch, bad):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _no_pool)
     monkeypatch.setattr(cli.chain_mod, "ChainState", _no_chain)
-    args = {"--t": "0.1", "--replicates": "2", "--tuples": "64", "--observe": "shape:m=4"}
+    args = {"--leaves": "8", "--t": "0.1", "--replicates": "2", "--observe": "shape:m=4"}
     args[bad[0]] = bad[1]
-    argv = ["chain", "run", "--alpha", "1/2", "--leaves", "8", "--threads", "2"]
+    argv = ["chain", "run", "--alpha", "1/2", "--threads", "2"]
     code, out, err = run_cli(capsys, *argv, *itertools.chain(*args.items()))
     assert code == 2 and out == ""
     assert json.loads(err.strip())["error"]
 
 
-CHAIN_RUN = ["chain", "run", "--alpha", "1/2", "--leaves", "8", "--t", "0.05", "--tuples", "64"]
+CHAIN_RUN = ["chain", "run", "--alpha", "1/2", "--leaves", "8", "--t", "0.05"]
+
+
+def _no_snapshot(*args, **kwargs):
+    raise AssertionError("a snapshot, index or shape estimate was built")
+
+
+def test_chain_run_builds_no_snapshot_index_or_estimate(capsys, monkeypatch):
+    monkeypatch.setattr(ChainState, "as_tree", _no_snapshot)
+    monkeypatch.setattr(FiniteMeasureTree, "index", property(_no_snapshot))
+    monkeypatch.setattr(cli.chain_mod, "estimate_shape_vector", _no_snapshot)
+    argv = [*CHAIN_RUN, "--replicates", "2", "--obs-times", "2", "--threads", "1"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(out.splitlines()) == 4 + 4  # header block, then 2 rows each
+
+
+def test_chain_run_has_no_tuples_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*CHAIN_RUN, "--tuples", "64"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("threads", ["0", "-1", "9"])
