@@ -66,6 +66,7 @@ __all__ = [
 
 MAX_RATE_MATRIX_LEAVES = 7
 MAX_EXPM_DIM = 1024
+DUALITY_TUPLES = 64  # leaf m-tuples per replicate in verify_chain_diffusion_duality
 
 
 @dataclass(frozen=True)
@@ -623,16 +624,13 @@ class DualityCheck:
         return (self.lhs - self.rhs) / self.lhs_se
 
 
-def _duality_samples(alpha, m, n_leaves, t, replicates, seed, tuples_per_replicate, initial):
+def _duality_samples(alpha, m, n_leaves, t, replicates, seed, initial):
     """The raw terms of the chain-vs-dual comparison: a (replicates, states)
     array of per-replicate chain estimates at time t, the tilted backward
     propagator exp(t (Q_bwd + diag beta)), and the exact shape vector of the
     initial tree."""
-    if not 0 <= t < math.inf or replicates < 2 or tuples_per_replicate < 1:
-        raise ValueError(
-            "need finite t >= 0, replicates >= 2 and tuples_per_replicate >= 1, got "
-            f"t={t}, replicates={replicates}, tuples_per_replicate={tuples_per_replicate}"
-        )
+    if not 0 <= t < math.inf or replicates < 2:
+        raise ValueError(f"need finite t >= 0 and replicates >= 2, got t={t}, {replicates=}")
     alpha = parse_alpha(alpha)
     # the rate matrix bounds m, so an unsupported m fails before any sampling
     qb = backward_rate_matrix(alpha, m).to_dense()
@@ -646,7 +644,7 @@ def _duality_samples(alpha, m, n_leaves, t, replicates, seed, tuples_per_replica
         rng = stream(seed, 2, r)
         state = ChainState(initial, alpha, rng)
         state.run_until(t)
-        est[r], _ = estimate_shape_vector(state.as_tree(), m, tuples_per_replicate, rng)
+        est[r], _ = estimate_shape_vector(state.as_tree(), m, DUALITY_TUPLES, rng)
     return est, mat, phi0
 
 
@@ -657,7 +655,6 @@ def verify_chain_diffusion_duality(
     t: float,
     replicates: int,
     seed: int = 0,
-    tuples_per_replicate: int = 64,
     initial: FiniteMeasureTree | None = None,
 ) -> list[DualityCheck]:
     """Compare E[Phi^{m,target}(X_t)] for the N-leaf chain started at a fixed
@@ -665,7 +662,7 @@ def verify_chain_diffusion_duality(
     backward chain tilted by the potential, for 4 <= m <= 7.
 
     Left side: ``replicates`` (at least 2) independent chain runs, each
-    contributing a shape-vector estimate from ``tuples_per_replicate`` leaf
+    contributing a shape-vector estimate from ``DUALITY_TUPLES`` leaf
     m-tuples; the replicate spread yields the standard error.  Right side:
     exp(t (Q_bwd + diag beta)) applied to the exact shape vector of the
     initial tree (:func:`exact_shape_vector`).
@@ -676,9 +673,7 @@ def verify_chain_diffusion_duality(
     on the vector depends on the tree (a comb spans no three-cherry 6-leaf
     tree), and the check sees the dynamics.
     """
-    est, mat, phi0 = _duality_samples(
-        alpha, m, n_leaves, t, replicates, seed, tuples_per_replicate, initial
-    )
+    est, mat, phi0 = _duality_samples(alpha, m, n_leaves, t, replicates, seed, initial)
     lhs = est.sum(axis=0) / replicates
     lhs_var = ((est * est).sum(axis=0) / replicates - lhs**2) / (replicates - 1)
     lhs_se = np.sqrt(np.maximum(lhs_var, 0.0))

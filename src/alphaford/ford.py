@@ -58,9 +58,6 @@ class ExactDistribution:
     m: int
     table: dict
 
-    def prob(self, t: Cladogram) -> Fraction:
-        return self.table.get(t.key, Fraction(0))
-
     def as_vector(self, states) -> list[Fraction]:
         return [self.table.get(t.key, Fraction(0)) for t in states]
 

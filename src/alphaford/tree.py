@@ -7,17 +7,16 @@ trees).  Leaf labels of the underlying topology are kept for addressing but
 carry no probabilistic meaning.
 
 Single-point queries return exact rationals.  Batched queries (used by the
-Monte Carlo estimators) run on flat numpy arrays built by one DFS from leaf
-1.  Its Euler tour answers every ancestor query: a sparse table over the tour
-gives O(1) LCA lookups, and the first and last visits of a vertex bound its
-subtree, which gives O(1) ancestor tests and picks the child of v that
-leads to u.
+Monte Carlo estimators) run on flat numpy arrays built by one preorder walk
+from leaf 1.  A subtree occupies a run of preorder positions, which gives
+O(1) ancestor tests and picks the child of v that leads to u, and a sparse
+table of depths over the preorder gives O(1) LCA lookups.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,10 +26,11 @@ __all__ = ["FiniteMeasureTree"]
 
 
 class _Index:
-    """Flat-array view of a tree rooted at leaf 1, built in one DFS: parents,
-    depths, children, subtree leaf counts, and the Euler tour, whose sparse
-    table answers LCA queries and whose first/last visits answer ancestor
-    tests."""
+    """Flat-array view of a tree rooted at leaf 1, built from one preorder
+    walk: parents, depths, children, subtree leaf counts, and the preorder
+    itself.  Each subtree is a run of preorder positions ``first..last``,
+    which answers ancestor tests, and a sparse table of minimum depths over
+    the preorder answers LCA queries."""
 
     def __init__(self, clad: Cladogram):
         n = clad.m
@@ -44,76 +44,64 @@ class _Index:
 
         parent = [-1] * V
         depth = [0] * V
-        first = [0] * V
-        last = [0] * V
-        # two slots per vertex; position 0 (leaf 1) is nobody's child, so 0
-        # marks an empty slot. Leaf 1 stores its one child twice.
-        children = [0] * (2 * V)
-        leafcnt = [1] * n + [0] * (V - n)
-        tour = [0]
-        stack = [(0, iter(nbr[0]))]
+        order = []
+        stack = [0]
         while stack:
-            v, todo = stack[-1]
-            for w in todo:
+            v = stack.pop()
+            order.append(v)
+            for w in nbr[v]:
                 if w != parent[v]:
-                    # down: first visit of w
-                    slot = 2 * v
-                    if children[slot]:
-                        slot += 1
-                    children[slot] = w
                     parent[w] = v
                     depth[w] = depth[v] + 1
-                    first[w] = len(tour)
-                    tour.append(w)
-                    stack.append((w, iter(nbr[w])))
-                    break
-            else:
-                # up: v is done, its parent is visited again
-                stack.pop()
-                last[v] = len(tour) - 1
-                if stack:
-                    p = parent[v]
-                    leafcnt[p] += leafcnt[v]
-                    tour.append(p)
-        children[1] = children[0]
+                    stack.append(w)
+        leafcnt = [1] * n + [0] * (V - n)
+        for v in reversed(order[1:]):
+            leafcnt[parent[v]] += leafcnt[v]
 
-        self.parent = np.array(parent, np.int64)
+        self.parent = parent = np.array(parent, np.int64)
         self.depth = depth = np.array(depth, np.int64)
-        self.first = np.array(first, np.int64)
-        self.last = np.array(last, np.int64)
-        # ascending positions: the order internal_component_counts reports
-        self.children = np.sort(np.array(children, np.int64).reshape(V, 2), axis=1)
-        self.leafcnt = np.array(leafcnt, np.int64)
-        self.tour = tour = np.array(tour, np.int64)
+        self.order = order = np.array(order, np.int64)
+        self.first = first = np.empty(V, np.int64)
+        first[order] = np.arange(V)
+        self.leafcnt = leafcnt = np.array(leafcnt, np.int64)
+        # every internal vertex has two children, so a subtree with k leaves
+        # has 2k - 1 vertices
+        self.last = first + 2 * leafcnt - 2
+        # a stable sort keeps each vertex's two children in ascending position,
+        # the order internal_component_counts reports; leaf 1 stores its one
+        # child twice, and the leaf rows are never read
+        by_parent = np.argsort(parent[1:], kind="stable") + 1
+        children = np.zeros((V, 2), np.int64)
+        children[0] = by_parent[0]
+        children[n:] = by_parent[1:].reshape(V - n, 2)
+        self.children = children
 
-        tour_depth = depth[tour]
-        L = len(tour)
-        logs = np.frexp(np.arange(L + 1))[1] - 1
+        # sparse[j, i]: the shallowest vertex at preorder positions i..i+2^j-1
+        logs = np.frexp(np.arange(V + 1))[1] - 1
         self.logs = logs
-        K = logs[L] + 1
-        sparse = np.empty((K, L), np.int32)  # tour positions, below 4N
-        sparse[0] = np.arange(L)
+        K = logs[V] + 1
+        sparse = np.empty((K, V), np.int32)
+        sparse[0] = order
         for j in range(1, K):
             span = 1 << (j - 1)
-            left = sparse[j - 1, : L - 2 * span + 1]
-            right = sparse[j - 1, span : L - span + 1]
-            sparse[j, : L - 2 * span + 1] = np.where(
-                tour_depth[left] <= tour_depth[right], left, right
-            )
+            left = sparse[j - 1, : V - 2 * span + 1]
+            right = sparse[j - 1, span : V - span + 1]
+            sparse[j, : V - 2 * span + 1] = np.where(depth[left] <= depth[right], left, right)
         self.sparse = sparse
-        self.tour_depth = tour_depth
 
     # -- vectorized primitives (positions in, positions out) -------------------
 
     def lca(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """For u != v, the parent of the shallowest vertex at preorder
+        positions (min first, max first]; u itself for u == v."""
         fu, fv = self.first[u], self.first[v]
-        lo = np.minimum(fu, fv)
         hi = np.maximum(fu, fv)
+        lo = np.minimum(np.minimum(fu, fv) + 1, hi)
         j = self.logs[hi - lo + 1]
         a = self.sparse[j, lo]
         b = self.sparse[j, hi - (1 << j) + 1]
-        best = np.where(self.tour_depth[a] <= self.tour_depth[b], a, b)
-        return self.tour[best]
+        best = np.where(self.depth[a] <= self.depth[b], a, b)
+        return np.where(fu == fv, u, self.parent[best])
 
     def median(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         a = self.lca(x, y)
@@ -177,8 +165,8 @@ class FiniteMeasureTree:
         vertex, children first, and leaf 1's neighbour."""
         idx = self.index
         kids = idx.children.tolist()
-        preorder = np.argsort(idx.first).tolist()
-        return [(v, *kids[v]) for v in reversed(preorder) if v >= self.n], kids[0][0]
+        n = self.n
+        return [(v, *kids[v]) for v in reversed(idx.order.tolist()) if v >= n], kids[0][0]
 
     # -- exact single-point queries ---------------------------------------------
 
@@ -193,10 +181,10 @@ class FiniteMeasureTree:
     def component_leaf_counts(self, u: Sequence[int]) -> tuple[int, int, int]:
         """Leaf counts of the three components hanging off c(u1, u2, u3)."""
         x, y, z = u
-        if len({x, y, z}) != 3:
+        if len({x, y, z}) != 3 or min(x, y, z) < 1 or max(x, y, z) > self.n:
             raise StructureError("component masses need three distinct leaves")
         idx = self.index
-        pts = np.array([idx.pos[x], idx.pos[y], idx.pos[z]])
+        pts = np.array([x, y, z]) - 1
         v = idx.median(pts[:1], pts[1:2], pts[2:3])
         counts = idx.component_leaf_count(np.repeat(v, 3), pts)
         return tuple(int(c) for c in counts)
@@ -210,15 +198,9 @@ class FiniteMeasureTree:
         """For each internal vertex, the leaf counts of its three components."""
         idx = self.index
         n = self.n
-        out = {}
-        for p in range(n, len(idx.ids)):
-            c1, c2 = idx.children[p]
-            out[idx.ids[p]] = (
-                int(idx.leafcnt[c1]),
-                int(idx.leafcnt[c2]),
-                n - int(idx.leafcnt[p]),
-            )
-        return out
+        kids = idx.leafcnt[idx.children[n:]].tolist()
+        rest = (n - idx.leafcnt[n:]).tolist()
+        return {v: (a, b, r) for v, (a, b), r in zip(idx.ids[n:], kids, rest)}
 
     def branch_point_distribution(self) -> dict[int, Fraction]:
         """nu(v) = P(c(U1, U2, U3) = v) for U_i iid uniform leaves.
@@ -241,19 +223,12 @@ class FiniteMeasureTree:
         idx = self.index
         px, py = idx.pos[x], idx.pos[y]
         anc = int(idx.lca(np.array([px]), np.array([py]))[0])
-        path = []
-        p = px
-        while p != anc:
-            path.append(p)
-            p = int(idx.parent[p])
-        path.append(anc)
-        tail = []
-        p = py
-        while p != anc:
-            tail.append(p)
-            p = int(idx.parent[p])
-        path.extend(reversed(tail))
-        return tuple(idx.ids[p] for p in path)
+        up, down = [], []
+        for p, side in ((px, up), (py, down)):
+            while p != anc:
+                side.append(p)
+                p = int(idx.parent[p])
+        return tuple(idx.ids[p] for p in up + [anc] + down[::-1])
 
     def r_mu(self, x: int, y: int) -> Fraction:
         """Mass metric: nu of the interval [x, y] minus half the endpoint atoms."""

@@ -627,15 +627,6 @@ def test_duality_rejects_bad_replicates_and_time(monkeypatch, t, replicates):
         verify_chain_diffusion_duality("1/2", 4, 64, t, replicates=replicates)
 
 
-@pytest.mark.parametrize("tuples", [0, -1])
-def test_duality_rejects_no_tuples_before_simulating(monkeypatch, tuples):
-    monkeypatch.setattr("alphaford.chain.ChainState", _no_chain)
-    with pytest.raises(ValueError):
-        verify_chain_diffusion_duality(
-            "1/2", 4, 64, 0.05, replicates=10, tuples_per_replicate=tuples
-        )
-
-
 @pytest.mark.parametrize("samples", [0, -1])
 def test_estimate_shape_vector_rejects_no_samples(samples):
     with pytest.raises(ValueError):
@@ -654,7 +645,7 @@ def test_duality_m6_snowflake_fraction(alpha):
     # m = 4, 5 vectors, this observable depends on the tree, so it tests the
     # simulator's dynamics against the dual.
     replicates = 1000
-    est, mat, phi0 = _duality_samples(alpha, 6, 64, 0.05, replicates, 41, 64, build_comb_tree(64))
+    est, mat, phi0 = _duality_samples(alpha, 6, 64, 0.05, replicates, 41, build_comb_tree(64))
     w = np.array([len(t.cherries()) == 6 for t in enumerate_cladograms(6)], dtype=float)
     assert w.sum() == 15 and w @ phi0 == 0
     per_replicate = est @ w

@@ -115,8 +115,10 @@ def test_component_masses_permutation_and_total(rng):
 
 def test_component_masses_rejects_duplicates():
     ft = build_comb_tree(6)
-    with pytest.raises(StructureError):
-        ft.component_masses((1, 1, 2))
+    # an internal vertex and ids outside 1..N are not leaves either
+    for u in [(1, 1, 2), (-2, 1, 6), (1, 2, 0), (1, 2, 7)]:
+        with pytest.raises(StructureError):
+            ft.component_masses(u)
 
 
 def test_nu_two_leaf_brute_force():
@@ -282,6 +284,28 @@ def test_component_counts_against_bfs_oracle(name):
         assert sorted((c1, c2)) == sorted(leaf_count(c) for c in comps if 1 not in c)
 
 
+def test_index_ancestor_tests_every_vertex_pair():
+    # every vertex pair, internal ones included: the walk visits a leaf before
+    # its internal sibling, so leaf queries alone miss an off-by-one in a
+    # subtree's last position
+    trees = [t for m in range(3, 7) for t in enumerate_cladograms(m)]
+    trees.append(random_cladogram(np.random.default_rng(40), 40))
+    for t in trees:
+        idx = FiniteMeasureTree(t).index
+        V = len(idx.ids)
+        a, u = (x.ravel() for x in np.meshgrid(np.arange(V), np.arange(V)))
+        above = [set(bf_path(t, idx.ids[p], 1)) for p in range(V)]
+        expected = [idx.ids[i] in above[j] for i, j in zip(a.tolist(), u.tolist())]
+        assert idx.is_ancestor(a, u).tolist() == expected
+        v, w = a[(a >= t.m) & (a != u)], u[(a >= t.m) & (a != u)]
+        comps = {p: bf_components(t, idx.ids[p]) for p in range(t.m, V)}
+        expected = [
+            leaf_count(next(c for c in comps[i] if idx.ids[j] in c))
+            for i, j in zip(v.tolist(), w.tolist())
+        ]
+        assert idx.component_leaf_count(v, w).tolist() == expected
+
+
 def test_sample_distinct_leaves(rng):
     ft = build_comb_tree(10)
     draws = ft.sample_distinct_leaves(500, 4, rng)
@@ -300,3 +324,45 @@ def test_index_against_oracle_random(seed, m):
     vs = t.vertices
     x, y, z = (vs[int(i)] for i in rng.integers(0, len(vs), size=3))
     assert ft.branch_point(x, y, z) == bf_median(t, x, y, z)
+
+
+@pytest.mark.parametrize("name", ["comb300", "ford1_300"])
+def test_index_against_oracle_on_deep_trees(name):
+    # vertex triples, internal vertices and repeats included, on trees of
+    # depth ~300, where preorder positions of a triple lie far apart
+    ft = _component_tree(name)
+    t = ft.topology
+    vs = t.vertices
+    rng = np.random.default_rng(len(name))
+    for _ in range(200):
+        x, y, z = (vs[int(i)] for i in rng.integers(0, len(vs), size=3))
+        if rng.random() < 0.2:
+            z = x
+        assert ft.branch_point(x, y, z) == bf_median(t, x, y, z)
+        assert ft.interval(x, y) == tuple(reversed(bf_path(t, x, y)))
+
+
+def _check_rooted_view(ft):
+    t = ft.topology
+    n = ft.n
+    ids = list(range(1, n + 1)) + sorted(t.internal_vertices, reverse=True)
+    triples, top = ft.rooted_view()
+    assert ids[top] == t.adjacency[1][0]
+    assert sorted(v for v, _, _ in triples) == list(range(n, len(ids)))
+    seen = set(range(n))
+    for v, c1, c2 in triples:
+        # both children are listed before v, and hang off v away from leaf 1
+        assert c1 in seen and c2 in seen and c1 != c2
+        assert {ids[c1], ids[c2]} == set(t.adjacency[ids[v]]) - {bf_path(t, ids[v], 1)[-2]}
+        seen.add(v)
+
+
+@pytest.mark.parametrize("name", ["comb300", "ford1_300"])
+def test_rooted_view_lists_children_first(name):
+    _check_rooted_view(_component_tree(name))
+
+
+def test_rooted_view_lists_children_first_small_trees():
+    rng = np.random.default_rng(7)
+    for m in [2, 3, 4] * 10:
+        _check_rooted_view(FiniteMeasureTree(random_cladogram(rng, m)))
