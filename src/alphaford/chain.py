@@ -304,10 +304,11 @@ _BLOCK = 4096  # moves drawn at once by ChainState.run_until; bounds its buffers
 class ChainState:
     """Mutable N-leaf tree evolving under the alpha-Ford chain.
 
-    Dense vertex ids: leaves 0..N-1, internal vertices N..2N-3.  Edges sit in
-    fixed slots: leaf l's edge is slot l for good, stored leaf first, and the
-    N - 3 internal edges fill slots N..2N-4.  ``ends[e]`` holds the endpoints
-    of edge e and ``inc[v]`` the slots at v (one at a leaf, three inside).
+    Vertices sit at their cladogram positions: leaves 0..N-1, internal
+    vertices N..2N-3.  Edges sit in fixed slots: leaf l's edge is slot l for
+    good, stored leaf first, and the N - 3 internal edges fill slots
+    N..2N-4.  ``ends[e]`` holds the endpoints of edge e and ``inc[v]`` the
+    slots at v (one at a leaf, three inside).
     A move draws the leaf, the class of the insertion edge and its index,
     and rewrites three slots in place.  Self-moves are events too: every
     event has rate N(N - 1 - 3 alpha), whatever the state, and a move
@@ -323,21 +324,15 @@ class ChainState:
             raise StructureError("chain simulation needs at least 5 leaves")
         self.n = n
         self.alpha = float(alpha)
-        top = tree.topology
-        internal_ids = sorted(top.internal_vertices, reverse=True)
-        dense = {leaf: leaf - 1 for leaf in top.leaves}
-        dense.update({v: n + i for i, v in enumerate(internal_ids)})
         self.ends: list[tuple[int, int]] = [(0, 0)] * (2 * n - 3)
         self.inc: list[list[int]] = [[] for _ in range(2 * n - 2)]
         slot = n
-        for u, w in top.edges:
-            u, w = dense[u], dense[w]
-            if w < n:
-                u, w = w, u
-            if u < n:
-                e = u
+        for u, w in tree.topology.edges:
+            u = n - 1 - u  # u < w and no edge joins two leaves, so u is internal
+            if w > 0:
+                e, u, w = w - 1, w - 1, u
             else:
-                e, slot = slot, slot + 1
+                e, slot, w = slot, slot + 1, n - 1 - w
             self.ends[e] = (u, w)
             self.inc[u].append(e)
             self.inc[w].append(e)

@@ -1,9 +1,10 @@
 """Leaf-labeled unrooted binary trees (cladograms) and their edit moves.
 
 An m-cladogram has leaves labeled 1..m (vertex ids 1..m), unlabeled internal
-vertices of degree exactly 3 (negative vertex ids, values arbitrary), no edge
-lengths.  All operations are pure: they return new :class:`Cladogram` objects
-and never mutate their inputs.
+vertices of degree exactly 3 (vertex ids -1..-(m-2)), no edge lengths.  Array
+code puts vertex v at position v - 1 if it is a leaf and m - 1 - v if it is
+internal.  All operations are pure: they return new :class:`Cladogram`
+objects and never mutate their inputs.
 
 Identity of labeled cladograms goes through :meth:`Cladogram.key`, the sorted
 tuple of internal-edge bipartitions encoded by the side that excludes label 1.
@@ -50,14 +51,20 @@ class Cladogram:
     m : int
         Number of leaves (>= 2).  Leaves carry vertex ids 1..m.
     edges : iterable of (int, int)
-        Undirected edges.  Internal vertices must use negative ids.
+        Undirected edges.  Internal vertices must use negative ids; others
+        than -1..-(m-2) are renumbered onto those in descending order.
     """
 
     __slots__ = ("m", "edges", "_adj", "_splits", "_key", "_hash")
 
     def __init__(self, m: int, edges: Iterable[Edge]):
         self.m = int(m)
-        self.edges: tuple[Edge, ...] = tuple(sorted(_edge(u, v) for u, v in edges))
+        edges = sorted(_edge(u, v) for u, v in edges)
+        if edges and edges[0][0] < 2 - self.m:
+            internal = sorted({x for e in edges for x in e if x < 0})
+            new = {v: i - len(internal) for i, v in enumerate(internal)}  # monotone: order kept
+            edges = [(new.get(u, u), new.get(v, v)) for u, v in edges]
+        self.edges: tuple[Edge, ...] = tuple(edges)
         self._adj: dict[int, tuple[int, ...]] | None = None
         self._splits: tuple[int, ...] | None = None
         self._key = None
@@ -73,20 +80,12 @@ class Cladogram:
         if len(self.edges) != 2 * m - 3:
             raise StructureError(f"{m}-cladogram needs {2 * m - 3} edges, got {len(self.edges)}")
         adj = self.adjacency
-        leaves = [v for v in adj if v > 0]
-        internal = [v for v in adj if v < 0]
-        if 0 in adj:
-            raise StructureError("vertex id 0 is reserved")
-        if sorted(leaves) != list(range(1, m + 1)):
-            raise StructureError(f"leaf labels must be exactly 1..{m}")
-        if len(internal) != (m - 2 if m >= 3 else 0):
-            raise StructureError(f"expected {max(m - 2, 0)} internal vertices, got {len(internal)}")
-        for v in leaves:
-            if len(adj[v]) != 1:
-                raise StructureError(f"leaf {v} has degree {len(adj[v])}")
-        for v in internal:
-            if len(adj[v]) != 3:
-                raise StructureError(f"internal vertex {v} has degree {len(adj[v])}")
+        # 2m - 2 distinct ids in 2-m..m without 0 are exactly the numbering
+        if len(adj) != 2 * m - 2 or 0 in adj or not 2 - m <= min(adj) < max(adj) <= m:
+            raise StructureError(f"vertex ids must be leaves 1..{m} and internal -1..{2 - m}")
+        for v, nb in adj.items():
+            if len(nb) != (1 if v > 0 else 3):
+                raise StructureError(f"vertex {v} has degree {len(nb)}")
         # edge count + degree constraints make connectivity equivalent to acyclicity;
         # check it by BFS anyway so corrupted inputs fail loudly
         seen = {1}
@@ -115,7 +114,7 @@ class Cladogram:
 
     @property
     def internal_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v in self.adjacency if v < 0)
+        return tuple(range(-1, 1 - self.m, -1))
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -186,8 +185,8 @@ class Cladogram:
         """Insert a leaf in the middle of ``edge``.
 
         Labels >= ``new_label`` are shifted up by one, then a new internal
-        vertex subdivides the edge and connects to the new leaf.  With the
-        default ``new_label = m + 1`` no shifting occurs.
+        vertex ``1 - m`` subdivides the edge and connects to the new leaf.
+        With the default ``new_label = m + 1`` no shifting occurs.
         """
         m = self.m
         if new_label is None:
@@ -201,10 +200,8 @@ class Cladogram:
         def relab(v: int) -> int:
             return v + 1 if 0 < new_label <= v else v
 
-        w = min(self.internal_vertices, default=0) - 1
         new_edges = [(relab(u), relab(v)) for u, v in self.edges if (u, v) != e]
-        a, b = relab(e[0]), relab(e[1])
-        new_edges += [(w, a), (w, b), (w, new_label)]
+        new_edges += [(1 - m, relab(e[0])), (1 - m, relab(e[1])), (1 - m, new_label)]
         return Cladogram(m + 1, new_edges)
 
     def delete_leaf(self, label: int) -> "Cladogram":
@@ -403,14 +400,12 @@ def shape(tree, samples: Sequence[int]) -> Cladogram:
         raise StructureError("sampled leaves must be pairwise distinct")
     edges: list[Edge] = [(1, 2)]
     timg = {1: samples[0], 2: samples[1]}
-    next_internal = -1
     for j in range(3, m + 1):
         u = samples[j - 1]
+        w = 2 - j  # leaf j attaches at the next internal id
         for i, (p, q) in enumerate(edges):
             z = tree.branch_point(timg[p], timg[q], u)
             if z != timg[p] and z != timg[q]:
-                w = next_internal
-                next_internal -= 1
                 edges[i] = _edge(p, w)
                 edges.append(_edge(q, w))
                 edges.append(_edge(w, j))
@@ -500,7 +495,7 @@ def from_newick(s: str) -> Cladogram:
     if pos != n:
         raise StructureError(f"trailing characters at position {pos}")
     top = children.get(node, [node])
-    if top == [1, 2]:
+    if sorted(top) == [1, 2]:
         return Cladogram(2, [(1, 2)])
     if len(top) != 3:
         raise StructureError("unrooted Newick must have 3 children at the top level")

@@ -26,21 +26,20 @@ __all__ = ["FiniteMeasureTree"]
 
 
 class _Index:
-    """Flat-array view of a tree rooted at leaf 1, built from one preorder
-    walk: parents, depths, children, subtree leaf counts, and the preorder
-    itself.  Each subtree is a run of preorder positions ``first..last``,
-    which answers ancestor tests, and a sparse table of minimum depths over
-    the preorder answers LCA queries."""
+    """Flat-array view of a tree rooted at leaf 1, on vertex positions (leaf v
+    at v - 1, internal v at n - 1 - v), built from one preorder walk: parents,
+    depths, children, subtree leaf counts, and the preorder itself.  Each
+    subtree is a run of preorder positions ``first..last``, which answers
+    ancestor tests, and a sparse table of minimum depths over the preorder
+    answers LCA queries."""
 
     def __init__(self, clad: Cladogram):
         n = clad.m
-        internals = sorted(clad.internal_vertices, reverse=True)
-        ids = list(range(1, n + 1)) + internals
-        self.ids = ids
-        self.pos = {v: i for i, v in enumerate(ids)}
         self.n_leaves = n
-        V = len(ids)
-        nbr = [[self.pos[w] for w in clad.adjacency[v]] for v in ids]
+        V = 2 * n - 2
+        adj = clad.adjacency
+        vertices = (*clad.leaves, *clad.internal_vertices)
+        nbr = [[w - 1 if w > 0 else n - 1 - w for w in adj[v]] for v in vertices]
 
         parent = [-1] * V
         depth = [0] * V
@@ -168,26 +167,37 @@ class FiniteMeasureTree:
         n = self.n
         return [(v, *kids[v]) for v in reversed(idx.order.tolist()) if v >= n], kids[0][0]
 
+    def _position(self, v: int) -> int:
+        """Index position of vertex ``v`` (see :class:`_Index`)."""
+        n = self.n
+        if not (1 <= v <= n or 2 - n <= v <= -1):
+            raise StructureError(f"{v} is not a vertex of this {n}-leaf tree")
+        return v - 1 if v > 0 else n - 1 - v
+
+    def _vertex(self, p: int) -> int:
+        """Vertex id at index position ``p``, the inverse of :meth:`_position`."""
+        return int(p) + 1 if p < self.n else self.n - 1 - int(p)
+
+    def _leaf_positions(self, *leaves) -> list[np.ndarray]:
+        """Index positions of arrays of leaf ids; raises for an id outside 1..N."""
+        out = [np.asarray(v) - 1 for v in leaves]
+        if any(p.size and (p.min() < 0 or p.max() >= self.n) for p in out):
+            raise StructureError(f"leaf ids must lie in 1..{self.n}")
+        return out
+
     # -- exact single-point queries ---------------------------------------------
 
     def branch_point(self, x: int, y: int, z: int) -> int:
         """The median vertex c(x, y, z), lying on all three pairwise paths."""
-        idx = self.index
-        p = idx.median(
-            np.array([idx.pos[x]]), np.array([idx.pos[y]]), np.array([idx.pos[z]])
-        )[0]
-        return idx.ids[p]
+        p = self.index.median(*(np.array([self._position(v)]) for v in (x, y, z)))[0]
+        return self._vertex(p)
 
     def component_leaf_counts(self, u: Sequence[int]) -> tuple[int, int, int]:
         """Leaf counts of the three components hanging off c(u1, u2, u3)."""
         x, y, z = u
-        if len({x, y, z}) != 3 or min(x, y, z) < 1 or max(x, y, z) > self.n:
+        if len({x, y, z}) != 3:
             raise StructureError("component masses need three distinct leaves")
-        idx = self.index
-        pts = np.array([x, y, z]) - 1
-        v = idx.median(pts[:1], pts[1:2], pts[2:3])
-        counts = idx.component_leaf_count(np.repeat(v, 3), pts)
-        return tuple(int(c) for c in counts)
+        return tuple(int(c) for c in self.triple_component_counts([x], [y], [z])[0])
 
     def component_masses(self, u: Sequence[int]) -> tuple[Fraction, Fraction, Fraction]:
         """Mass vector (eta_1, eta_2, eta_3) of the components at c(u); sums to 1."""
@@ -198,9 +208,8 @@ class FiniteMeasureTree:
         """For each internal vertex, the leaf counts of its three components."""
         idx = self.index
         n = self.n
-        kids = idx.leafcnt[idx.children[n:]].tolist()
-        rest = (n - idx.leafcnt[n:]).tolist()
-        return {v: (a, b, r) for v, (a, b), r in zip(idx.ids[n:], kids, rest)}
+        counts = np.column_stack([idx.leafcnt[idx.children[n:]], n - idx.leafcnt[n:]])
+        return dict(zip(self.topology.internal_vertices, map(tuple, counts.tolist())))
 
     def branch_point_distribution(self) -> dict[int, Fraction]:
         """nu(v) = P(c(U1, U2, U3) = v) for U_i iid uniform leaves.
@@ -221,14 +230,14 @@ class FiniteMeasureTree:
     def interval(self, x: int, y: int) -> tuple[int, ...]:
         """Vertices z with c(x, y, z) = z: the path from x to y inclusive."""
         idx = self.index
-        px, py = idx.pos[x], idx.pos[y]
+        px, py = self._position(x), self._position(y)
         anc = int(idx.lca(np.array([px]), np.array([py]))[0])
         up, down = [], []
         for p, side in ((px, up), (py, down)):
             while p != anc:
                 side.append(p)
                 p = int(idx.parent[p])
-        return tuple(idx.ids[p] for p in up + [anc] + down[::-1])
+        return tuple(self._vertex(p) for p in up + [anc] + down[::-1])
 
     def r_mu(self, x: int, y: int) -> Fraction:
         """Mass metric: nu of the interval [x, y] minus half the endpoint atoms."""
@@ -246,7 +255,7 @@ class FiniteMeasureTree:
         c(a,b,c) == c(a,b,d), else with c iff c(a,b,c) == c(a,c,d).
         """
         idx = self.index
-        pa, pb, pc, pd = (np.asarray(v) - 1 for v in (a, b, c, d))
+        pa, pb, pc, pd = self._leaf_positions(a, b, c, d)
         m_abc = idx.median(pa, pb, pc)
         m_abd = idx.median(pa, pb, pd)
         m_acd = idx.median(pa, pc, pd)
@@ -256,7 +265,7 @@ class FiniteMeasureTree:
         """Component leaf counts at the median, for arrays of distinct leaf
         ids; shape (len, 3), row order matching the sample order."""
         idx = self.index
-        pts = [np.asarray(v) - 1 for v in (a, b, c)]
+        pts = self._leaf_positions(a, b, c)
         v = idx.median(*pts)
         return np.stack([idx.component_leaf_count(v, p) for p in pts], axis=1)
 

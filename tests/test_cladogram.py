@@ -17,8 +17,14 @@ from alphaford.cladogram import (
     shape,
     to_newick,
 )
+from alphaford.chain import ChainState
 from alphaford.tree import FiniteMeasureTree
-from alphaford.ford import build_comb_tree, sample_ford_cladogram
+from alphaford.ford import (
+    build_comb_tree,
+    sample_ford_cladogram,
+    sample_ford_tree,
+    sample_kingman_cladogram,
+)
 
 from conftest import random_cladogram
 
@@ -213,6 +219,10 @@ def test_newick_roundtrip_all_m5():
         assert from_newick(to_newick(t)) == t
 
 
+def test_newick_two_leaf_in_either_order():
+    assert from_newick("(2,1);") == T2
+
+
 def test_newick_two_leaf():
     assert to_newick(T2) == "(1,2);"
     assert from_newick("(1,2);") == T2
@@ -305,3 +315,75 @@ def test_newick_roundtrip_deep_trees(alpha):
 def test_newick_malformed_is_structure_error(text):
     with pytest.raises(StructureError):
         from_newick(text)
+
+
+# -- vertex numbering -------------------------------------------------------------
+
+
+def _assert_canonical(t: Cladogram):
+    """The edges use exactly the internal ids -1..-(m-2)."""
+    internal = sorted({x for e in t.edges for x in e if x < 0}, reverse=True)
+    assert tuple(internal) == t.internal_vertices == tuple(range(-1, 1 - t.m, -1))
+
+
+def test_every_builder_numbers_internal_vertices_densely():
+    rng = np.random.default_rng(13)
+    for m in range(2, 7):
+        for t in enumerate_cladograms(m):
+            _assert_canonical(t)
+            for k in t.leaves if m > 2 else ():
+                _assert_canonical(t.delete_leaf(k))
+            for e in t.edges:
+                _assert_canonical(t.insert_leaf(e, new_label=1))
+    for m in (2, 3, 9, 40):
+        _assert_canonical(sample_ford_cladogram("1/3", m, rng))
+        _assert_canonical(sample_ford_tree("1/2", m, rng).topology)
+        _assert_canonical(sample_kingman_cladogram(m, rng))
+        _assert_canonical(build_comb_tree(m).topology)
+        _assert_canonical(from_newick(to_newick(random_cladogram(rng, m))))
+    ft = sample_ford_tree("0", 30, rng)
+    _assert_canonical(shape(ft, [5, 9, 1, 30, 17, 2]))
+    state = ChainState(ft, "1/4", rng)
+    state.run_until(0.2)
+    _assert_canonical(state.as_tree().topology)
+
+
+def _index_arrays(t: Cladogram):
+    idx = FiniteMeasureTree(t).index
+    V = idx.sparse.shape[1]
+    # sparse row j is filled at positions 0..V - 2^j only
+    sparse = [idx.sparse[j, : V - (1 << j) + 1].tolist() for j in range(len(idx.sparse))]
+    arrays = (idx.parent, idx.depth, idx.order, idx.first, idx.last, idx.leafcnt, idx.children)
+    return [a.tolist() for a in arrays] + [sparse]
+
+
+def test_gapped_internal_ids_are_renumbered_in_descending_order():
+    hand = Cladogram(4, [(1, -7), (2, -7), (3, -5), (4, -5), (-7, -5)])
+    twin = Cladogram(4, [(1, -2), (2, -2), (3, -1), (4, -1), (-2, -1)])
+    # deleting tooth 3 of the 6-leaf comb leaves spine ids -1, -3, -4
+    deleted = build_comb_tree(6).topology.delete_leaf(3)
+    comb5 = build_comb_tree(5).topology
+    for t, canonical in ((hand, twin), (deleted, comb5)):
+        assert t.edges == canonical.edges
+        assert t.adjacency == canonical.adjacency
+        assert t == canonical
+        assert _index_arrays(t) == _index_arrays(canonical)
+
+
+def test_scrambled_ids_give_the_index_and_chain_state_of_the_canonical_twin():
+    rng = np.random.default_rng(21)
+    for t in (build_comb_tree(40).topology, sample_ford_tree("1/2", 60, rng).topology):
+        ids = (-rng.choice(10**9, size=t.m - 2, replace=False) - 1).tolist()
+        scramble = dict(zip(t.internal_vertices, ids))
+        edges = [(scramble.get(u, u), scramble.get(v, v)) for u, v in t.edges]
+        # the twin numbers the scrambled ids -1, -2, ... from the largest down
+        rank = {v: -1 - i for i, v in enumerate(sorted(ids, reverse=True))}
+        twin = Cladogram(t.m, [(rank.get(u, u), rank.get(v, v)) for u, v in edges])
+        renumbered = Cladogram(t.m, edges)
+        _assert_canonical(twin)
+        assert renumbered.edges == twin.edges
+        assert renumbered == twin == t
+        assert _index_arrays(renumbered) == _index_arrays(twin)
+        a = ChainState(FiniteMeasureTree(renumbered), "0", np.random.default_rng(0))
+        b = ChainState(FiniteMeasureTree(twin), "0", np.random.default_rng(0))
+        assert (a.ends, a.inc) == (b.ends, b.inc)

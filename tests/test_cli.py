@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import itertools
 import json
 import os
@@ -387,3 +388,40 @@ def test_config_hash_changes_with_params(capsys):
     h1 = [l for l in out1.splitlines() if "config-hash" in l]
     h2 = [l for l in out2.splitlines() if "config-hash" in l]
     assert h1 != h2
+
+
+NEWICK12 = "((1,2),(3,(4,5)),((6,7),((8,9),(10,(11,12)))));"
+
+
+# sha256 of deterministic artifacts.  Seeded commands are left out, since numpy
+# does not promise Generator streams across versions, and so is ``verify``,
+# whose float residuals depend on the scipy and BLAS builds.
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ["ford", "exact", "--alpha", "1/3", "--m", "6"],
+            "0fddf7d4b0e1281dd94aed0d509e21fad6ec67a3a76589b4d3dbca2b3c1c106a",
+        ),
+        (
+            ["tree", "nu", "--comb", "300"],
+            "2f7eab502efc65810c575ba9e30f6d866cef797151b5ec69705d406f22e324b4",
+        ),
+        (
+            ["tree", "nu", "--newick", NEWICK12],
+            "8acbeebc76566ab6cc0e1bd85a0a1cac41d91e7648e86ed4b3cb362d1e1c1e88",
+        ),
+        (
+            ["tree", "rmu", "--newick", NEWICK12],
+            "205885c939dac529f48b09f8f72b6f86ffab8b3e4388dace4ba05ffa148eb7ef",
+        ),
+        (
+            ["moments", "exact", "--alpha", "1/3", "--max-degree", "6"],
+            "ea8bc94084734bd570afec4d2d6c450c9822c2831634da1a1cda8c433caad773",
+        ),
+    ],
+)
+def test_deterministic_artifacts_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

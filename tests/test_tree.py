@@ -230,6 +230,34 @@ def test_interval_endpoints_and_identity(rng):
     assert ft.interval(3, 3) == (3,)
 
 
+def test_vertex_queries_reject_non_vertices():
+    # 0, N + 1 and -(N - 1) lie just outside the ids of a 6-leaf tree
+    for ft in (build_comb_tree(6), sample_ford_tree("1/2", 6, np.random.default_rng(6))):
+        for bad in (0, 7, -5):
+            for args in ((bad, 1, 2), (1, bad, 2), (1, 2, bad)):
+                with pytest.raises(StructureError):
+                    ft.branch_point(*args)
+            for query in (ft.interval, ft.r_mu):
+                for args in ((bad, 1), (-1, bad)):
+                    with pytest.raises(StructureError):
+                        query(*args)
+
+
+def test_batched_queries_reject_leaf_ids_out_of_range():
+    ft = build_comb_tree(6)
+    ok = [[1, 2], [2, 3], [3, 4], [4, 5]]
+    for bad in (0, 7, -1):
+        for i in range(4):
+            quad = [np.array(x) for x in ok]
+            quad[i][1] = bad
+            with pytest.raises(StructureError):
+                ft.quartet_partners(*quad)
+            if i < 3:
+                with pytest.raises(StructureError):
+                    ft.triple_component_counts(*quad[:3])
+    assert ft.quartet_partners(*ok).tolist() == [1, 1]
+
+
 def test_quartet_partners_against_oracle(rng):
     t = random_cladogram(rng, 11)
     ft = FiniteMeasureTree(t)
@@ -292,15 +320,17 @@ def test_index_ancestor_tests_every_vertex_pair():
     trees.append(random_cladogram(np.random.default_rng(40), 40))
     for t in trees:
         idx = FiniteMeasureTree(t).index
-        V = len(idx.ids)
+        V = 2 * t.m - 2
+        # position p holds leaf p + 1 or internal vertex m - 1 - p
+        ids = [p + 1 if p < t.m else t.m - 1 - p for p in range(V)]
         a, u = (x.ravel() for x in np.meshgrid(np.arange(V), np.arange(V)))
-        above = [set(bf_path(t, idx.ids[p], 1)) for p in range(V)]
-        expected = [idx.ids[i] in above[j] for i, j in zip(a.tolist(), u.tolist())]
+        above = [set(bf_path(t, ids[p], 1)) for p in range(V)]
+        expected = [ids[i] in above[j] for i, j in zip(a.tolist(), u.tolist())]
         assert idx.is_ancestor(a, u).tolist() == expected
         v, w = a[(a >= t.m) & (a != u)], u[(a >= t.m) & (a != u)]
-        comps = {p: bf_components(t, idx.ids[p]) for p in range(t.m, V)}
+        comps = {p: bf_components(t, ids[p]) for p in range(t.m, V)}
         expected = [
-            leaf_count(next(c for c in comps[i] if idx.ids[j] in c))
+            leaf_count(next(c for c in comps[i] if ids[j] in c))
             for i, j in zip(v.tolist(), w.tolist())
         ]
         assert idx.component_leaf_count(v, w).tolist() == expected
