@@ -6,6 +6,11 @@ code puts vertex v at position v - 1 if it is a leaf and m - 1 - v if it is
 internal.  All operations are pure: they return new :class:`Cladogram`
 objects and never mutate their inputs.
 
+Validation walks each cladogram once, depth first from leaf 1, and keeps the
+preorder of positions (``_preorder``) and each position's parent (``_parent``,
+-1 for leaf 1).  :attr:`Cladogram.splits` and the tree index
+(:mod:`alphaford.tree`) read that walk instead of walking again.
+
 Identity of labeled cladograms goes through :meth:`Cladogram.key`, the sorted
 tuple of internal-edge bipartitions encoded by the side that excludes label 1.
 Two cladograms are isomorphic as labeled trees iff their keys are equal.  The
@@ -55,7 +60,7 @@ class Cladogram:
         than -1..-(m-2) are renumbered onto those in descending order.
     """
 
-    __slots__ = ("m", "edges", "_adj", "_splits", "_key", "_hash")
+    __slots__ = ("m", "edges", "_adj", "_preorder", "_parent", "_splits", "_key", "_hash")
 
     def __init__(self, m: int, edges: Iterable[Edge]):
         self.m = int(m)
@@ -79,24 +84,35 @@ class Cladogram:
             raise StructureError(f"need at least 2 leaves, got {m}")
         if len(self.edges) != 2 * m - 3:
             raise StructureError(f"{m}-cladogram needs {2 * m - 3} edges, got {len(self.edges)}")
-        adj = self.adjacency
-        # 2m - 2 distinct ids in 2-m..m without 0 are exactly the numbering
-        if len(adj) != 2 * m - 2 or 0 in adj or not 2 - m <= min(adj) < max(adj) <= m:
-            raise StructureError(f"vertex ids must be leaves 1..{m} and internal -1..{2 - m}")
-        for v, nb in adj.items():
-            if len(nb) != (1 if v > 0 else 3):
-                raise StructureError(f"vertex {v} has degree {len(nb)}")
-        # edge count + degree constraints make connectivity equivalent to acyclicity;
-        # check it by BFS anyway so corrupted inputs fail loudly
-        seen = {1}
-        stack = [1]
+        V = 2 * m - 2
+        # edges are sorted, so each list comes out in ascending vertex id
+        nbr: list[list[int]] = [[] for _ in range(V)]
+        for u, v in self.edges:
+            if u < 2 - m or v > m or u == 0 or v == 0:
+                raise StructureError(f"vertex ids must be leaves 1..{m} and internal -1..{2 - m}")
+            pu = u - 1 if u > 0 else m - 1 - u
+            pv = v - 1 if v > 0 else m - 1 - v
+            nbr[pu].append(pv)
+            nbr[pv].append(pu)
+        for p, nb in enumerate(nbr):
+            if len(nb) != (1 if p < m else 3):
+                raise StructureError(f"vertex {p + 1 if p < m else m - 1 - p} has degree {len(nb)}")
+        # with these counts and degrees the graph is a tree iff it is connected;
+        # the walk from leaf 1 that checks it is kept for splits and the index
+        parent = [-1] * V
+        order = []
+        stack = [0]
         while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
+            v = stack.pop()
+            order.append(v)
+            for w in nbr[v]:
+                if w and parent[w] < 0:  # not leaf 1, not seen
+                    parent[w] = v
                     stack.append(w)
-        if len(seen) != len(adj):
+        if len(order) != V:
             raise StructureError("tree is not connected")
+        self._preorder = order
+        self._parent = parent
 
     @property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -128,29 +144,15 @@ class Cladogram:
 
         Bit x stands for label x, and each split is stored as its side
         without label 1: rooted at leaf 1, the leaf set below the edge.  One
-        iterative post-order pass from leaf 1's neighbour computes them all.
+        pass over the recorded preorder, backwards, computes them all.
         """
         if self._splits is None:
-            adj = self.adjacency
-            root = adj[1][0]
-            parent = {root: 1}
-            order = [root]
-            for v in order:  # breadth-first; reversed, children precede parents
-                for w in adj[v]:
-                    if w != parent[v]:
-                        parent[w] = v
-                        order.append(w)
-            side: dict[int, int] = {}
-            for v in reversed(order):
-                if v > 0:
-                    side[v] = 1 << v
-                else:
-                    below = 0
-                    for w in adj[v]:
-                        if w != parent[v]:
-                            below |= side[w]
-                    side[v] = below
-            self._splits = tuple(sorted(side[v] for v in order if v < 0 and v != root))
+            m, order, parent = self.m, self._preorder, self._parent
+            side = [2 << p for p in range(m)] + [0] * (m - 2)
+            for v in reversed(order[2:]):  # children before parents
+                side[parent[v]] |= side[v]
+            top = order[1]  # leaf 1's neighbour: its edge is external
+            self._splits = tuple(sorted(side[v] for v in range(m, 2 * m - 2) if v != top))
         return self._splits
 
     @property
@@ -356,16 +358,17 @@ def num_cladograms(m: int) -> int:
 def enumerate_cladograms(m: int) -> tuple[Cladogram, ...]:
     """All (2m-5)!! labeled m-cladograms, sorted by canonical key.
 
-    Growth by inserting leaf k+1 at every edge produces each labeled
-    cladogram exactly once, so no deduplication is needed.
+    Inserting leaf m at every edge of every (m-1)-cladogram, taken from the
+    cache, produces each labeled m-cladogram exactly once, so no
+    deduplication is needed.
     """
     if not 2 <= m <= MAX_ENUMERATION_LEAVES:
         raise StructureError(
             f"enumeration supports 2 <= m <= {MAX_ENUMERATION_LEAVES}, got {m}"
         )
-    trees = [Cladogram(2, [(1, 2)])]
-    for _ in range(m - 2):
-        trees = [t.insert_leaf(e) for t in trees for e in t.edges]
+    if m == 2:
+        return (Cladogram(2, [(1, 2)]),)
+    trees = [t.insert_leaf(e) for t in enumerate_cladograms(m - 1) for e in t.edges]
     trees.sort(key=lambda t: t.key)
     return tuple(trees)
 

@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from alphaford._rng import parse_alpha
+from alphaford.cladogram import StructureError
 from alphaford.tree import FiniteMeasureTree
 
 __all__ = [
@@ -303,6 +304,8 @@ def exact_tree_moment(tree: FiniteMeasureTree, k) -> Fraction:
     """
     k = _norm_index(k)
     n = tree.n
+    if n < 3:
+        raise StructureError(f"component masses need 3 distinct leaves, the tree has {n}")
     acc = Fraction(0)
     for counts in tree.internal_component_counts().values():
         for perm in itertools.permutations(counts):

@@ -7,10 +7,12 @@ trees).  Leaf labels of the underlying topology are kept for addressing but
 carry no probabilistic meaning.
 
 Single-point queries return exact rationals.  Batched queries (used by the
-Monte Carlo estimators) run on flat numpy arrays built by one preorder walk
-from leaf 1.  A subtree occupies a run of preorder positions, which gives
-O(1) ancestor tests and picks the child of v that leads to u, and a sparse
-table of depths over the preorder gives O(1) LCA lookups.
+Monte Carlo estimators) run on flat numpy arrays read from the preorder walk
+from leaf 1 that :class:`~alphaford.cladogram.Cladogram` records when it
+validates the tree, so the index does not walk the tree again.  A subtree
+occupies a run of preorder positions, which gives O(1) ancestor tests and
+picks the child of v that leads to u, and a sparse table of depths over the
+preorder gives O(1) LCA lookups.
 """
 
 from __future__ import annotations
@@ -27,32 +29,20 @@ __all__ = ["FiniteMeasureTree"]
 
 class _Index:
     """Flat-array view of a tree rooted at leaf 1, on vertex positions (leaf v
-    at v - 1, internal v at n - 1 - v), built from one preorder walk: parents,
-    depths, children, subtree leaf counts, and the preorder itself.  Each
-    subtree is a run of preorder positions ``first..last``, which answers
-    ancestor tests, and a sparse table of minimum depths over the preorder
-    answers LCA queries."""
+    at v - 1, internal v at n - 1 - v), read from the preorder walk that
+    validated the cladogram: parents, depths, children, subtree leaf counts,
+    and the preorder itself.  Each subtree is a run of preorder positions
+    ``first..last``, which answers ancestor tests, and a sparse table of
+    minimum depths over the preorder answers LCA queries."""
 
     def __init__(self, clad: Cladogram):
         n = clad.m
         self.n_leaves = n
         V = 2 * n - 2
-        adj = clad.adjacency
-        vertices = (*clad.leaves, *clad.internal_vertices)
-        nbr = [[w - 1 if w > 0 else n - 1 - w for w in adj[v]] for v in vertices]
-
-        parent = [-1] * V
+        order, parent = clad._preorder, clad._parent
         depth = [0] * V
-        order = []
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for w in nbr[v]:
-                if w != parent[v]:
-                    parent[w] = v
-                    depth[w] = depth[v] + 1
-                    stack.append(w)
+        for v in order[1:]:
+            depth[v] = depth[parent[v]] + 1
         leafcnt = [1] * n + [0] * (V - n)
         for v in reversed(order[1:]):
             leafcnt[parent[v]] += leafcnt[v]
@@ -79,7 +69,7 @@ class _Index:
         logs = np.frexp(np.arange(V + 1))[1] - 1
         self.logs = logs
         K = logs[V] + 1
-        sparse = np.empty((K, V), np.int32)
+        sparse = np.zeros((K, V), np.int32)
         sparse[0] = order
         for j in range(1, K):
             span = 1 << (j - 1)

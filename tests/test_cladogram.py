@@ -195,6 +195,10 @@ def test_invalid_structures_rejected():
         Cladogram(3, [(1, -1), (2, -1), (3, -2)])  # disconnected / bad degrees
     with pytest.raises(StructureError):
         T3.insert_leaf((1, 2))  # not an edge of T3
+    # a triangle of internal vertices beside a star: ids, counts and degrees pass
+    triangle = [(-1, -2), (-2, -3), (-1, -3), (-1, 1), (-2, 2), (-3, 3)]
+    with pytest.raises(StructureError, match="not connected"):
+        Cladogram(6, triangle + [(-4, 4), (-4, 5), (-4, 6)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -350,11 +354,22 @@ def test_every_builder_numbers_internal_vertices_densely():
 
 def _index_arrays(t: Cladogram):
     idx = FiniteMeasureTree(t).index
-    V = idx.sparse.shape[1]
-    # sparse row j is filled at positions 0..V - 2^j only
-    sparse = [idx.sparse[j, : V - (1 << j) + 1].tolist() for j in range(len(idx.sparse))]
     arrays = (idx.parent, idx.depth, idx.order, idx.first, idx.last, idx.leafcnt, idx.children)
-    return [a.tolist() for a in arrays] + [sparse]
+    return [a.tolist() for a in arrays + (idx.sparse,)]
+
+
+def test_two_index_builds_of_one_tree_are_byte_identical():
+    t = sample_ford_tree("1/2", 2000, np.random.default_rng(17)).topology
+    a, b = FiniteMeasureTree(t).index, FiniteMeasureTree(t).index
+    assert a.sparse.tobytes() == b.sparse.tobytes()
+
+
+def test_validation_walk_serves_the_index_and_splits_without_adjacency(monkeypatch):
+    refuse = property(lambda self: pytest.fail("adjacency built"))
+    monkeypatch.setattr(Cladogram, "adjacency", refuse)
+    ft = sample_ford_tree("1/3", 2000, np.random.default_rng(5))
+    assert ft.index.order.size == 2 * 2000 - 2
+    assert len(ft.topology.splits) == 2000 - 3
 
 
 def test_gapped_internal_ids_are_renumbered_in_descending_order():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphaford._rng import stream
+from alphaford.cladogram import StructureError
 from alphaford.ford import build_comb_tree, sample_ford_tree
 from alphaford.moments import (
     comb_moment,
@@ -217,6 +218,15 @@ def test_estimate_constant_index_is_exact():
 def test_estimate_rejects_fewer_than_two_triples(triples):
     with pytest.raises(ValueError):
         estimate_mass_moments(build_comb_tree(20), [(1, 0, 0)], triples, stream(12))
+
+
+def test_moments_of_a_two_leaf_tree_are_rejected():
+    # a distinct triple needs 3 leaves; both paths say so instead of dividing by 0
+    ft = build_comb_tree(2)
+    with pytest.raises(StructureError):
+        exact_tree_moment(ft, (1, 0, 0))
+    with pytest.raises(StructureError):
+        estimate_mass_moments(ft, [(1, 0, 0)], 10, stream(12))
 
 
 def test_estimate_matches_exact_tree_moment():
