@@ -4,6 +4,8 @@ The alpha-Ford model grows a cladogram by repeatedly picking an edge with
 weight 1 - alpha (external) or alpha (internal), inserting the next leaf in
 its middle, and finally permuting the leaf labels.  alpha = 0 is the
 Yule/coalescent tree, alpha = 1/2 the uniform cladogram, alpha = 1 the comb.
+The growth draws one block of uniforms up front, since the edge counts of
+every step are known, so no step makes a scalar draw.
 
 Exact probabilities on the space of m-cladograms are computed by the
 one-leaf-removal recursion
@@ -69,24 +71,29 @@ def _grow_edges(alpha: Fraction, n_leaves: int, rng: np.random.Generator):
     """Run the weighted growth from the 2-leaf tree to ``n_leaves`` leaves.
 
     Returns the edge list; leaves are labeled 1..n in insertion order,
-    internal vertices -1, -2, ...  When the total edge weight vanishes
-    (alpha = 1 while only external edges exist) the next edge is drawn
-    uniformly among the external ones.
+    internal vertices -1, -2, ...  The edge counts of every step are known in
+    advance (k external edges at k leaves, one at k = 2, and k - 3 internal
+    ones), so one block of uniforms, two per step, fixes every class pick and
+    within-class index before the loop, which only moves edges between the
+    lists.  When the total edge weight vanishes (alpha = 1 while only
+    external edges exist) the next edge is drawn uniformly among the
+    external ones.
     """
     if n_leaves < 2:
         raise StructureError("need at least 2 leaves")
-    w_ext = float(1 - alpha)
-    w_int = float(alpha)
+    leaves = np.arange(2, n_leaves)
+    n_ext = np.where(leaves == 2, 1, leaves)
+    n_int = np.maximum(leaves - 3, 0)
+    ext_weight = float(1 - alpha) * n_ext
+    total = ext_weight + float(alpha) * n_int
+    draws = rng.random((len(leaves), 2))
+    pick_ext = (total == 0.0) | (draws[:, 0] * total < ext_weight)
+    size = np.where(pick_ext, n_ext, n_int)
+    index = np.minimum((draws[:, 1] * size).astype(np.int64), size - 1)
     ext = [(1, 2)]
     internal: list[tuple[int, int]] = []
-    for k in range(2, n_leaves):
-        total = w_ext * len(ext) + w_int * len(internal)
-        if total == 0.0:
-            pick_ext = True
-        else:
-            pick_ext = rng.random() * total < w_ext * len(ext)
-        lst = ext if pick_ext else internal
-        i = int(rng.integers(len(lst)))
+    for k, is_ext, i in zip(range(2, n_leaves), pick_ext.tolist(), index.tolist()):
+        lst = ext if is_ext else internal
         lst[i], lst[-1] = lst[-1], lst[i]
         u, v = lst.pop()
         w = -(k - 1)

@@ -18,13 +18,18 @@ preorder gives O(1) LCA lookups.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from alphaford.cladogram import Cladogram, StructureError, from_newick, to_newick
 
 __all__ = ["FiniteMeasureTree"]
+
+# Components a + b + c = N have abc <= (N/3)^3, below 2^63 for N < 3 * 2^21;
+# from there on the products are taken in Python ints.
+_INT64_PRODUCT_LEAVES = 3 << 21
 
 
 class _Index:
@@ -118,7 +123,7 @@ class FiniteMeasureTree:
     def __init__(self, topology: Cladogram):
         self.topology = topology
         self._idx: _Index | None = None
-        self._nu: dict[int, Fraction] | None = None
+        self._nu: Mapping[int, Fraction] | None = None
 
     @classmethod
     def from_newick(cls, s: str) -> "FiniteMeasureTree":
@@ -194,27 +199,39 @@ class FiniteMeasureTree:
         n = self.n
         return tuple(Fraction(c, n) for c in self.component_leaf_counts(u))
 
-    def internal_component_counts(self) -> dict[int, tuple[int, int, int]]:
-        """For each internal vertex, the leaf counts of its three components."""
+    def _component_count_array(self) -> np.ndarray:
+        """(N - 2, 3) leaf counts of the components at internal vertices
+        -1, -2, ...: the two child subtrees, then the rest."""
         idx = self.index
         n = self.n
-        counts = np.column_stack([idx.leafcnt[idx.children[n:]], n - idx.leafcnt[n:]])
+        return np.column_stack([idx.leafcnt[idx.children[n:]], n - idx.leafcnt[n:]])
+
+    def internal_component_counts(self) -> dict[int, tuple[int, int, int]]:
+        """For each internal vertex, the leaf counts of its three components."""
+        counts = self._component_count_array()
         return dict(zip(self.topology.internal_vertices, map(tuple, counts.tolist())))
 
-    def branch_point_distribution(self) -> dict[int, Fraction]:
-        """nu(v) = P(c(U1, U2, U3) = v) for U_i iid uniform leaves.
+    def branch_point_distribution(self) -> Mapping[int, Fraction]:
+        """nu(v) = P(c(U1, U2, U3) = v) for U_i iid uniform leaves, leaves
+        1..N first, then internal vertices -1, -2, ...; a read-only view.
 
         For an internal vertex with component masses (a, b, c) this is 6abc;
         a leaf of mass p contributes 3p^2 - 2p^3 (the triples with at least
-        two coordinates equal to it).  Values sum to exactly 1.
+        two coordinates equal to it).  Values sum to exactly 1.  Every leaf
+        shares one atom, and internal vertices share one atom per distinct
+        leaf-count product.
         """
         if self._nu is None:
             n = self.n
             cube = n**3
-            nu = {leaf: Fraction(3 * n - 2, cube) for leaf in self.leaf_ids}
-            for v, (a, b, c) in self.internal_component_counts().items():
-                nu[v] = Fraction(6 * a * b * c, cube)
-            self._nu = nu
+            counts = self._component_count_array()
+            if n >= _INT64_PRODUCT_LEAVES:
+                counts = counts.astype(object)
+            products, which = np.unique(counts.prod(axis=1), return_inverse=True)
+            atoms = [Fraction(6 * p, cube) for p in products.tolist()]
+            nu = dict.fromkeys(self.leaf_ids, Fraction(3 * n - 2, cube))
+            nu.update(zip(self.topology.internal_vertices, map(atoms.__getitem__, which.tolist())))
+            self._nu = MappingProxyType(nu)
         return self._nu
 
     def interval(self, x: int, y: int) -> tuple[int, ...]:

@@ -78,6 +78,9 @@ def test_alpha_one_sampler_yields_caterpillars():
     for _ in range(50):
         t = sample_ford_cladogram("1", 9, rng)
         assert len(t.cherries()) == 4  # binary tree is a caterpillar iff 2 cherry pairs
+    # long edge lists: every step after the first two picks an internal edge
+    big = sample_ford_tree("1", 20_000, rng)
+    assert len(big.topology.cherries()) == 4
 
 
 def test_sample_tree_two_leaves():

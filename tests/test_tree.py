@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alphaford import tree as tree_module
 from alphaford.cladogram import Cladogram, StructureError, enumerate_cladograms
 from alphaford.ford import build_comb_tree, sample_ford_tree
 from alphaford.tree import FiniteMeasureTree
@@ -163,6 +164,47 @@ def test_nu_brute_force_at_n30(rng):
     expected = {v: Fraction(c, n**3) for v, c in counts.items()}
     got = FiniteMeasureTree(t).branch_point_distribution()
     assert {v: p for v, p in got.items() if p} == expected
+
+
+def nu_oracle(ft: FiniteMeasureTree) -> list[tuple[int, Fraction]]:
+    """(vertex, nu) in key order, from the component counts in Python ints."""
+    n = ft.n
+    cube = n**3
+    out = [(leaf, Fraction(3 * n - 2, cube)) for leaf in range(1, n + 1)]
+    counts = ft.internal_component_counts()
+    out += [(v, Fraction(6 * a * b * c, cube)) for v, (a, b, c) in counts.items()]
+    return out
+
+
+@pytest.mark.parametrize("alpha", [None, "0", "1/2", "1"])
+def test_nu_matches_component_count_oracle_at_2000_leaves(alpha):
+    n = 2000
+    if alpha is None:
+        ft = build_comb_tree(n)
+    else:
+        ft = sample_ford_tree(alpha, n, np.random.default_rng(41))
+    expected = nu_oracle(ft)
+    assert [v for v, _ in expected] == [*range(1, n + 1), *range(-1, 1 - n, -1)]
+    assert list(ft.branch_point_distribution().items()) == expected
+
+
+def test_nu_products_in_python_ints(monkeypatch, rng):
+    # the path that keeps abc exact where int64 could wrap (N >= 3 * 2^21),
+    # forced on a small tree
+    ft = FiniteMeasureTree(random_cladogram(rng, 60))
+    monkeypatch.setattr(tree_module, "_INT64_PRODUCT_LEAVES", 0)
+    assert list(ft.branch_point_distribution().items()) == nu_oracle(ft)
+
+
+def test_nu_is_read_only():
+    ft = build_comb_tree(6)
+    nu = ft.branch_point_distribution()
+    assert ft.r_mu(1, 2) == Fraction(5, 27)
+    for v, value in ((1, Fraction(0)), (-1, Fraction(5))):
+        with pytest.raises(TypeError):
+            nu[v] = value
+    assert ft.r_mu(1, 2) == Fraction(5, 27)
+    assert nu == dict(nu_oracle(ft))
 
 
 def test_r_mu_diagonal_and_symmetry(rng):
