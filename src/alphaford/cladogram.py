@@ -6,10 +6,17 @@ code puts vertex v at position v - 1 if it is a leaf and m - 1 - v if it is
 internal.  All operations are pure: they return new :class:`Cladogram`
 objects and never mutate their inputs.
 
-Validation walks each cladogram once, depth first from leaf 1, and keeps the
-preorder of positions (``_preorder``) and each position's parent (``_parent``,
--1 for leaf 1).  :attr:`Cladogram.splits` and the tree index
-(:mod:`alphaford.tree`) read that walk instead of walking again.
+Edges arrive in one of two forms, and both are validated completely, with
+the same checks and messages: ids, edge count, degrees, connectivity.  An
+(E, 2) signed integer numpy array (the Ford samplers' output) is checked in
+numpy, and one sort of its half-edges puts each vertex's neighbours in fixed
+slots; any other iterable of pairs (edit moves, chain snapshots, Newick,
+hand-built lists) is checked pair by pair into neighbour lists, which are
+then laid out in the same slots.  The slots feed one walk, depth first from
+leaf 1, which is the connectivity check and keeps the preorder of positions
+(``_preorder``) and each position's parent (``_parent``, -1 for leaf 1).
+:attr:`Cladogram.splits` and the tree index (:mod:`alphaford.tree`) read
+that walk instead of walking again.
 
 Identity of labeled cladograms goes through :meth:`Cladogram.key`, the sorted
 tuple of internal-edge bipartitions encoded by the side that excludes label 1.
@@ -22,6 +29,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 __all__ = [
     "Cladogram",
@@ -55,64 +64,148 @@ class Cladogram:
     ----------
     m : int
         Number of leaves (>= 2).  Leaves carry vertex ids 1..m.
-    edges : iterable of (int, int)
+    edges : (E, 2) signed integer ndarray, or iterable of (int, int)
         Undirected edges.  Internal vertices must use negative ids; others
-        than -1..-(m-2) are renumbered onto those in descending order.
+        than -1..-(m-2) are renumbered onto those in descending order.  An
+        integer array is validated in numpy and :attr:`edges` is built from
+        it only when read; any other iterable is validated pair by pair.
+        Both forms check the same things, with the same messages.
     """
 
-    __slots__ = ("m", "edges", "_adj", "_preorder", "_parent", "_splits", "_key", "_hash")
+    __slots__ = ("m", "_edges", "_array", "_adj", "_preorder", "_parent", "_splits", "_key", "_hash")
 
-    def __init__(self, m: int, edges: Iterable[Edge]):
+    def __init__(self, m: int, edges: Iterable[Edge] | np.ndarray):
         self.m = int(m)
+        self._adj: dict[int, tuple[int, ...]] | None = None
+        self._splits: tuple[int, ...] | None = None
+        self._key = None
+        self._hash = None
+        self._edges: tuple[Edge, ...] | None = None
+        self._array: np.ndarray | None = None
+        if isinstance(edges, np.ndarray) and edges.dtype.kind == "i":
+            self._array = self._validate_array(edges)
+            return
         edges = sorted(_edge(u, v) for u, v in edges)
         if edges and edges[0][0] < 2 - self.m:
             internal = sorted({x for e in edges for x in e if x < 0})
             new = {v: i - len(internal) for i, v in enumerate(internal)}  # monotone: order kept
             edges = [(new.get(u, u), new.get(v, v)) for u, v in edges]
-        self.edges: tuple[Edge, ...] = tuple(edges)
-        self._adj: dict[int, tuple[int, ...]] | None = None
-        self._splits: tuple[int, ...] | None = None
-        self._key = None
-        self._hash = None
-        self._validate()
+        self._edges = tuple(edges)
+        self._validate_pairs()
 
     # -- structure ----------------------------------------------------------
 
-    def _validate(self) -> None:
+    def _check_size(self, n_edges: int) -> None:
         m = self.m
         if m < 2:
             raise StructureError(f"need at least 2 leaves, got {m}")
-        if len(self.edges) != 2 * m - 3:
-            raise StructureError(f"{m}-cladogram needs {2 * m - 3} edges, got {len(self.edges)}")
+        if n_edges != 2 * m - 3:
+            raise StructureError(f"{m}-cladogram needs {2 * m - 3} edges, got {n_edges}")
+
+    def _id_error(self) -> StructureError:
+        m = self.m
+        return StructureError(f"vertex ids must be leaves 1..{m} and internal -1..{2 - m}")
+
+    def _degree_error(self, p: int, degree: int) -> StructureError:
+        m = self.m
+        return StructureError(f"vertex {p + 1 if p < m else m - 1 - p} has degree {degree}")
+
+    def _validate_pairs(self) -> None:
+        m = self.m
+        self._check_size(len(self._edges))
         V = 2 * m - 2
         # edges are sorted, so each list comes out in ascending vertex id
         nbr: list[list[int]] = [[] for _ in range(V)]
-        for u, v in self.edges:
+        for u, v in self._edges:
             if u < 2 - m or v > m or u == 0 or v == 0:
-                raise StructureError(f"vertex ids must be leaves 1..{m} and internal -1..{2 - m}")
+                raise self._id_error()
             pu = u - 1 if u > 0 else m - 1 - u
             pv = v - 1 if v > 0 else m - 1 - v
             nbr[pu].append(pv)
             nbr[pv].append(pu)
+        slots: list[int] = []
         for p, nb in enumerate(nbr):
             if len(nb) != (1 if p < m else 3):
-                raise StructureError(f"vertex {p + 1 if p < m else m - 1 - p} has degree {len(nb)}")
-        # with these counts and degrees the graph is a tree iff it is connected;
-        # the walk from leaf 1 that checks it is kept for splits and the index
+                raise self._degree_error(p, len(nb))
+            slots += nb
+        self._walk(slots)
+
+    def _validate_array(self, edges: np.ndarray) -> np.ndarray:
+        """The checks of :meth:`_validate_pairs` on an (E, 2) integer array,
+        in numpy; returns the edges with each row ordered (u, v), u < v."""
+        m = self.m
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise StructureError(f"an edge array must have shape (E, 2), got {edges.shape}")
+        edges = edges.astype(np.int64)
+        if edges.size and edges.min() < 2 - m:
+            internal = np.unique(edges[edges < 0])
+            edges = np.where(edges < 0, np.searchsorted(internal, edges) - len(internal), edges)
+        self._check_size(len(edges))
+        if edges.min() < 2 - m or edges.max() > m or not edges.all():
+            raise self._id_error()
+        V = 2 * m - 2
+        pos = np.where(edges > 0, edges - 1, m - 1 - edges)
+        degree = np.bincount(pos.ravel(), minlength=V)
+        expected = np.full(V, 3)
+        expected[:m] = 1
+        bad = np.flatnonzero(degree != expected)
+        if bad.size:
+            raise self._degree_error(int(bad[0]), int(degree[bad[0]]))
+        # every half-edge as one key, tail position first, then the head's
+        # vertex id: with the degrees checked, one sort puts leaf p's
+        # neighbour in slot p and internal p's three in slots 3p - 2m ..
+        # 3p - 2m + 2, in ascending vertex id
+        width = 2 * m + 1
+        key = np.sort(pos.ravel() * width + (edges[:, ::-1].ravel() + m))
+        head = key % width - m
+        self._walk(np.where(head > 0, head - 1, m - 1 - head).tolist())
+        return np.sort(edges, axis=1)
+
+    def _walk(self, slots: list[int]) -> None:
+        """Depth-first walk from leaf 1 over the neighbour slots (leaf p's
+        neighbour at p, internal p's at 3p - 2m .. 3p - 2m + 2, each run in
+        ascending vertex id).  With the edge count and degrees checked, the
+        graph is a tree iff the walk reaches every vertex; its preorder and
+        parents are kept for :attr:`splits` and the index."""
+        m = self.m
+        V = 2 * m - 2
+        shift = 2 * m
         parent = [-1] * V
-        order = []
-        stack = [0]
+        top = slots[0]  # leaf 1's neighbour; a leaf's only neighbour is its parent
+        parent[top] = 0
+        order = [0]
+        stack = [top]
         while stack:
             v = stack.pop()
             order.append(v)
-            for w in nbr[v]:
+            if v >= m:  # three slots, unrolled: a slice per vertex costs more
+                s = 3 * v - shift
+                w = slots[s]
                 if w and parent[w] < 0:  # not leaf 1, not seen
+                    parent[w] = v
+                    stack.append(w)
+                w = slots[s + 1]
+                if w and parent[w] < 0:
+                    parent[w] = v
+                    stack.append(w)
+                w = slots[s + 2]
+                if w and parent[w] < 0:
                     parent[w] = v
                     stack.append(w)
         if len(order) != V:
             raise StructureError("tree is not connected")
         self._preorder = order
         self._parent = parent
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """Sorted edges ``(u, v)``, u < v, with canonical internal ids."""
+        if self._edges is None:
+            a = self._array
+            a = a[np.lexsort((a[:, 1], a[:, 0]))]
+            self._edges = tuple(map(tuple, a.tolist()))
+            self._array = None
+        return self._edges
 
     @property
     def adjacency(self) -> dict[int, tuple[int, ...]]:

@@ -300,6 +300,12 @@ def _cmd_chain_run(config: RunConfig) -> int:
     cores = os.cpu_count() or 1
     if not 1 <= config.threads <= cores:
         raise StructureError(f"need 1 <= --threads <= {cores}, got {config.threads}")
+    if m <= 5:  # every m-cladogram has the same unlabeled shape
+        print(
+            f"note: shape:m={m} is the same for every tree when m <= 5, so every row holds "
+            "the same constant; observe shape:m=6 or more to follow the chain",
+            file=sys.stderr,
+        )
     labels = [f'"{to_newick(t)}"' for t in enumerate_cladograms(m)]
     work = [
         (_alpha_str(alpha), p["leaves"], p["t"], p["obs_times"], m, config.seed, r)

@@ -5,7 +5,8 @@ weight 1 - alpha (external) or alpha (internal), inserting the next leaf in
 its middle, and finally permuting the leaf labels.  alpha = 0 is the
 Yule/coalescent tree, alpha = 1/2 the uniform cladogram, alpha = 1 the comb.
 The growth draws one block of uniforms up front, since the edge counts of
-every step are known, so no step makes a scalar draw.
+every step are known, so no step makes a scalar draw.  It returns its edges
+as an (E, 2) int64 array, which :class:`Cladogram` validates in numpy.
 
 Exact probabilities on the space of m-cladograms are computed by the
 one-leaf-removal recursion
@@ -70,14 +71,14 @@ class ExactDistribution:
 def _grow_edges(alpha: Fraction, n_leaves: int, rng: np.random.Generator):
     """Run the weighted growth from the 2-leaf tree to ``n_leaves`` leaves.
 
-    Returns the edge list; leaves are labeled 1..n in insertion order,
-    internal vertices -1, -2, ...  The edge counts of every step are known in
-    advance (k external edges at k leaves, one at k = 2, and k - 3 internal
-    ones), so one block of uniforms, two per step, fixes every class pick and
-    within-class index before the loop, which only moves edges between the
-    lists.  When the total edge weight vanishes (alpha = 1 while only
-    external edges exist) the next edge is drawn uniformly among the
-    external ones.
+    Returns the edges as an (E, 2) int64 array; leaves are labeled 1..n in
+    insertion order, internal vertices -1, -2, ...  The edge counts of every
+    step are known in advance (k external edges at k leaves, one at k = 2,
+    and k - 3 internal ones), so one block of uniforms, two per step, fixes
+    every class pick and within-class index before the loop, which only moves
+    edge slots between the class lists.  When the total edge weight vanishes
+    (alpha = 1 while only external edges exist) the next edge is drawn
+    uniformly among the external ones.
     """
     if n_leaves < 2:
         raise StructureError("need at least 2 leaves")
@@ -90,17 +91,27 @@ def _grow_edges(alpha: Fraction, n_leaves: int, rng: np.random.Generator):
     pick_ext = (total == 0.0) | (draws[:, 0] * total < ext_weight)
     size = np.where(pick_ext, n_ext, n_int)
     index = np.minimum((draws[:, 1] * size).astype(np.int64), size - 1)
-    ext = [(1, 2)]
-    internal: list[tuple[int, int]] = []
+    # slot e holds edge (head[e], tail[e]); the class lists hold slots, and
+    # the 2k - 3 edges of the k-leaf tree fill slots 0..2k - 4
+    head = [1] + [0] * (2 * n_leaves - 4)
+    tail = [2] + [0] * (2 * n_leaves - 4)
+    ext = [0]
+    internal: list[int] = []
     for k, is_ext, i in zip(range(2, n_leaves), pick_ext.tolist(), index.tolist()):
         lst = ext if is_ext else internal
         lst[i], lst[-1] = lst[-1], lst[i]
-        u, v = lst.pop()
-        w = -(k - 1)
-        for x in (u, v):
-            (ext if x > 0 else internal).append((w, x))
-        ext.append((w, k + 1))
-    return ext + internal
+        e = lst.pop()
+        u, v = head[e], tail[e]
+        w = 1 - k
+        s = 2 * k - 3
+        # (u, v) becomes (w, u) in its slot, (w, v) and (w, k + 1) are new
+        head[e], tail[e] = w, u
+        head[s], tail[s] = w, v
+        head[s + 1], tail[s + 1] = w, k + 1
+        (ext if u > 0 else internal).append(e)
+        (ext if v > 0 else internal).append(s)
+        ext.append(s + 1)
+    return np.array([head, tail], np.int64).T
 
 
 def sample_ford_cladogram(alpha, m: int, rng: np.random.Generator) -> Cladogram:
@@ -112,11 +123,7 @@ def sample_ford_cladogram(alpha, m: int, rng: np.random.Generator) -> Cladogram:
     alpha = parse_alpha(alpha)
     edges = _grow_edges(alpha, m, rng)
     perm = rng.permutation(m) + 1
-
-    def relab(v: int) -> int:
-        return int(perm[v - 1]) if v > 0 else v
-
-    return Cladogram(m, [(relab(u), relab(v)) for u, v in edges])
+    return Cladogram(m, np.where(edges > 0, perm[np.maximum(edges, 1) - 1], edges))
 
 
 def sample_ford_tree(alpha, n_leaves: int, rng: np.random.Generator) -> FiniteMeasureTree:

@@ -12,7 +12,9 @@ from leaf 1 that :class:`~alphaford.cladogram.Cladogram` records when it
 validates the tree, so the index does not walk the tree again.  A subtree
 occupies a run of preorder positions, which gives O(1) ancestor tests and
 picks the child of v that leads to u, and a sparse table of depths over the
-preorder gives O(1) LCA lookups.
+preorder gives O(1) LCA lookups.  The ends of those runs, and from them the
+subtree leaf counts and the depths, are found in numpy from the preorder
+alone, with no per-vertex Python loop.
 """
 
 from __future__ import annotations
@@ -32,6 +34,28 @@ __all__ = ["FiniteMeasureTree"]
 _INT64_PRODUCT_LEAVES = 3 << 21
 
 
+def _subtree_spans(order: np.ndarray, n: int) -> np.ndarray:
+    """For each position i = 1..V-1 of a preorder from leaf 1 (vertex
+    positions, internal from n), the last position of the subtree at i,
+    minus i.
+
+    Count +1 for an internal vertex and -1 for a leaf: a binary subtree sums
+    to -1 and each proper prefix of it to >= 0, so the subtree starting at i
+    ends just before the first j > i where the running sum drops below its
+    value at i.  Sorted (running sum, position) keys let one
+    ``searchsorted`` find every such j.
+    """
+    V = len(order)
+    run = np.zeros(V + 1, np.int64)  # run[j]: the sum over positions 1..j-1
+    np.cumsum(np.where(order[1:] >= n, 1, -1), out=run[2:])
+    key = run * (V + 1) + np.arange(V + 1)
+    pairs = np.sort(key)
+    # key[i] - V is the key of (run[i] - 1, i + 1); the first key at or above
+    # it is that of the end j, and the two differ by j - (i + 1)
+    target = key[1:V] - V
+    return pairs[np.searchsorted(pairs, target)] - target
+
+
 class _Index:
     """Flat-array view of a tree rooted at leaf 1, on vertex positions (leaf v
     at v - 1, internal v at n - 1 - v), read from the preorder walk that
@@ -44,23 +68,23 @@ class _Index:
         n = clad.m
         self.n_leaves = n
         V = 2 * n - 2
-        order, parent = clad._preorder, clad._parent
-        depth = [0] * V
-        for v in order[1:]:
-            depth[v] = depth[parent[v]] + 1
-        leafcnt = [1] * n + [0] * (V - n)
-        for v in reversed(order[1:]):
-            leafcnt[parent[v]] += leafcnt[v]
-
-        self.parent = parent = np.array(parent, np.int64)
-        self.depth = depth = np.array(depth, np.int64)
-        self.order = order = np.array(order, np.int64)
+        self.parent = parent = np.array(clad._parent, np.int64)
+        self.order = order = np.array(clad._preorder, np.int64)
         self.first = first = np.empty(V, np.int64)
         first[order] = np.arange(V)
-        self.leafcnt = leafcnt = np.array(leafcnt, np.int64)
+        span = _subtree_spans(order, n)
         # every internal vertex has two children, so a subtree with k leaves
-        # has 2k - 1 vertices
+        # has 2k - 1 vertices; leaf 1's counts all n
+        self.leafcnt = leafcnt = np.empty(V, np.int64)
+        leafcnt[order[1:]] = span // 2 + 1
+        leafcnt[0] = n
         self.last = first + 2 * leafcnt - 2
+        # each vertex before preorder position i is an ancestor of it or lies
+        # in a subtree closed before i; the subtree at i closes at i + span + 1
+        positions = np.arange(V + 1)
+        closed = np.cumsum(np.bincount(span + positions[2:], minlength=V + 1))
+        self.depth = depth = np.empty(V, np.int64)
+        depth[order] = positions[:V] - closed[:V]
         # a stable sort keeps each vertex's two children in ascending position,
         # the order internal_component_counts reports; leaf 1 stores its one
         # child twice, and the leaf rows are never read

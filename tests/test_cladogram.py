@@ -17,9 +17,11 @@ from alphaford.cladogram import (
     shape,
     to_newick,
 )
+from alphaford._rng import parse_alpha
 from alphaford.chain import ChainState
-from alphaford.tree import FiniteMeasureTree
+from alphaford.tree import FiniteMeasureTree, _Index
 from alphaford.ford import (
+    _grow_edges,
     build_comb_tree,
     sample_ford_cladogram,
     sample_ford_tree,
@@ -188,17 +190,46 @@ def test_shape_rejects_duplicates():
         shape(ft, [1, 1, 2])
 
 
-def test_invalid_structures_rejected():
-    with pytest.raises(StructureError):
-        Cladogram(4, [(1, 2), (3, 4), (1, 3)])  # wrong counts
-    with pytest.raises(StructureError):
-        Cladogram(3, [(1, -1), (2, -1), (3, -2)])  # disconnected / bad degrees
-    with pytest.raises(StructureError):
-        T3.insert_leaf((1, 2))  # not an edge of T3
-    # a triangle of internal vertices beside a star: ids, counts and degrees pass
-    triangle = [(-1, -2), (-2, -3), (-1, -3), (-1, 1), (-2, 2), (-3, 3)]
-    with pytest.raises(StructureError, match="not connected"):
-        Cladogram(6, triangle + [(-4, 4), (-4, 5), (-4, 6)])
+def _edge_input(form: str, edges):
+    """The same edges as an int64 array or as a list of Python-int pairs."""
+    if form == "array":
+        return np.array(edges, np.int64).reshape(-1, 2)
+    return [tuple(e) for e in edges]
+
+
+_IDS_3 = "vertex ids must be leaves 1..3 and internal -1..-1"
+# a triangle of internal vertices beside a star: ids, counts and degrees pass
+_TRIANGLE = [(-1, -2), (-2, -3), (-1, -3), (-1, 1), (-2, 2), (-3, 3), (-4, 4), (-4, 5), (-4, 6)]
+INVALID = [
+    (1, [], "need at least 2 leaves, got 1"),
+    (4, [(1, 2), (3, 4), (1, 3)], "4-cladogram needs 5 edges, got 3"),
+    (3, [(1, -1), (2, -1), (3, -2)], _IDS_3),  # -2 is out of range once counted
+    (3, [(0, -1), (2, -1), (3, -1)], _IDS_3),  # id 0
+    (3, [(4, -1), (2, -1), (3, -1)], _IDS_3),  # id above m
+    (4, [(1, 1), (2, -1), (3, -1), (4, -2), (-1, -2)], "vertex 1 has degree 2"),  # leaf self-loop
+    (4, [(1, -1), (2, -1), (3, -1), (4, -1), (-1, -2)], "vertex -1 has degree 5"),
+    # an internal self-loop and a doubled edge each leave every degree right
+    (4, [(-1, -1), (-1, 1), (-2, 2), (-2, 3), (-2, 4)], "tree is not connected"),
+    (5, [(-1, -2), (-1, -2), (-1, 1), (-2, 2), (-3, 3), (-3, 4), (-3, 5)], "tree is not connected"),
+    (6, _TRIANGLE, "tree is not connected"),
+]
+
+
+@pytest.mark.parametrize("form", ["tuples", "array"])
+def test_invalid_structures_rejected(form):
+    # both input forms run every check, and fail with the same message
+    for m, edges, message in INVALID:
+        with pytest.raises(StructureError) as exc:
+            Cladogram(m, _edge_input(form, edges))
+        assert str(exc.value) == message, (m, edges)
+    t3 = Cladogram(3, _edge_input(form, [(1, -1), (2, -1), (3, -1)]))
+    with pytest.raises(StructureError, match="not an edge"):
+        t3.insert_leaf((1, 2))
+
+
+def test_edge_array_must_have_two_columns():
+    with pytest.raises(StructureError, match="shape"):
+        Cladogram(3, np.array([1, -1, 2, -1, 3, -1]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -402,3 +433,38 @@ def test_scrambled_ids_give_the_index_and_chain_state_of_the_canonical_twin():
         a = ChainState(FiniteMeasureTree(renumbered), "0", np.random.default_rng(0))
         b = ChainState(FiniteMeasureTree(twin), "0", np.random.default_rng(0))
         assert (a.ends, a.inc) == (b.ends, b.inc)
+
+
+def _assert_same_index(a: _Index, b: _Index):
+    assert vars(a).keys() == vars(b).keys()
+    for name, x in vars(a).items():
+        y = vars(b)[name]
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+        else:
+            assert x == y, name
+
+
+@pytest.mark.parametrize("alpha", ["0", "1/2", "1"])
+def test_array_and_tuple_inputs_agree(alpha):
+    rng = np.random.default_rng(31)
+    for m in [*range(2, 41), 300, 2000]:
+        grown = _grow_edges(parse_alpha(alpha), m, rng)
+        shuffled = grown[rng.permutation(len(grown))]
+        flip = rng.random(len(grown)) < 0.5
+        shuffled[flip] = shuffled[flip, ::-1]
+        scrambled = shuffled.copy()
+        ids = -rng.choice(10**9, size=m - 2, replace=False) - 1
+        inside = scrambled < 0
+        scrambled[inside] = ids[-scrambled[inside] - 1]
+        for edges in (shuffled, scrambled):
+            a = Cladogram(m, edges)
+            t = Cladogram(m, [tuple(e) for e in edges.tolist()])
+            assert a.edges == t.edges
+            assert all(type(x) is int for e in a.edges for x in e)
+            assert (a._preorder, a._parent) == (t._preorder, t._parent)
+            # numpy ints would wrap in 2 << p from 62 leaves on
+            assert a.splits == t.splits and all(type(s) is int for s in a.splits)
+            assert a.key == t.key
+            _assert_same_index(FiniteMeasureTree(a).index, FiniteMeasureTree(t).index)
+        assert Cladogram(m, shuffled) == Cladogram(m, grown)

@@ -124,6 +124,18 @@ def test_chain_run_shape_m5(capsys):
     assert all(0 < sum(float(x) for x in row[2:]) <= 1 for row in rows[1:])
 
 
+@pytest.mark.parametrize("m, noted", [(4, True), (6, False)])
+def test_chain_run_notes_a_tree_free_observable_on_stderr_only(capsys, tmp_path, m, noted):
+    out = tmp_path / "run.csv"
+    argv = ["chain", "run", "--alpha", "1/2", "--leaves", "8", "--t", "0.05", "--replicates", "2"]
+    code, _, err = run_cli(capsys, *argv, "--observe", f"shape:m={m}", "--threads", "1", "--out", str(out))
+    assert code == 0
+    note = f"note: shape:m={m} is the same for every tree"
+    assert (note in err) is noted
+    assert len(err.splitlines()) == int(noted)
+    assert "note" not in out.read_text()
+
+
 def test_chain_run_rows_are_exact_shapes_of_the_replayed_chain(capsys):
     code, out, _ = run_cli(
         capsys,
