@@ -9,10 +9,15 @@ the deletion just merged reproduces the state: these self-moves carry rate
 chains, and are kept on the clock (they contribute to the total rate
 m(m-1-3 alpha)) while adding nothing to the generator.
 
-The module builds exact rational rate matrices over canonically ordered
-states, the cherry-count potential linking the two chains, and verifiers for
-the reversal identity, the rate-discrepancy identity, stationarity of the
-alpha-Ford law, and the Feynman-Kac matrix identity
+Rates are stored as integer count arrays: one table of the non-self moves
+over canonically ordered states, with four counts per (source, target) pair
+(external/internal insertion edge, cherry/non-cherry leaf), so every rate is
+(1 - alpha) c0 + alpha c1.  A ``Fraction`` appears only when one alpha is
+evaluated.  On these counts and the integer coefficients of the alpha-Ford
+law (:mod:`alphaford.ford`), stationarity and the rate-discrepancy identity
+of the cherry-count potential beta are checked as integer polynomial
+identities in alpha, read at the given alpha.  The float generators enter
+the Feynman-Kac matrix identity
 
     exp(t Q_fwd) = exp(t (Q_bwd + diag(beta)))^T.
 
@@ -28,9 +33,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -38,13 +44,12 @@ from alphaford._rng import parse_alpha, stream
 from alphaford.cladogram import (
     Cladogram,
     StructureError,
-    _cherry_mask,
     _deletions,
     _insertions,
     _state_index,
     enumerate_cladograms,
 )
-from alphaford.ford import exact_distribution, sample_ford_tree
+from alphaford.ford import _evaluate, _law, _times, sample_ford_tree
 from alphaford.tree import FiniteMeasureTree
 
 __all__ = [
@@ -69,99 +74,96 @@ MAX_EXPM_DIM = 1024
 DUALITY_TUPLES = 64  # leaf m-tuples per replicate in verify_chain_diffusion_duality
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MoveTables:
-    """Per-state move targets of the m-leaf chain, classified both ways.
-
-    For state s, ``fwd_ext[s]``/``fwd_int[s]`` count non-self moves by target
-    and by the class of the insertion edge, ``bwd_ch[s]``/``bwd_non[s]`` the
-    same moves by whether the displaced leaf is a cherry.
-    """
+    """The non-self moves of the m-leaf chain, one int64 row per sorted
+    (src, tgt) pair, counted by the class of the insertion edge (external,
+    internal) and by that of the displaced leaf (cherry, non-cherry)."""
 
     states: tuple
     index: dict
-    fwd_ext: tuple
-    fwd_int: tuple
-    bwd_ch: tuple
-    bwd_non: tuple
-    n_cherries: tuple
+    src: np.ndarray
+    tgt: np.ndarray
+    external: np.ndarray
+    internal: np.ndarray
+    cherry: np.ndarray
+    non_cherry: np.ndarray
+    n_cherries: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def _move_tables(m: int) -> MoveTables:
-    """Move tables built on split bitmasks, with no tree per move.
-
-    Moving leaf k of state s goes through ``t.delete_leaf(k)``; states sharing
-    that reduced tree and k share their 2m - 5 targets, computed once.
-    Every (k, e) pair with e the merged edge is a self-move; there are
-    exactly m of them per state.
-    """
+    """Move tables built on split bitmasks, with no tree per move.  The
+    targets of each (leaf k, reduced tree) pair are computed once, external
+    insertion edges first (:func:`_insertions`); m moves per state are
+    self-moves, reinsertions at the edge the deletion merged."""
     if not 4 <= m <= MAX_RATE_MATRIX_LEAVES:
         raise StructureError(f"rate matrices support 4 <= m <= {MAX_RATE_MATRIX_LEAVES}")
-    states = enumerate_cladograms(m)
-    reduced_states = enumerate_cladograms(m - 1)
-    split_index = _state_index(m)
-    targets: dict[tuple[int, int], list[tuple[int, bool]]] = {}
-    fwd_ext: list[dict[int, int]] = []
-    fwd_int: list[dict[int, int]] = []
-    bwd_ch: list[dict[int, int]] = []
-    bwd_non: list[dict[int, int]] = []
-    n_cherries = []
-    for s, (t, reduced) in enumerate(zip(states, _deletions(m))):
-        fe: dict[int, int] = {}
-        fi: dict[int, int] = {}
-        bc: dict[int, int] = {}
-        bn: dict[int, int] = {}
-        cherries = _cherry_mask(t.splits, m)
-        self_moves = 0
-        for k, r in enumerate(reduced, start=1):
-            moves = targets.get((k, r))
-            if moves is None:
-                moves = targets[k, r] = [
-                    (split_index[x], external)
-                    for x, external in _insertions(reduced_states[r].splits, m - 1, k)
-                ]
-            by_leaf = bc if cherries >> k & 1 else bn
-            for tgt, external in moves:
-                if tgt == s:
-                    self_moves += 1
-                    continue
-                by_edge = fe if external else fi
-                by_edge[tgt] = by_edge.get(tgt, 0) + 1
-                by_leaf[tgt] = by_leaf.get(tgt, 0) + 1
-        assert self_moves == m
-        fwd_ext.append(fe)
-        fwd_int.append(fi)
-        bwd_ch.append(bc)
-        bwd_non.append(bn)
-        n_cherries.append(cherries.bit_count())
+    states, split_index = enumerate_cladograms(m), _state_index(m)
+    moved = [(k, r.splits) for k in range(1, m + 1) for r in enumerate_cladograms(m - 1)]
+    targets = np.array([[split_index[x] for x, _ in _insertions(r, m - 1, k)] for k, r in moved])
+    n, (rows, cherry) = len(states), _deletions(m)
+    tgt = targets.reshape(m, -1, 2 * m - 5)[np.arange(m), rows]  # (state, leaf, edge)
+    src = np.arange(n)[:, None, None]
+    moves = tgt != src
+    assert ((~moves).sum(axis=(1, 2)) == m).all()
+    ext = np.arange(2 * m - 5) < m - 1
+    classes = np.broadcast_arrays(ext, ~ext, cherry[:, :, None], ~cherry[:, :, None])
+    pairs, inverse = np.unique((src * n + tgt)[moves], return_inverse=True)
+    counts = [np.bincount(inverse[c[moves]], minlength=len(pairs)) for c in classes]
     index = {t.key: i for i, t in enumerate(states)}
-    return MoveTables(
-        states, index, tuple(fwd_ext), tuple(fwd_int), tuple(bwd_ch), tuple(bwd_non),
-        tuple(n_cherries),
-    )
+    return MoveTables(states, index, pairs // n, pairs % n, *counts, cherry.sum(axis=1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateMatrix:
     """Generator of a chain on the canonically ordered m-cladograms.
 
-    ``rows[s]`` maps target indices to exact off-diagonal rates; the diagonal
-    is minus the row sum.  ``self_rates[s]`` tracks the rate of moves that
-    reproduce the state; they are excluded from the generator but belong to
-    the total-rate accounting.
+    Each non-self move of ``tables`` carries two counts, ``counts[0]`` of
+    weight 1 - alpha and ``counts[1]`` of weight alpha; the diagonal is minus
+    the row sum.  Self-moves (1 - alpha per cherry leaf, alpha per other leaf)
+    count only in the total rate.  ``rows[s]`` (target to exact nonzero rate)
+    and ``self_rates`` are built from the counts on first read.
     """
 
     alpha: Fraction
     m: int
     kind: str
-    states: tuple
-    index: dict
-    rows: tuple
-    self_rates: tuple
+    tables: MoveTables
+    counts: tuple
+
+    states = property(lambda self: self.tables.states)
+    index = property(lambda self: self.tables.index)
+
+    def _at_alpha(self, rate) -> np.ndarray:
+        """``rate(n, b)`` per move, for its rate n / b at alpha = a / b; one
+        call per distinct count pair."""
+        a, b = self.alpha.numerator, self.alpha.denominator
+        c0, c1 = self.counts
+        width = int(c1.max()) + 1
+        codes, inverse = np.unique(c0 * width + c1, return_inverse=True)
+        values = [rate((b - a) * (c // width) + a * (c % width), b) for c in codes.tolist()]
+        return np.array(values, dtype=object)[inverse]
+
+    @cached_property
+    def rows(self) -> tuple:
+        rates = self._at_alpha(Fraction)
+        keep = rates != 0
+        tgt, rates = self.tables.tgt[keep].tolist(), rates[keep].tolist()
+        bounds = np.searchsorted(self.tables.src[keep], np.arange(len(self.states) + 1)).tolist()
+        return tuple(dict(zip(tgt[lo:hi], rates[lo:hi])) for lo, hi in zip(bounds, bounds[1:]))
+
+    @cached_property
+    def self_rates(self) -> tuple:
+        a, b = self.alpha.numerator, self.alpha.denominator
+        ch = self.tables.n_cherries.tolist()
+        return tuple(Fraction((b - a) * c + a * (self.m - c), b) for c in ch)
 
     def off_diagonal_total(self, s: int) -> Fraction:
-        return sum(self.rows[s].values(), Fraction(0))
+        a, b = self.alpha.numerator, self.alpha.denominator
+        lo, hi = np.searchsorted(self.tables.src, [s, s + 1])
+        c0, c1 = (int(c[lo:hi].sum()) for c in self.counts)
+        return Fraction((b - a) * c0 + a * c1, b)
 
     def total_rate(self, s: int) -> Fraction:
         """Total event rate at state s, self-moves included."""
@@ -173,76 +175,70 @@ class RateMatrix:
         return self.rows[s].get(t, Fraction(0))
 
     def to_dense(self) -> np.ndarray:
-        """Float generator matrix (rows sum to zero)."""
+        """Float generator matrix (rows sum to zero), each rate n / b rounded once."""
         n = len(self.states)
         q = np.zeros((n, n))
-        for s, row in enumerate(self.rows):
-            for t, r in row.items():
-                q[s, t] = float(r)
-            q[s, s] = -q[s].sum()
+        q[self.tables.src, self.tables.tgt] = self._at_alpha(operator.truediv)
+        q[np.diag_indices(n)] = -q.sum(axis=1)
         return q
-
-
-def _assemble(alpha: Fraction, m: int, kind: str) -> RateMatrix:
-    """Rates 1 - alpha and alpha on the two classes of ``kind``'s moves:
-    external/internal insertion edge (forward), cherry/non-cherry leaf
-    (backward)."""
-    mt = _move_tables(m)
-    if kind == "forward":
-        tables_a, tables_b = mt.fwd_ext, mt.fwd_int
-    else:
-        tables_a, tables_b = mt.bwd_ch, mt.bwd_non
-    rates: dict[tuple[int, int], Fraction] = {}  # counts are small: few distinct rates
-    rows = []
-    self_rates = []
-    for s in range(len(mt.states)):
-        a_row, b_row = tables_a[s], tables_b[s]
-        row: dict[int, Fraction] = {}
-        for tgt in {**a_row, **b_row}:
-            counts = (a_row.get(tgt, 0), b_row.get(tgt, 0))
-            rate = rates.get(counts)
-            if rate is None:
-                rate = rates[counts] = (1 - alpha) * counts[0] + alpha * counts[1]
-            if rate:
-                row[tgt] = rate
-        rows.append(row)
-        ch = mt.n_cherries[s]
-        self_rates.append((1 - alpha) * ch + alpha * (m - ch))
-    return RateMatrix(alpha, m, kind, mt.states, mt.index, tuple(rows), tuple(self_rates))
 
 
 def forward_rate_matrix(alpha, m: int) -> RateMatrix:
     """Forward chain: insertion edges weighted 1 - alpha (external) / alpha
     (internal).  Total rate at every state is m(m - 1 - 3 alpha)."""
-    return _assemble(parse_alpha(alpha), m, "forward")
+    alpha, mt = parse_alpha(alpha), _move_tables(m)
+    return RateMatrix(alpha, m, "forward", mt, (mt.external, mt.internal))
 
 
 def backward_rate_matrix(alpha, m: int) -> RateMatrix:
     """Backward chain: displaced leaf weighted 1 - alpha (cherry) / alpha
     (non-cherry), any insertion edge.  Entrywise q_bwd(t', t) = q_fwd(t, t')."""
-    return _assemble(parse_alpha(alpha), m, "backward")
+    alpha, mt = parse_alpha(alpha), _move_tables(m)
+    return RateMatrix(alpha, m, "backward", mt, (mt.cherry, mt.non_cherry))
+
+
+def _beta_coefficients(m: int, n_cherries: np.ndarray) -> np.ndarray:
+    """beta = (1 - 2 alpha) B, B = ch (2m - 5) - m (m - 1), as (S, 2)
+    coefficients in alpha, lowest power first."""
+    base = n_cherries * (2 * m - 5) - m * (m - 1)
+    return np.stack([base, -2 * base], axis=1)
 
 
 def beta_potential(alpha, m: int) -> dict:
     """The potential beta(t) = (1 - 2 alpha) (#cherries(t) (2m - 5) - m(m - 1)),
     keyed by canonical key in state order; identically zero at alpha = 1/2."""
-    alpha = parse_alpha(alpha)
-    mt = _move_tables(m)
-    return {
-        t.key: (1 - 2 * alpha) * (ch * (2 * m - 5) - m * (m - 1))
-        for t, ch in zip(mt.states, mt.n_cherries)
-    }
+    alpha, mt = parse_alpha(alpha), _move_tables(m)
+    values = _evaluate(_beta_coefficients(m, mt.n_cherries), alpha)
+    return {t.key: Fraction(x, alpha.denominator) for t, x in zip(mt.states, values)}
+
+
+def _rate_discrepancy(mt: MoveTables, beta: np.ndarray) -> np.ndarray:
+    """Per state, the (S, 2) coefficients in alpha of the total backward
+    minus total forward rate, minus ``beta``.  Self-moves cancel; a move adds
+    (cherry - external) + alpha ((non-cherry - cherry) - (internal - external))."""
+    out = -beta
+    slope = (mt.non_cherry - mt.cherry) - (mt.internal - mt.external)
+    np.add.at(out, mt.src, np.stack([mt.cherry - mt.external, slope], axis=1))
+    return out
 
 
 def verify_beta_is_rate_discrepancy(alpha, m: int) -> bool:
     """Exact check: total backward rate minus total forward rate equals the
     potential at every state (self-moves included on both sides)."""
-    fwd = forward_rate_matrix(alpha, m)
-    bwd = backward_rate_matrix(alpha, m)
-    beta = list(beta_potential(alpha, m).values())
-    return all(
-        bwd.total_rate(s) - fwd.total_rate(s) == beta[s] for s in range(len(fwd.states))
-    )
+    alpha, mt = parse_alpha(alpha), _move_tables(m)
+    residual = _rate_discrepancy(mt, _beta_coefficients(m, mt.n_cherries))
+    return not any(_evaluate(residual, alpha))
+
+
+def _stationarity_residual(m: int, num: np.ndarray, src, tgt, c0, c1) -> np.ndarray:
+    """Coefficients in alpha, per state t, of m(m - 1 - 3 alpha) N(t) -
+    sum_s N(s) q_raw(s, t), q_raw(s, t) = (1 - alpha) c0 + alpha c1 summed
+    over the moves s -> t given."""
+    flow = _times(num, [m * (m - 1), -3 * m])
+    for i, column in enumerate(num.T):  # a column at a time bounds the memory
+        np.add.at(flow[:, i], tgt, -c0 * column[src])
+        np.add.at(flow[:, i + 1], tgt, (c0 - c1) * column[src])
+    return flow
 
 
 def verify_invariance(alpha, m: int) -> Fraction:
@@ -251,20 +247,14 @@ def verify_invariance(alpha, m: int) -> Fraction:
         m(m - 1 - 3 alpha) P(t') = sum_t P(t) q_raw(t, t'),
 
     with q_raw including self-moves on the diagonal.  Returns the maximum
-    absolute residual (zero iff the alpha-Ford law is stationary)."""
-    alpha = parse_alpha(alpha)
-    fwd = forward_rate_matrix(alpha, m)
-    dist = exact_distribution(alpha, m)
-    pi = dist.as_vector(fwd.states)
-    n = len(fwd.states)
-    inflow = [pi[s] * fwd.self_rates[s] for s in range(n)]
-    for s, row in enumerate(fwd.rows):
-        ps = pi[s]
-        if ps:
-            for t, r in row.items():
-                inflow[t] += ps * r
-    lhs = m * (m - 1 - 3 * alpha)
-    return max(abs(lhs * pi[t] - inflow[t]) for t in range(n))
+    absolute residual (zero iff the alpha-Ford law is stationary), formed on
+    the law's integer numerators and evaluated at alpha."""
+    alpha, mt = parse_alpha(alpha), _move_tables(m)
+    (num, den), ch, diag = _law(m), mt.n_cherries, np.arange(len(mt.states))
+    moves = (mt.src, diag), (mt.tgt, diag), (mt.external, ch), (mt.internal, m - ch)
+    residual = _stationarity_residual(m, num, *map(np.concatenate, moves))
+    top = max(abs(x) for x in _evaluate(residual, alpha))
+    return Fraction(top, _evaluate(den, alpha) * alpha.denominator)
 
 
 def matrix_exponential(mat: np.ndarray, t: float = 1.0) -> np.ndarray:

@@ -20,15 +20,17 @@ that walk instead of walking again.
 
 Identity of labeled cladograms goes through :meth:`Cladogram.key`, the sorted
 tuple of internal-edge bipartitions encoded by the side that excludes label 1.
-Two cladograms are isomorphic as labeled trees iff their keys are equal.  The
-same splits as integer bitmasks, :attr:`Cladogram.splits`, carry the exact
-layer: leaf deletion, cherries and chain moves act on them directly.
+Two cladograms are isomorphic as labeled trees iff their keys are equal.
+``==`` and ``hash`` compare an O(m) code read from the recorded preorder
+instead, so comparing two big trees builds no splits.  The same splits as
+integer bitmasks, :attr:`Cladogram.splits`, carry the exact layer: leaf
+deletion, cherries and chain moves act on them directly.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -72,13 +74,16 @@ class Cladogram:
         Both forms check the same things, with the same messages.
     """
 
-    __slots__ = ("m", "_edges", "_array", "_adj", "_preorder", "_parent", "_splits", "_key", "_hash")
+    __slots__ = (
+        "m", "_edges", "_array", "_adj", "_preorder", "_parent", "_splits", "_key", "_code_", "_hash",
+    )
 
     def __init__(self, m: int, edges: Iterable[Edge] | np.ndarray):
         self.m = int(m)
         self._adj: dict[int, tuple[int, ...]] | None = None
         self._splits: tuple[int, ...] | None = None
         self._key = None
+        self._code_: tuple[int, ...] | None = None
         self._hash = None
         self._edges: tuple[Edge, ...] | None = None
         self._array: np.ndarray | None = None
@@ -261,14 +266,41 @@ class Cladogram:
             self._key = _split_key(self.m, self.splits)
         return self._key
 
+    @property
+    def _code(self) -> tuple[int, ...]:
+        """O(m) canonical code, read from the recorded preorder.
+
+        Rooted at leaf 1, each internal vertex is named by the larger of its
+        two children's smallest leaf labels, a bijection onto 3..m.  Entry i
+        is the name of the parent of leaf i + 2 for i < m - 1, and of the
+        vertex named i - m + 4 after that (leaf 1 standing in for the parent
+        of leaf 1's neighbour).
+        """
+        if self._code_ is None:
+            m, order, parent = self.m, self._preorder, self._parent
+            low = list(range(1, m + 1)) + [0] * (m - 2)  # smallest label below
+            name = list(range(1, m + 1)) + [0] * (m - 2)
+            for v in reversed(order[2:]):  # children before parents
+                p, x = parent[v], low[v]
+                if low[p]:
+                    name[p] = max(low[p], x)
+                    low[p] = min(low[p], x)
+                else:
+                    low[p] = x
+            code = [0] * (2 * m - 3)
+            for v in order[1:]:
+                code[name[v] - 2 if v < m else name[v] + m - 4] = name[parent[v]]
+            self._code_ = tuple(code)
+        return self._code_
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cladogram):
             return NotImplemented
-        return self.m == other.m and self.splits == other.splits
+        return self.m == other.m and self._code == other._code
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.m, self.splits))
+            self._hash = hash((self.m, self._code))
         return self._hash
 
     def __repr__(self) -> str:
@@ -472,12 +504,17 @@ def _state_index(m: int) -> dict[tuple[int, ...], int]:
     return {t.splits: i for i, t in enumerate(enumerate_cladograms(m))}
 
 
-def _deletions(m: int) -> Iterator[tuple[int, ...]]:
-    """For each state of ``enumerate_cladograms(m)`` in turn, the positions of
-    ``t.delete_leaf(k)`` in ``enumerate_cladograms(m - 1)`` for k = 1..m."""
+@lru_cache(maxsize=None)
+def _deletions(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two (S, m) arrays over ``enumerate_cladograms(m)``: in row s, column
+    k - 1, the position of ``t.delete_leaf(k)`` in ``enumerate_cladograms(m - 1)``
+    (int64), and whether leaf k is a cherry of t (bool)."""
     index = _state_index(m - 1)
-    for t in enumerate_cladograms(m):
-        yield tuple(index[_delete_split_leaf(t.splits, m, k)] for k in t.leaves)
+    states = enumerate_cladograms(m)
+    rows = (index[_delete_split_leaf(t.splits, m, k)] for t in states for k in t.leaves)
+    masks = np.fromiter((_cherry_mask(t.splits, m) for t in states), dtype=np.int64)
+    cherry = (masks[:, None] & (2 << np.arange(m))) != 0
+    return np.fromiter(rows, np.int64, len(states) * m).reshape(len(states), m), cherry
 
 
 def shape(tree, samples: Sequence[int]) -> Cladogram:

@@ -16,14 +16,17 @@ one-leaf-removal recursion
 
 with uniform base case at m = 4 (insertion into the unique 3-cladogram sees
 three equal-weight external edges, which also sidesteps the vanishing
-denominator at alpha = 1, m = 4).  All probabilities are exact rationals.
-The recursion and the deletion check run on split bitmasks
-(:attr:`Cladogram.splits`), with no tree built per deleted leaf.
+denominator at alpha = 1, m = 4).  Each step is linear in alpha, so the law
+is stored once per m as integer coefficient arrays in alpha: a numerator
+per state over one common denominator.  A ``Fraction`` appears only when
+one alpha is evaluated, in Python ints, so every rational alpha is exact.
+The deletion check is an identity between the same integer arrays, and both
+read the deletion table of split bitmasks (:attr:`Cladogram.splits`), with
+no tree built per deleted leaf.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,13 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from alphaford._rng import parse_alpha
-from alphaford.cladogram import (
-    Cladogram,
-    StructureError,
-    _cherry_mask,
-    _deletions,
-    enumerate_cladograms,
-)
+from alphaford.cladogram import Cladogram, StructureError, _deletions, enumerate_cladograms
 from alphaford.tree import FiniteMeasureTree
 
 __all__ = [
@@ -62,7 +59,9 @@ class ExactDistribution:
     table: dict
 
     def as_vector(self, states) -> list[Fraction]:
-        return [self.table.get(t.key, Fraction(0)) for t in states]
+        if any(t.m != self.m for t in states):
+            raise StructureError(f"this law is on {self.m}-cladograms")
+        return [self.table[t.key] for t in states]
 
     def total(self) -> Fraction:
         return sum(self.table.values(), Fraction(0))
@@ -149,17 +148,13 @@ def sample_kingman_cladogram(m: int, rng: np.random.Generator) -> Cladogram:
         return Cladogram(2, [(1, 2)])
     blocks = list(range(1, m + 1))
     edges = []
-    nxt = -1
     for k in range(m, 2, -1):
         i = int(rng.integers(k))
         j = int(rng.integers(k - 1))
-        if j >= i:
-            j += 1
+        j += j >= i
         i, j = min(i, j), max(i, j)
-        w = nxt
-        nxt -= 1
-        edges.append((w, blocks[i]))
-        edges.append((w, blocks[j]))
+        w = k - m - 1  # -1, -2, ... in merger order
+        edges += [(w, blocks[i]), (w, blocks[j])]
         blocks[i] = w
         blocks.pop(j)
     edges.append((blocks[0], blocks[1]))
@@ -180,53 +175,64 @@ def build_comb_tree(n_leaves: int) -> FiniteMeasureTree:
     return FiniteMeasureTree(Cladogram(n_leaves, edges))
 
 
+def _evaluate(coeffs: np.ndarray, alpha: Fraction):
+    """b**d P(a / b) at alpha = a / b, for P of degree d given by integer
+    coefficients along the last axis, lowest power first (Python ints)."""
+    a, b = alpha.numerator, alpha.denominator
+    d = coeffs.shape[-1] - 1
+    return sum(coeffs[..., i].astype(object) * (a**i * b ** (d - i)) for i in range(d + 1))
+
+
+def _times(coeffs: np.ndarray, poly) -> np.ndarray:
+    """Each row of ``coeffs`` times the polynomial ``poly``."""
+    return np.array([np.convolve(row, poly) for row in coeffs])
+
+
 @lru_cache(maxsize=None)
-def _exact_distribution(alpha: Fraction, m: int) -> ExactDistribution:
+def _law(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """P_m = N_m / D_m as integer coefficients in alpha: N_m per state, shape
+    (S, max(m - 3, 1)), and D_m.  Each recursion step is linear in alpha
+    and shares the factor m (m - 1 - 3 alpha) across states."""
+    if not 2 <= m <= MAX_EXACT_LEAVES:
+        raise StructureError(f"exact distributions support 2 <= m <= {MAX_EXACT_LEAVES}")
     states = enumerate_cladograms(m)
     if m <= 4:
-        p = Fraction(1, len(states))
-        return ExactDistribution(alpha, m, {t.key: p for t in states})
-    prev = _exact_distribution(alpha, m - 1).as_vector(enumerate_cladograms(m - 1))
-    # Sums run over integer numerators of one common denominator, and with
-    # alpha = a / b the weights 1 - alpha, alpha and the factor
-    # m (m - 1 - 3 alpha) are all scaled by b: one Fraction per state.
-    common = math.lcm(*(p.denominator for p in prev))
-    num = [p.numerator * (common // p.denominator) for p in prev]
-    a, b = alpha.numerator, alpha.denominator
-    scale = common * m * ((m - 1) * b - 3 * a)
-    table = {}
-    for t, reduced in zip(states, _deletions(m)):
-        cherries = _cherry_mask(t.splits, m)
-        cherry_sum = other_sum = 0
-        for k, r in enumerate(reduced, start=1):
-            if cherries >> k & 1:
-                cherry_sum += num[r]
-            else:
-                other_sum += num[r]
-        table[t.key] = Fraction((b - a) * cherry_sum + a * other_sum, scale)
-    dist = ExactDistribution(alpha, m, table)
-    assert dist.total() == 1
-    return dist
+        return np.ones((len(states), 1), dtype=np.int64), np.array([len(states)])
+    prev_num, prev_den = _law(m - 1)
+    rows, cherry = _deletions(m)
+    num = np.zeros((len(states), m - 3), dtype=np.int64)
+    for k in range(m):  # leaf k weighs alpha, plus 1 - 2 alpha as a cherry
+        terms = prev_num[rows[:, k]]
+        num[:, 1:] += terms
+        terms *= cherry[:, k, None]
+        num[:, :-1] += terms
+        num[:, 1:] -= 2 * terms
+    den = np.convolve(prev_den, [m * (m - 1), -3 * m])
+    assert (num.sum(axis=0) == den).all()  # the law sums to one at every alpha
+    return num, den
 
 
 def exact_distribution(alpha, m: int) -> ExactDistribution:
     """Exact alpha-Ford law on m-cladograms, 2 <= m <= 8."""
-    if not 2 <= m <= MAX_EXACT_LEAVES:
-        raise StructureError(f"exact distributions support 2 <= m <= {MAX_EXACT_LEAVES}")
-    return _exact_distribution(parse_alpha(alpha), m)
+    num, den = _law(m)
+    alpha = parse_alpha(alpha)
+    den, states = _evaluate(den, alpha), enumerate_cladograms(m)
+    table = {t.key: Fraction(n, den) for t, n in zip(states, _evaluate(num, alpha))}
+    return ExactDistribution(alpha, m, table)
 
 
 def deletion_stability_check(alpha, m: int) -> tuple[bool, Fraction]:
     """Marginalize the m-leaf law by deleting a uniform leaf and compare to
-    the (m-1)-leaf law.  Returns (exact equality, max residual)."""
+    the (m-1)-leaf law.  Returns (exact equality, max residual), from the
+    residual R(r) of sum_{(t, k) -> r} N_m(t) D_{m-1} = m D_m N_{m-1}(r)."""
     if m < 3:
         raise StructureError("deletion stability needs m >= 3")
-    probs = exact_distribution(alpha, m).as_vector(enumerate_cladograms(m))
-    target = exact_distribution(alpha, m - 1).as_vector(enumerate_cladograms(m - 1))
-    marginal = [Fraction(0)] * len(target)
-    for p, reduced in zip(probs, _deletions(m)):
-        p /= m
-        for r in reduced:
-            marginal[r] += p
-    residual = max(abs(x - y) for x, y in zip(marginal, target))
+    num, den = _law(m)
+    prev_num, prev_den = _law(m - 1)
+    alpha = parse_alpha(alpha)
+    marginal = np.zeros((len(prev_num), num.shape[1]), dtype=np.int64)
+    np.add.at(marginal, _deletions(m)[0].ravel(), np.repeat(num, m, axis=0))
+    residual = _evaluate(_times(marginal, prev_den) - _times(prev_num, m * den), alpha)
+    scale = m * _evaluate(den, alpha) * _evaluate(prev_den, alpha)
+    residual = Fraction(max(abs(x) for x in residual), scale)
     return residual == 0, residual

@@ -11,10 +11,13 @@ from alphaford._rng import stream
 from alphaford.chain import (
     ChainState,
     DualityCheck,
+    _beta_coefficients,
     _duality_samples,
     _move_tables,
+    _rate_discrepancy,
     _shape_codes,
     _shape_indices,
+    _stationarity_residual,
     backward_rate_matrix,
     beta_potential,
     estimate_shape_vector,
@@ -36,7 +39,7 @@ from alphaford.cladogram import (
     enumerate_cladograms,
     shape,
 )
-from alphaford.ford import build_comb_tree, exact_distribution, sample_ford_tree
+from alphaford.ford import _evaluate, _law, build_comb_tree, exact_distribution, sample_ford_tree
 from alphaford.tree import FiniteMeasureTree
 
 from conftest import bf_quartet_partner, chain_move, random_cladogram
@@ -74,12 +77,11 @@ def test_chain_move_produces_valid_states():
 def test_move_tables_match_cladogram_edits(m):
     """Split-mask moves and tables against moves built through chain_move:
     every (state, leaf, edge) with the edge's class in the reduced tree and
-    the leaf's cherry class."""
+    the leaf's cherry class, tallied per (src, tgt) pair."""
     states = enumerate_cladograms(m)
     index = {t.key: i for i, t in enumerate(states)}
-    ref: tuple[list, list, list, list] = ([], [], [], [])
+    ref: dict[tuple[int, int], list[int]] = {}
     for s, t in enumerate(states):
-        fe, fi, bc, bn = {}, {}, {}, {}
         cherries = t.cherries()
         for k in t.leaves:
             moves = [
@@ -90,14 +92,16 @@ def test_move_tables_match_cladogram_edits(m):
             for key, external in moves:
                 tgt = index[key]
                 if tgt != s:
-                    for row in (fe if external else fi, bc if k in cherries else bn):
-                        row[tgt] = row.get(tgt, 0) + 1
-        for table, row in zip(ref, (fe, fi, bc, bn)):
-            table.append(row)
+                    counts = ref.setdefault((s, tgt), [0, 0, 0, 0])
+                    counts[0 if external else 1] += 1
+                    counts[2 if k in cherries else 3] += 1
     mt = _move_tables(m)
     assert mt.states == states and mt.index == index
-    assert (mt.fwd_ext, mt.fwd_int, mt.bwd_ch, mt.bwd_non) == tuple(tuple(x) for x in ref)
-    assert mt.n_cherries == tuple(len(t.cherries()) for t in states)
+    assert list(zip(mt.src.tolist(), mt.tgt.tolist())) == sorted(ref)
+    columns = (mt.external, mt.internal, mt.cherry, mt.non_cherry)
+    assert np.stack(columns, axis=1).tolist() == [ref[pair] for pair in sorted(ref)]
+    assert all(c.dtype == np.int64 for c in columns)
+    assert mt.n_cherries.tolist() == [len(t.cherries()) for t in states]
 
 
 # -- rate matrices -----------------------------------------------------------------
@@ -198,6 +202,49 @@ def test_beta_is_rate_discrepancy(alpha, m):
 @pytest.mark.parametrize("m", [4, 5, 6])
 def test_invariance_exact(alpha, m):
     assert verify_invariance(alpha, m) == 0
+
+
+def _raw_forward_moves(m):
+    """The forward chain's q_raw: the non-self moves, then one self-move row
+    per state, as (src, tgt, external count, internal count)."""
+    mt = _move_tables(m)
+    diag = np.arange(len(mt.states))
+    return (
+        np.concatenate([mt.src, diag]),
+        np.concatenate([mt.tgt, diag]),
+        np.concatenate([mt.external, mt.n_cherries]),
+        np.concatenate([mt.internal, m - mt.n_cherries]),
+    )
+
+
+@pytest.mark.parametrize("m", [5, 6, 7])
+def test_stationarity_residual_fails_on_wrong_rates(m):
+    num = _law(m)[0]
+    src, tgt, ext, inner = _raw_forward_moves(m)
+    assert not _stationarity_residual(m, num, src, tgt, ext, inner).any()
+    # the two forward classes weighted the wrong way round
+    assert _stationarity_residual(m, num, src, tgt, inner, ext).any()
+    # the self-moves left out of q_raw
+    mt = _move_tables(m)
+    dropped = _stationarity_residual(m, num, mt.src, mt.tgt, mt.external, mt.internal)
+    assert all(any(_evaluate(dropped, Fraction(a))) for a in ALPHAS)
+
+
+def test_stationarity_residual_fails_on_the_uniform_law_at_alpha_zero():
+    m = 6
+    uniform = np.ones((len(enumerate_cladograms(m)), 1), dtype=np.int64)
+    residual = _stationarity_residual(m, uniform, *_raw_forward_moves(m))
+    assert any(_evaluate(residual, Fraction(0)))
+    assert not any(_evaluate(residual, Fraction(1, 2)))  # the uniform law is stationary at 1/2
+
+
+@pytest.mark.parametrize("m", [5, 6, 7])
+def test_rate_discrepancy_fails_on_a_wrong_potential(m):
+    mt = _move_tables(m)
+    assert not _rate_discrepancy(mt, _beta_coefficients(m, mt.n_cherries)).any()
+    base = mt.n_cherries * (2 * m - 4) - m * (m - 1)  # 2m - 5 off by one
+    residual = _rate_discrepancy(mt, np.stack([base, -2 * base], axis=1))
+    assert any(_evaluate(residual, Fraction(1, 3)))
 
 
 def test_m4_uniform_is_stationary():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,35 @@ def test_canonical_key_ignores_internal_ids():
     assert t_a.key == t_b.key
     assert t_a == t_b
     assert hash(t_a) == hash(t_b)
+
+
+def test_equality_agrees_with_keys_on_all_six_cladograms():
+    states = enumerate_cladograms(6)
+    rng = np.random.default_rng(5)
+    # the same trees with their internal ids permuted
+    twins = []
+    for t in states:
+        perm = dict(zip(range(-1, -5, -1), (-1 - rng.permutation(4)).tolist()))
+        twins.append(Cladogram(6, [(perm.get(u, u), perm.get(v, v)) for u, v in t.edges]))
+    for a, b in itertools.product(states, twins):
+        assert (a == b) == (a.key == b.key)
+        if a == b:
+            assert hash(a) == hash(b)
+    assert len(set(states)) == len(states) == len(set(twins))
+
+
+def test_big_trees_hash_and_compare_in_linear_memory():
+    rng = np.random.default_rng(17)
+    edges = _grow_edges(parse_alpha(1), 20_000, rng)
+    a, b = Cladogram(20_000, edges), Cladogram(20_000, edges[::-1].copy())
+    tracemalloc.start()
+    try:
+        assert a == b and hash(a) == hash(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the split masks of one such comb-like tree take tens of MB
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize("m,count", [(3, 1), (4, 3), (5, 15), (6, 105)])

@@ -431,6 +431,18 @@ NEWICK12 = "((1,2),(3,(4,5)),((6,7),((8,9),(10,(11,12)))));"
             ["moments", "exact", "--alpha", "1/3", "--max-degree", "6"],
             "ea8bc94084734bd570afec4d2d6c450c9822c2831634da1a1cda8c433caad773",
         ),
+        (
+            ["ford", "exact", "--alpha", "0", "--m", "7"],
+            "89b9c8633b64b7d76914104d20cff88931bed1338dfd25f83209f65633dfcedd",
+        ),
+        (
+            ["ford", "exact", "--alpha", "1", "--m", "7"],
+            "69fb0107dc2b678afb9e22de57f82384b29cdcdc458b717a6ffbe5af4b39f5a6",
+        ),
+        (
+            ["ford", "exact", "--alpha", "99991/100003", "--m", "7"],
+            "c0c1e99272a8ff0b41542253a8bf2db84fc6a07823095ef558dd2c9ce7532da8",
+        ),
     ],
 )
 def test_deterministic_artifacts_are_pinned(capsys, argv, digest):

@@ -191,6 +191,14 @@ def test_exact_guard():
         exact_distribution("1/2", 9)
 
 
+def test_as_vector_rejects_states_of_another_size():
+    dist = exact_distribution(0, 6)
+    assert sum(dist.as_vector(enumerate_cladograms(6))) == 1
+    for m in (5, 7):
+        with pytest.raises(StructureError):
+            dist.as_vector(enumerate_cladograms(m))
+
+
 # -- deletion stability ------------------------------------------------------------
 
 
