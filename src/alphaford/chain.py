@@ -27,6 +27,8 @@ count and then the iid moves in vectorized blocks; each move rewrites three
 fixed edge slots, with no rejection loop.  The sample-shape vector of a
 tree, fixed or simulated, is computed exactly by one pass over its rooted
 view; the chain-vs-dual check still estimates it from quartet queries.
+Move targets, the unlabeled shape classes and the estimator's samples all
+find their states through the one state code of :mod:`alphaford.cladogram`.
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ from alphaford.cladogram import (
     StructureError,
     _deletions,
     _insertions,
-    _state_index,
+    _locate,
+    _state_table,
+    _triple_code,
     enumerate_cladograms,
 )
 from alphaford.ford import _evaluate, _law, _times, sample_ford_tree
@@ -81,7 +85,6 @@ class MoveTables:
     internal) and by that of the displaced leaf (cherry, non-cherry)."""
 
     states: tuple
-    index: dict
     src: np.ndarray
     tgt: np.ndarray
     external: np.ndarray
@@ -99,9 +102,9 @@ def _move_tables(m: int) -> MoveTables:
     self-moves, reinsertions at the edge the deletion merged."""
     if not 4 <= m <= MAX_RATE_MATRIX_LEAVES:
         raise StructureError(f"rate matrices support 4 <= m <= {MAX_RATE_MATRIX_LEAVES}")
-    states, split_index = enumerate_cladograms(m), _state_index(m)
-    moved = [(k, r.splits) for k in range(1, m + 1) for r in enumerate_cladograms(m - 1)]
-    targets = np.array([[split_index[x] for x, _ in _insertions(r, m - 1, k)] for k, r in moved])
+    states, reduced = enumerate_cladograms(m), _state_table(m - 1)[0].tolist()
+    moved = [[x for x, _ in _insertions(r, m - 1, k)] for k in range(1, m + 1) for r in reduced]
+    targets = _locate(m, _triple_code(np.array(moved, dtype=np.int64), m))
     n, (rows, cherry) = len(states), _deletions(m)
     tgt = targets.reshape(m, -1, 2 * m - 5)[np.arange(m), rows]  # (state, leaf, edge)
     src = np.arange(n)[:, None, None]
@@ -111,8 +114,7 @@ def _move_tables(m: int) -> MoveTables:
     classes = np.broadcast_arrays(ext, ~ext, cherry[:, :, None], ~cherry[:, :, None])
     pairs, inverse = np.unique((src * n + tgt)[moves], return_inverse=True)
     counts = [np.bincount(inverse[c[moves]], minlength=len(pairs)) for c in classes]
-    index = {t.key: i for i, t in enumerate(states)}
-    return MoveTables(states, index, pairs // n, pairs % n, *counts, cherry.sum(axis=1))
+    return MoveTables(states, pairs // n, pairs % n, *counts, cherry.sum(axis=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +135,6 @@ class RateMatrix:
     counts: tuple
 
     states = property(lambda self: self.tables.states)
-    index = property(lambda self: self.tables.index)
 
     def _at_alpha(self, rate) -> np.ndarray:
         """``rate(n, b)`` per move, for its rate n / b at alpha = a / b; one
@@ -159,7 +160,12 @@ class RateMatrix:
         ch = self.tables.n_cherries.tolist()
         return tuple(Fraction((b - a) * c + a * (self.m - c), b) for c in ch)
 
+    def _check_state(self, s: int) -> None:
+        if not 0 <= s < len(self.states):
+            raise IndexError(f"state {s} is outside 0..{len(self.states) - 1}")
+
     def off_diagonal_total(self, s: int) -> Fraction:
+        self._check_state(s)
         a, b = self.alpha.numerator, self.alpha.denominator
         lo, hi = np.searchsorted(self.tables.src, [s, s + 1])
         c0, c1 = (int(c[lo:hi].sum()) for c in self.counts)
@@ -172,6 +178,8 @@ class RateMatrix:
     def entry(self, s: int, t: int) -> Fraction:
         if s == t:
             return -self.off_diagonal_total(s)
+        self._check_state(s)
+        self._check_state(t)
         return self.rows[s].get(t, Fraction(0))
 
     def to_dense(self) -> np.ndarray:
@@ -210,6 +218,13 @@ def beta_potential(alpha, m: int) -> dict:
     alpha, mt = parse_alpha(alpha), _move_tables(m)
     values = _evaluate(_beta_coefficients(m, mt.n_cherries), alpha)
     return {t.key: Fraction(x, alpha.denominator) for t, x in zip(mt.states, values)}
+
+
+def _tilted_backward(alpha: Fraction, m: int) -> np.ndarray:
+    """The float matrix Q_bwd + diag(beta), beta read by state position."""
+    q = backward_rate_matrix(alpha, m)
+    beta = _evaluate(_beta_coefficients(m, q.tables.n_cherries), alpha)
+    return q.to_dense() + np.diag([x / alpha.denominator for x in beta])
 
 
 def _rate_discrepancy(mt: MoveTables, beta: np.ndarray) -> np.ndarray:
@@ -278,11 +293,9 @@ def verify_feynman_kac(alpha, m: int, t: float) -> float:
     the deviation only measures floating-point exponentiation error."""
     if not 0 <= t < math.inf:
         raise ValueError(f"need finite t >= 0, got t={t}")
-    qf = forward_rate_matrix(alpha, m).to_dense()
-    qb = backward_rate_matrix(alpha, m).to_dense()
-    beta = np.array([float(b) for b in beta_potential(alpha, m).values()])
-    lhs = matrix_exponential(qf, t)
-    rhs = matrix_exponential(qb + np.diag(beta), t)
+    alpha = parse_alpha(alpha)
+    lhs = matrix_exponential(forward_rate_matrix(alpha, m).to_dense(), t)
+    rhs = matrix_exponential(_tilted_backward(alpha, m), t)
     return float(np.abs(lhs - rhs.T).max())
 
 
@@ -453,42 +466,18 @@ def simulate_chain(state: ChainState, horizon: float, observe_times=(), observer
     return {"time": state.time, "jumps": jumps, "observations": observations}
 
 
-@lru_cache(maxsize=None)
-def _shape_codes(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quartet codes of the m-cladograms, sorted, with their state indices.
-
-    Rooted at label 1, a binary tree is determined by its rooted triples, so
-    a state is coded by one digit per triple j < k < l of the other labels:
-    1, 2 or 3 as label 1 pairs with j, k or l, the codes of
-    :meth:`FiniteMeasureTree.quartet_partners`.  Read in bijective base 3,
-    the digits of m = 8 (35 triples) still fit in int64.  Label 1 pairs with
-    j iff some split mask (:attr:`Cladogram.splits`) holds k and l but not j.
-    """
-    states = enumerate_cladograms(m)
-    masks = np.array([t.splits for t in states], dtype=np.int64)
-
-    def clustered(y: int, z: int, x: int) -> np.ndarray:
-        pair = (1 << y) | (1 << z)
-        return (((masks & pair) == pair) & (((masks >> x) & 1) == 0)).any(axis=1)
-
-    codes = np.zeros(len(states), dtype=np.int64)
-    for j, k, l in itertools.combinations(range(2, m + 1), 3):
-        codes = 3 * codes + np.where(clustered(k, l, j), 1, np.where(clustered(j, l, k), 2, 3))
-    order = np.argsort(codes)
-    return codes[order], order
-
-
 def _shape_indices(tree: FiniteMeasureTree, tuples: np.ndarray) -> np.ndarray:
     """State index, in ``enumerate_cladograms(m)`` order, of the cladogram
     spanned by each row of pairwise distinct leaf ids (label i is column
-    i - 1, as in :func:`alphaford.cladogram.shape`)."""
+    i - 1, as in :func:`alphaford.cladogram.shape`), read from its triple
+    code (:func:`alphaford.cladogram._triple_code`), one quartet query a
+    digit."""
     m = tuples.shape[1]
-    sorted_codes, order = _shape_codes(m)
     code = np.zeros(len(tuples), dtype=np.int64)
     for j, k, l in itertools.combinations(range(1, m), 3):
         code *= 3
         code += tree.quartet_partners(tuples[:, 0], tuples[:, j], tuples[:, k], tuples[:, l])
-    return order[np.searchsorted(sorted_codes, code)]
+    return _locate(m, code)
 
 
 def estimate_shape_vector(tree, m: int, samples: int, rng):
@@ -530,28 +519,32 @@ def _shape_classes(m: int):
                 join.append({})
 
     full = (1 << (m + 1)) - 2  # labels 1..m
-    masks = np.array([t.splits for t in states], dtype=np.int64).reshape(len(states), -1)
-    shifts = (m + 1) * np.arange(masks.shape[1])  # m - 3 masks of m + 1 bits fit in int64
-    codes = (masks << shifts).sum(axis=1)
-    order = np.argsort(codes)
-    relabel = np.left_shift(1, np.array(list(itertools.permutations(range(1, m + 1)))))
-    state_class = np.full(len(states), -1)
-    class_size: list[int] = []
-    for s in range(len(states)):
-        if state_class[s] < 0:
-            images = relabel @ ((masks[s][:, None] >> np.arange(1, m + 1)) & 1).T
-            images = np.sort(np.where(images & 2, full ^ images, images), axis=1)
-            orbit = np.unique((images << shifts).sum(axis=1))
-            state_class[order[np.searchsorted(codes, orbit, sorter=order)]] = len(class_size)
-            class_size.append(len(orbit))
+
+    def state(masks: np.ndarray) -> np.ndarray:
+        """The states of these mask rows, each mask first complemented if it
+        holds label 1."""
+        return _locate(m, _triple_code(np.where(masks & 2, full ^ masks, masks), m))
+
+    # the m - 1 swaps of adjacent labels, applied to every state at once,
+    # generate the relabelings: an orbit is a connected component of the
+    # swap graph, found by spreading the smallest state index to a fixpoint
+    masks = _state_table(m)[0]
+    # labels x and x + 1 swap by flipping bits x and x + 1 where they differ
+    flips = [((masks >> x ^ masks >> (x + 1)) & 1) * (3 << x) for x in range(1, m)]
+    swaps = np.stack([state(masks ^ flip) for flip in flips])
+    first = np.arange(len(states))
+    while True:
+        low = np.minimum(first, first[swaps].min(axis=0))
+        if (low == first).all():
+            break
+        first = low
+    state_class = np.unique(first, return_inverse=True)[1]  # classes numbered by first state
 
     def spanned(i: int, first_label: int) -> int:
-        labelled = (x << first_label for x in sets[i])
-        splits = {full ^ x if x & 2 else x for x in labelled if 2 <= x.bit_count() <= m - 2}
-        return int(state_class[_state_index(m)[tuple(sorted(splits))]])
+        return int(state_class[state(np.array([x << first_label for x in sets[i]]))])
 
     read = {i: spanned(i, 1 if n == m else 2) for i, n in enumerate(sizes) if n >= m - 1}
-    return join, read, tuple(state_class.tolist()), tuple(class_size)
+    return join, read, tuple(state_class.tolist()), tuple(np.bincount(state_class).tolist())
 
 
 def exact_shape_vector(tree: FiniteMeasureTree | ChainState, m: int) -> list[Fraction]:
@@ -618,9 +611,7 @@ def _duality_samples(alpha, m, n_leaves, t, replicates, seed, initial):
         raise ValueError(f"need finite t >= 0 and replicates >= 2, got t={t}, {replicates=}")
     alpha = parse_alpha(alpha)
     # the rate matrix bounds m, so an unsupported m fails before any sampling
-    qb = backward_rate_matrix(alpha, m).to_dense()
-    beta = np.array([float(b) for b in beta_potential(alpha, m).values()])
-    mat = matrix_exponential(qb + np.diag(beta), t)
+    mat = matrix_exponential(_tilted_backward(alpha, m), t)
     if initial is None:
         initial = sample_ford_tree(alpha, n_leaves, stream(seed, 0))
     phi0 = np.array([float(p) for p in exact_shape_vector(initial, m)])

@@ -25,10 +25,19 @@ Two cladograms are isomorphic as labeled trees iff their keys are equal.
 instead, so comparing two big trees builds no splits.  The same splits as
 integer bitmasks, :attr:`Cladogram.splits`, carry the exact layer: leaf
 deletion, cherries and chain moves act on them directly.
+
+A state's position in :func:`enumerate_cladograms` is found through one
+integer code, the rooted-triple code (:func:`_triple_code`): one base-3 digit
+per label triple j < k < l other than 1, the label that leaf 1 pairs with.
+It is read from a row of split masks in any order, repeats and trivial
+masks included, and equally from quartet queries on a sampled tree.  One
+cached table per m holds the states' masks in key order with their sorted
+codes, and :func:`_locate` turns codes into positions.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -396,23 +405,18 @@ def _split_key(m: int, splits: Iterable[int]) -> tuple:
     return (m, tuple(sorted(_labels(s) for s in splits)))
 
 
-def _delete_split_leaf(splits: Iterable[int], m: int, k: int) -> tuple[int, ...]:
-    """Splits of ``t.delete_leaf(k)``, given those of the m-cladogram t.
+def _delete_split_leaf(masks: np.ndarray, m: int, k: int) -> np.ndarray:
+    """Split masks of ``t.delete_leaf(k)``, one per split mask of the
+    m-cladogram t (int64 arrays of any shape).
 
     Bit k is dropped and higher bits shift down.  For k = 1 old label 2
-    becomes label 1, so a split holding it is replaced by its complement.
-    The two edges joined by the deletion give equal masks, kept once.
+    becomes label 1, so a mask holding it is replaced by its complement.  The
+    two edges joined by the deletion give equal masks, and a split that held
+    leaf k on a side of two becomes trivial; both are kept, as the triple
+    code (:func:`_triple_code`) ignores them.
     """
-    low = (1 << k) - 1
-    full = (1 << m) - 2  # labels 1..m-1
-    out = set()
-    for s in splits:
-        s = (s & low) | (s >> (k + 1) << k)
-        if s & 2:
-            s ^= full
-        if 2 <= s.bit_count() <= m - 3:
-            out.add(s)
-    return tuple(sorted(out))
+    s = (masks & ((1 << k) - 1)) | (masks >> (k + 1) << k)
+    return np.where(s & 2, ((1 << m) - 2) ^ s, s)  # labels 1..m-1
 
 
 def _cherry_mask(splits: Iterable[int], m: int) -> int:
@@ -433,7 +437,7 @@ def _cherry_mask(splits: Iterable[int], m: int) -> int:
 
 def _insertions(splits: Iterable[int], m: int, k: int) -> list[tuple[tuple[int, ...], bool]]:
     """Every ``insert_leaf(e, new_label=k)`` of the m-cladogram with these
-    splits, as ``(splits, e is external)``, one per edge e.  After
+    splits, as ``(unsorted splits, e is external)``, one per edge e.  After
     :func:`_delete_split_leaf` this is one chain move of leaf k.
 
     Labels >= k shift up.  Edge e is named by its side s_e without label 1
@@ -459,7 +463,7 @@ def _insertions(splits: Iterable[int], m: int, k: int) -> list[tuple[tuple[int, 
         for s in (se, se | kbit):
             if 2 <= s.bit_count() <= m - 1:
                 new.add(s)
-        out.append((tuple(sorted(full ^ s if s & 2 else s for s in new)), external))
+        out.append((tuple(full ^ s if s & 2 else s for s in new), external))
     return out
 
 
@@ -498,10 +502,66 @@ def enumerate_cladograms(m: int) -> tuple[Cladogram, ...]:
     return tuple(trees)
 
 
+# -- the state code ----------------------------------------------------------------
+#
+# Every lookup of an m-cladogram's position in ``enumerate_cladograms(m)`` goes
+# through one integer code, computed from split masks by the exact layer and
+# from quartet queries by the Monte Carlo shape estimator.
+
+
+def _triple_code(masks: np.ndarray, m: int) -> np.ndarray:
+    """The state code of each row of m-cladogram split masks (int64, the
+    masks of a row along the last axis).
+
+    Rooted at label 1, a binary tree is determined by its rooted triples, so
+    a state is coded by one digit per triple j < k < l of the other labels,
+    in lexicographic order: 1, 2 or 3 as label 1 pairs with j, k or l, the
+    codes of :meth:`FiniteMeasureTree.quartet_partners`.  Read in bijective
+    base 3, the 35 digits of m = 8 still fit in int64.  Label 1 pairs with j
+    iff some mask holds k and l but not j.  A mask of fewer than two labels,
+    or of every label but 1, resolves no triple, so the code depends only on
+    the set of nontrivial splits in a row: rows need no sorting, and repeats
+    and trivial masks are harmless.
+    """
+    triples = list(itertools.combinations(range(2, m + 1), 3))
+    values = np.arange(1 << (m + 1))
+    # bit i of first[v] (second[v]): mask v holds k and l but not j (j and l
+    # but not k) of triple i
+    first, second = np.zeros((2, len(values)), dtype=np.int64)
+    for i, (j, k, l) in enumerate(triples):
+        part = values & ((1 << j) | (1 << k) | (1 << l))
+        first[part == (1 << k) | (1 << l)] |= 1 << i
+        second[part == (1 << j) | (1 << l)] |= 1 << i
+    a = np.bitwise_or.reduce(first[masks], axis=-1)
+    b = np.bitwise_or.reduce(second[masks], axis=-1)
+    code = np.zeros(masks.shape[:-1], dtype=np.int64)
+    for i in range(len(triples)):
+        code = 3 * code + 3 - 2 * (a >> i & 1) - (b >> i & 1)
+    return code
+
+
 @lru_cache(maxsize=None)
-def _state_index(m: int) -> dict[tuple[int, ...], int]:
-    """Position of each split tuple in ``enumerate_cladograms(m)``."""
-    return {t.splits: i for i, t in enumerate(enumerate_cladograms(m))}
+def _state_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The split masks of ``enumerate_cladograms(m)``, an (S, m - 3) int64
+    array in state order (no columns for m < 4), their codes sorted, and the
+    state position of each sorted code."""
+    states = enumerate_cladograms(m)
+    masks = np.array([t.splits for t in states], dtype=np.int64).reshape(len(states), max(m - 3, 0))
+    codes = _triple_code(masks, m)
+    order = np.argsort(codes)
+    return masks, codes[order], order
+
+
+def _locate(m: int, codes: np.ndarray) -> np.ndarray:
+    """Positions in ``enumerate_cladograms(m)`` of the states with these
+    codes (any shape); a code of no m-cladogram raises ``StructureError``."""
+    _, known, order = _state_table(m)
+    at = np.searchsorted(known, codes)
+    missing = known[np.minimum(at, len(known) - 1)] != codes
+    if missing.any():
+        code = np.asarray(codes)[missing].flat[0]
+        raise StructureError(f"{code} is not the code of a {m}-cladogram")
+    return order[at]
 
 
 @lru_cache(maxsize=None)
@@ -509,12 +569,13 @@ def _deletions(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Two (S, m) arrays over ``enumerate_cladograms(m)``: in row s, column
     k - 1, the position of ``t.delete_leaf(k)`` in ``enumerate_cladograms(m - 1)``
     (int64), and whether leaf k is a cherry of t (bool)."""
-    index = _state_index(m - 1)
+    masks = _state_table(m)[0]
+    # a leaf at a time: the (S, m - 3) temporaries of one deletion stay small
+    reduced = (_delete_split_leaf(masks, m, k) for k in range(1, m + 1))
+    rows = [_locate(m - 1, _triple_code(r, m - 1)) for r in reduced]
     states = enumerate_cladograms(m)
-    rows = (index[_delete_split_leaf(t.splits, m, k)] for t in states for k in t.leaves)
-    masks = np.fromiter((_cherry_mask(t.splits, m) for t in states), dtype=np.int64)
-    cherry = (masks[:, None] & (2 << np.arange(m))) != 0
-    return np.fromiter(rows, np.int64, len(states) * m).reshape(len(states), m), cherry
+    cherries = np.fromiter((_cherry_mask(t.splits, m) for t in states), np.int64, len(states))
+    return np.stack(rows, axis=1), (cherries[:, None] & (2 << np.arange(m))) != 0
 
 
 def shape(tree, samples: Sequence[int]) -> Cladogram:

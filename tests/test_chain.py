@@ -15,9 +15,9 @@ from alphaford.chain import (
     _duality_samples,
     _move_tables,
     _rate_discrepancy,
-    _shape_codes,
     _shape_indices,
     _stationarity_residual,
+    _tilted_backward,
     backward_rate_matrix,
     beta_potential,
     estimate_shape_vector,
@@ -33,7 +33,7 @@ from alphaford.chain import (
 from alphaford.cladogram import (
     Cladogram,
     StructureError,
-    _delete_split_leaf,
+    _deletions,
     _insertions,
     _split_key,
     enumerate_cladograms,
@@ -80,6 +80,7 @@ def test_move_tables_match_cladogram_edits(m):
     the leaf's cherry class, tallied per (src, tgt) pair."""
     states = enumerate_cladograms(m)
     index = {t.key: i for i, t in enumerate(states)}
+    reduced = _deletions(m)[0]
     ref: dict[tuple[int, int], list[int]] = {}
     for s, t in enumerate(states):
         cherries = t.cherries()
@@ -87,7 +88,8 @@ def test_move_tables_match_cladogram_edits(m):
             moves = [
                 (chain_move(t, k, e).key, e[0] > 0 or e[1] > 0) for e in t.delete_leaf(k).edges
             ]
-            masks = _insertions(_delete_split_leaf(t.splits, m, k), m - 1, k)
+            r = enumerate_cladograms(m - 1)[reduced[s, k - 1]]
+            masks = _insertions(r.splits, m - 1, k)
             assert sorted(moves) == sorted((_split_key(m, x), ext) for x, ext in masks)
             for key, external in moves:
                 tgt = index[key]
@@ -96,7 +98,7 @@ def test_move_tables_match_cladogram_edits(m):
                     counts[0 if external else 1] += 1
                     counts[2 if k in cherries else 3] += 1
     mt = _move_tables(m)
-    assert mt.states == states and mt.index == index
+    assert mt.states == states
     assert list(zip(mt.src.tolist(), mt.tgt.tolist())) == sorted(ref)
     columns = (mt.external, mt.internal, mt.cherry, mt.non_cherry)
     assert np.stack(columns, axis=1).tolist() == [ref[pair] for pair in sorted(ref)]
@@ -146,6 +148,37 @@ def test_reversal_identity(alpha, m):
     for t in range(n):
         for s, r in bwd.rows[t].items():
             assert fwd.rows[s].get(t, Fraction(0)) == r
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 7])
+def test_reversal_identity_on_count_columns(m):
+    # q_bwd(t, s) = q_fwd(s, t) at every alpha at once: the 1 - alpha and
+    # alpha counts agree, external(s, t) = cherry(t, s) and
+    # internal(s, t) = non_cherry(t, s)
+    fwd, bwd = forward_rate_matrix(0, m), backward_rate_matrix(0, m)
+    mt = fwd.tables
+    reverse = np.lexsort((mt.src, mt.tgt))  # pair i's reverse sits at reverse[i]
+    assert (mt.src[reverse] == mt.tgt).all() and (mt.tgt[reverse] == mt.src).all()
+    for f, b in zip(fwd.counts, bwd.counts, strict=True):
+        assert f.tolist() == b[reverse].tolist()
+
+
+@pytest.mark.parametrize("kind", [forward_rate_matrix, backward_rate_matrix])
+def test_rate_matrix_rejects_states_out_of_range(kind):
+    q = kind("1/3", 5)
+    assert len(q.states) == 15
+    for s in (-1, 15, 18):
+        with pytest.raises(IndexError):
+            q.total_rate(s)
+        with pytest.raises(IndexError):
+            q.off_diagonal_total(s)
+        with pytest.raises(IndexError):
+            q.entry(s, s)
+        with pytest.raises(IndexError):
+            q.entry(s, 0)
+        with pytest.raises(IndexError):
+            q.entry(0, s)
+    assert q.entry(14, 14) == -q.off_diagonal_total(14)
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
@@ -295,6 +328,17 @@ def test_feynman_kac_small(alpha, m):
     assert verify_feynman_kac(alpha, m, 0.5) < 1e-8
 
 
+@pytest.mark.parametrize("alpha", ALPHAS + ["1/3", "2/7"])
+def test_tilted_backward_reads_beta_by_state_position(alpha):
+    # the diagonal adds beta, rounded once from its exact value, in state order
+    m = 6
+    qb = backward_rate_matrix(alpha, m).to_dense()
+    beta = [float(b) for b in beta_potential(alpha, m).values()]
+    tilted = _tilted_backward(Fraction(alpha), m)
+    assert np.diag(tilted).tolist() == (np.diag(qb) + beta).tolist()
+    assert (tilted - np.diag(np.diag(tilted)) == qb - np.diag(np.diag(qb))).all()
+
+
 def test_feynman_kac_exact_matrix_identity():
     # Q_fwd^T equals Q_bwd + diag(beta) entry by entry, exactly
     for alpha in ("0", "1/3", "1"):
@@ -372,13 +416,14 @@ def test_simulator_one_step_law_matches_rate_row(alpha, n):
     cherry_leaves = JUMP_START_CHERRY_LEAVES[n]
     s = next(i for i, t in enumerate(fwd.states) if len(t.cherries()) == cherry_leaves)
     start = FiniteMeasureTree(fwd.states[s])
+    index = {t.key: i for i, t in enumerate(fwd.states)}
     rng = stream(31, n, JUMP_ALPHAS.index(alpha))
     moves = 20_000
     tally = {}
     for _ in range(moves):
         state = ChainState(start, alpha, rng)
         state.move()
-        t = fwd.index[state.as_tree().topology.key]
+        t = index[state.as_tree().topology.key]
         tally[t] = tally.get(t, 0) + 1
     total = fwd.total_rate(s)
     law = {t: r / total for t, r in fwd.rows[s].items() if r}
@@ -401,13 +446,14 @@ def test_simulator_time_t_law_matches_expm(alpha, n):
     cherry_leaves = JUMP_START_CHERRY_LEAVES[n]
     s = next(i for i, t in enumerate(fwd.states) if len(t.cherries()) == cherry_leaves)
     start = FiniteMeasureTree(fwd.states[s])
+    index = {t.key: i for i, t in enumerate(fwd.states)}
     rng = stream(32, n, JUMP_ALPHAS.index(alpha))
     runs, horizon = 10_000, 0.1
     tally = np.zeros(len(fwd.states))
     for _ in range(runs):
         state = ChainState(start, alpha, rng)
         state.run_until(horizon)
-        tally[fwd.index[state.as_tree().topology.key]] += 1
+        tally[index[state.as_tree().topology.key]] += 1
     law = runs * matrix_exponential(fwd.to_dense(), horizon)[s]
     small = law < 5
     observed, expected = [*tally[~small]], [*law[~small]]
@@ -522,8 +568,6 @@ def test_shape_polynomial_sum_is_distinct_probability():
 @pytest.mark.parametrize("m", range(2, 9))
 def test_shape_classifier_matches_shape(m):
     states = enumerate_cladograms(m)
-    sorted_codes, _ = _shape_codes(m)
-    assert len(np.unique(sorted_codes)) == len(states)
     index = {t.key: i for i, t in enumerate(states)}
     trees = [
         sample_ford_tree("0", 40, stream(32)),

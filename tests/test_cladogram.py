@@ -11,7 +11,10 @@ from alphaford.cladogram import (
     StructureError,
     _cherry_mask,
     _delete_split_leaf,
+    _locate,
     _split_key,
+    _state_table,
+    _triple_code,
     enumerate_cladograms,
     from_newick,
     num_cladograms,
@@ -29,7 +32,7 @@ from alphaford.ford import (
     sample_kingman_cladogram,
 )
 
-from conftest import random_cladogram
+from conftest import bf_quartet_partner, random_cladogram
 
 T2 = Cladogram(2, [(1, 2)])
 T3 = T2.insert_leaf((1, 2))
@@ -330,9 +333,50 @@ def test_key_matches_dfs_reference_on_large_trees(alpha):
 
 @pytest.mark.parametrize("m", range(3, 9))
 def test_split_deletion_matches_delete_leaf(m):
+    # nontrivial masks are the splits of the reduced tree; the others are
+    # trivial: one label, or every label but 1
     for t in enumerate_cladograms(m):
         for k in t.leaves:
-            assert _split_key(m - 1, _delete_split_leaf(t.splits, m, k)) == t.delete_leaf(k).key
+            got = _delete_split_leaf(np.array(t.splits, dtype=np.int64), m, k).tolist()
+            kept = {s for s in got if 2 <= s.bit_count() <= m - 3}
+            assert _split_key(m - 1, kept) == t.delete_leaf(k).key
+            assert all(s.bit_count() in (1, m - 2) for s in got if s not in kept)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_triple_code_is_injective(m):
+    masks, codes, order = _state_table(m)
+    states = enumerate_cladograms(m)
+    assert masks.shape == (len(states), max(m - 3, 0)) and masks.dtype == np.int64
+    assert masks.tolist() == [list(t.splits) for t in states]
+    assert len(np.unique(codes)) == len(states)
+    assert _locate(m, _triple_code(masks, m)).tolist() == list(range(len(states)))
+    # repeats, trivial masks and the order of a row do not change its code
+    trivial = np.broadcast_to([2 << j for j in range(1, m)] + [(1 << (m + 1)) - 4], (len(masks), m))
+    padded = np.concatenate([masks[:, ::-1], masks, trivial], axis=1)
+    assert (_triple_code(padded, m) == _triple_code(masks, m)).all()
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_triple_code_digits_are_quartet_partners(m):
+    # digit by digit against path medians on the tree, in bijective base 3
+    masks = _state_table(m)[0]
+    for t, code in zip(enumerate_cladograms(m), _triple_code(masks, m).tolist()):
+        expected = 0
+        for j, k, l in itertools.combinations(range(2, m + 1), 3):
+            expected = 3 * expected + bf_quartet_partner(t, 1, j, k, l)
+        assert code == expected
+
+
+@pytest.mark.parametrize("m", range(4, 8))
+def test_locate_rejects_codes_of_no_state(m):
+    with pytest.raises(StructureError):
+        _locate(m, np.array([0]))
+    bigger = _state_table(m + 1)[1]
+    with pytest.raises(StructureError):
+        _locate(m, bigger[:1])
+    with pytest.raises(StructureError):
+        _locate(m, np.concatenate([_state_table(m)[1], bigger[-1:]]))
 
 
 @pytest.mark.parametrize("m", range(2, 9))
