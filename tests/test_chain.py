@@ -313,6 +313,60 @@ def test_expm_guards():
         matrix_exponential(np.ones((2, 3)))
     with pytest.raises(ValueError):
         matrix_exponential(np.full((2, 2), np.nan))
+    q = forward_rate_matrix(0, 4).to_dense()
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            matrix_exponential(q, t)
+    with pytest.raises(ValueError, match="overflows"):
+        matrix_exponential(q, 1e308)
+    with pytest.raises(ValueError, match="overflows"):  # finite entries, infinite 1-norm
+        matrix_exponential(np.ones((2, 2)), 1e308)
+
+
+# 1-norm bounds of the Pade degrees 3, 5, 7, 9 and 13 (Higham 2005)
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+          9: 2.097847961257068, 13: 5.371920351148152}
+
+
+def _expm_case(case):
+    """The matrix of a reference case and its exponential: scipy's for the
+    generators and the seeded random matrices, a closed form for a rotation
+    generator and a 2x2 Jordan block."""
+    from scipy.linalg import expm
+
+    kind, arg, *rest = case.split(":")
+    if kind == "rotation":
+        x = float(Fraction(arg))
+        c, s = math.cos(x), math.sin(x)
+        return np.array([[0.0, x], [-x, 0.0]]), np.array([[c, s], [-s, c]])
+    if kind == "jordan":
+        x = float(Fraction(arg))
+        return np.array([[x, 1.0], [0.0, x]]), math.exp(x) * np.array([[1.0, 1.0], [0.0, 1.0]])
+    if kind == "fwd":
+        a = 0.5 * forward_rate_matrix(rest[0], int(arg)).to_dense()
+    elif kind == "bwd":
+        a = 0.5 * _tilted_backward(Fraction(rest[0]), int(arg))
+    else:  # random: 1-norm just under theta_q, or 12 theta_13 (4 squarings)
+        q = int(arg)
+        a = np.random.default_rng(q).standard_normal((12, 12))
+        a *= (0.99 if q < 13 else 12) * _THETA[q] / np.abs(a).sum(axis=0).max()
+    return a, expm(a)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        # every generator the package exponentiates, at t = 1/2 (up to 3 squarings)
+        *(f"{kind}:{m}:{a}" for kind in ("fwd", "bwd") for m in (4, 5, 6, 7) for a in ALPHAS),
+        *(f"random:{q}" for q in _THETA),
+        *(f"rotation:{x}" for x in ("1/100", "1/5", "9/10", "2", "5", "40")),
+        *(f"jordan:{x}" for x in ("-1", "1/100", "2", "39")),
+    ],
+)
+def test_expm_matches_reference(case):
+    a, expected = _expm_case(case)
+    got = matrix_exponential(a)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 # -- Feynman-Kac ---------------------------------------------------------------------

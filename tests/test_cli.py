@@ -337,15 +337,31 @@ def test_tree_nu_deep_newick_file(tmp_path, capsys):
     assert len(rows) == 1 + 1500 + 1498
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    code = "import sys, alphaford.cli; print('scipy' in sys.modules)"
+SCIPY_BLOCKED = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from alphaford import cli
+from alphaford.chain import verify_chain_diffusion_duality
+codes = [
+    cli.main(["verify", "--alpha", "1/3", "--m", "6"]),
+    cli.main(["chain", "verify", "duality", "--alpha", "0", "--m", "5"]),
+]
+verify_chain_diffusion_duality("1/2", 4, 64, 0.05, replicates=10)
+sys.exit(max(codes))
+"""
+
+
+def test_cli_and_dual_paths_never_load_scipy(tmp_path):
+    """The package imports no scipy: the CLI, ``verify``, the Feynman-Kac
+    check and the chain-vs-dual comparison all run with scipy blocked."""
     path = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", SCIPY_BLOCKED],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
+    assert not any(e in done.stderr for e in ("ImportError", "ModuleNotFoundError")), done.stderr
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
 
 
 def test_tree_rmu_newick(capsys):
@@ -407,7 +423,7 @@ NEWICK12 = "((1,2),(3,(4,5)),((6,7),((8,9),(10,(11,12)))));"
 
 # sha256 of deterministic artifacts.  Seeded commands are left out, since numpy
 # does not promise Generator streams across versions, and so is ``verify``,
-# whose float residuals depend on the scipy and BLAS builds.
+# whose float residuals depend on the numpy and LAPACK builds.
 @pytest.mark.parametrize(
     "argv,digest",
     [
