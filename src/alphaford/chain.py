@@ -46,10 +46,7 @@ from alphaford._rng import parse_alpha, stream
 from alphaford.cladogram import (
     Cladogram,
     StructureError,
-    _deletions,
-    _insertions,
-    _locate,
-    _state_table,
+    _insert_split_leaf,
     _triple_code,
     enumerate_cladograms,
 )
@@ -84,7 +81,6 @@ class MoveTables:
     (src, tgt) pair, counted by the class of the insertion edge (external,
     internal) and by that of the displaced leaf (cherry, non-cherry)."""
 
-    states: tuple
     src: np.ndarray
     tgt: np.ndarray
     external: np.ndarray
@@ -96,17 +92,17 @@ class MoveTables:
 
 @lru_cache(maxsize=None)
 def _move_tables(m: int) -> MoveTables:
-    """Move tables built on split bitmasks, with no tree per move.  The
-    targets of each (leaf k, reduced tree) pair are computed once, external
-    insertion edges first (:func:`_insertions`); m moves per state are
+    """Move tables built on split bitmasks, with no tree.  The targets of
+    each (leaf k, reduced tree) pair are computed once, external insertion
+    edges first (:func:`_insert_split_leaf`); m moves per state are
     self-moves, reinsertions at the edge the deletion merged."""
     if not 4 <= m <= MAX_RATE_MATRIX_LEAVES:
         raise StructureError(f"rate matrices support 4 <= m <= {MAX_RATE_MATRIX_LEAVES}")
-    states, reduced = enumerate_cladograms(m), _state_table(m - 1)[0].tolist()
-    moved = [[x for x, _ in _insertions(r, m - 1, k)] for k in range(1, m + 1) for r in reduced]
-    targets = _locate(m, _triple_code(np.array(moved, dtype=np.int64), m))
-    n, (rows, cherry) = len(states), _deletions(m)
-    tgt = targets.reshape(m, -1, 2 * m - 5)[np.arange(m), rows]  # (state, leaf, edge)
+    states, reduced = enumerate_cladograms(m), enumerate_cladograms(m - 1).masks
+    moved = np.stack([_insert_split_leaf(reduced, m - 1, k) for k in range(1, m + 1)])
+    targets = states.locate(_triple_code(moved, m))  # (leaf, reduced tree, edge)
+    n, cherry = len(states), states.cherries
+    tgt = targets[np.arange(m), states.deletions]  # (state, leaf, edge)
     src = np.arange(n)[:, None, None]
     moves = tgt != src
     assert ((~moves).sum(axis=(1, 2)) == m).all()
@@ -114,7 +110,7 @@ def _move_tables(m: int) -> MoveTables:
     classes = np.broadcast_arrays(ext, ~ext, cherry[:, :, None], ~cherry[:, :, None])
     pairs, inverse = np.unique((src * n + tgt)[moves], return_inverse=True)
     counts = [np.bincount(inverse[c[moves]], minlength=len(pairs)) for c in classes]
-    return MoveTables(states, pairs // n, pairs % n, *counts, cherry.sum(axis=1))
+    return MoveTables(pairs // n, pairs % n, *counts, cherry.sum(axis=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +130,7 @@ class RateMatrix:
     tables: MoveTables
     counts: tuple
 
-    states = property(lambda self: self.tables.states)
+    states = property(lambda self: enumerate_cladograms(self.m))
 
     def _at_alpha(self, rate) -> np.ndarray:
         """``rate(n, b)`` per move, for its rate n / b at alpha = a / b; one
@@ -217,7 +213,7 @@ def beta_potential(alpha, m: int) -> dict:
     keyed by canonical key in state order; identically zero at alpha = 1/2."""
     alpha, mt = parse_alpha(alpha), _move_tables(m)
     values = _evaluate(_beta_coefficients(m, mt.n_cherries), alpha)
-    return {t.key: Fraction(x, alpha.denominator) for t, x in zip(mt.states, values)}
+    return {key: Fraction(x, alpha.denominator) for key, x in zip(enumerate_cladograms(m).keys, values)}
 
 
 def _tilted_backward(alpha: Fraction, m: int) -> np.ndarray:
@@ -265,7 +261,7 @@ def verify_invariance(alpha, m: int) -> Fraction:
     absolute residual (zero iff the alpha-Ford law is stationary), formed on
     the law's integer numerators and evaluated at alpha."""
     alpha, mt = parse_alpha(alpha), _move_tables(m)
-    (num, den), ch, diag = _law(m), mt.n_cherries, np.arange(len(mt.states))
+    (num, den), ch, diag = _law(m), mt.n_cherries, np.arange(len(enumerate_cladograms(m)))
     moves = (mt.src, diag), (mt.tgt, diag), (mt.external, ch), (mt.internal, m - ch)
     residual = _stationarity_residual(m, num, *map(np.concatenate, moves))
     top = max(abs(x) for x in _evaluate(residual, alpha))
@@ -529,7 +525,7 @@ def _shape_indices(tree: FiniteMeasureTree, tuples: np.ndarray) -> np.ndarray:
     for j, k, l in itertools.combinations(range(1, m), 3):
         code *= 3
         code += tree.quartet_partners(tuples[:, 0], tuples[:, j], tuples[:, k], tuples[:, l])
-    return _locate(m, code)
+    return enumerate_cladograms(m).locate(code)
 
 
 def estimate_shape_vector(tree, m: int, samples: int, rng):
@@ -538,7 +534,7 @@ def estimate_shape_vector(tree, m: int, samples: int, rng):
     tuples with repeats match no target."""
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
-    states = enumerate_cladograms(m)
+    states = enumerate_cladograms(m)  # bounds m before any draw
     draws = rng.integers(1, tree.n + 1, size=(samples, m))
     distinct = np.ones(samples, dtype=bool)
     for i in range(m):
@@ -575,12 +571,12 @@ def _shape_classes(m: int):
     def state(masks: np.ndarray) -> np.ndarray:
         """The states of these mask rows, each mask first complemented if it
         holds label 1."""
-        return _locate(m, _triple_code(np.where(masks & 2, full ^ masks, masks), m))
+        return states.locate(_triple_code(np.where(masks & 2, full ^ masks, masks), m))
 
     # the m - 1 swaps of adjacent labels, applied to every state at once,
     # generate the relabelings: an orbit is a connected component of the
     # swap graph, found by spreading the smallest state index to a fixpoint
-    masks = _state_table(m)[0]
+    masks = states.masks
     # labels x and x + 1 swap by flipping bits x and x + 1 where they differ
     flips = [((masks >> x ^ masks >> (x + 1)) & 1) * (3 << x) for x in range(1, m)]
     swaps = np.stack([state(masks ^ flip) for flip in flips])
@@ -706,6 +702,6 @@ def verify_chain_diffusion_duality(
     lhs_var = ((est * est).sum(axis=0) / replicates - lhs**2) / (replicates - 1)
     lhs_se = np.sqrt(np.maximum(lhs_var, 0.0))
     return [
-        DualityCheck(t.key, float(lhs[i]), float(lhs_se[i]), float(rhs))
-        for i, (t, rhs) in enumerate(zip(enumerate_cladograms(m), mat @ phi0))
+        DualityCheck(key, float(lhs[i]), float(lhs_se[i]), float(rhs))
+        for i, (key, rhs) in enumerate(zip(enumerate_cladograms(m).keys, mat @ phi0))
     ]

@@ -22,24 +22,28 @@ Identity of labeled cladograms goes through :meth:`Cladogram.key`, the sorted
 tuple of internal-edge bipartitions encoded by the side that excludes label 1.
 Two cladograms are isomorphic as labeled trees iff their keys are equal.
 ``==`` and ``hash`` compare an O(m) code read from the recorded preorder
-instead, so comparing two big trees builds no splits.  The same splits as
-integer bitmasks, :attr:`Cladogram.splits`, carry the exact layer: leaf
-deletion, cherries and chain moves act on them directly.
+instead, so comparing two big trees builds no splits.
 
-A state's position in :func:`enumerate_cladograms` is found through one
-integer code, the rooted-triple code (:func:`_triple_code`): one base-3 digit
-per label triple j < k < l other than 1, the label that leaf 1 pairs with.
-It is read from a row of split masks in any order, repeats and trivial
-masks included, and equally from quartet queries on a sampled tree.  One
-cached table per m holds the states' masks in key order with their sorted
-codes, and :func:`_locate` turns codes into positions.
+The exact layer runs on the same splits as integer bitmasks and builds no
+tree.  :func:`enumerate_cladograms` returns one cached table per m, a
+:class:`Cladograms`: every m-cladogram as a sorted row of masks, in key
+order, leaf m inserted at every edge of every (m-1)-cladogram by
+:func:`_insert_split_leaf`.  Leaf deletion, cherries and chain moves act on
+whole tables in numpy, and the table's trees are read off the rows only
+when asked for.  A row's position is found through one integer code, the
+rooted-triple code (:func:`_triple_code`): one base-3 digit per label
+triple j < k < l other than 1, the label that leaf 1 pairs with.  It is
+read from masks in any order, repeats and trivial masks included, and
+equally from quartet queries on a sampled tree;
+:meth:`Cladograms.locate` turns codes into positions.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
-from typing import Iterable, Sequence
+import re
+from collections.abc import Iterable, Sequence
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,6 +52,7 @@ __all__ = [
     "StructureError",
     "double_factorial",
     "num_cladograms",
+    "Cladograms",
     "enumerate_cladograms",
     "shape",
     "to_newick",
@@ -378,10 +383,6 @@ class Cladogram:
 
 
 # -- splits as bitmasks ----------------------------------------------------------
-#
-# The exact layer works on ``Cladogram.splits`` directly: a state is the sorted
-# tuple of its split masks, and one-leaf edits act on those integers without
-# building a tree.  Trivial splits (one label on either side) are never stored.
 
 
 # Label tuples of every mask over labels 1..MAX_ENUMERATION_LEAVES, shared by
@@ -390,6 +391,10 @@ _SMALL_LABELS = tuple(
     tuple(x for x in range(1, MAX_ENUMERATION_LEAVES + 1) if mask >> x & 1)
     for mask in range(1 << (MAX_ENUMERATION_LEAVES + 1))
 )
+# Each such mask's rank in the order of label tuples (the key's order), and size.
+_BY_LABELS = sorted(range(len(_SMALL_LABELS)), key=_SMALL_LABELS.__getitem__)
+_LABEL_RANK = np.array(sorted(range(len(_BY_LABELS)), key=_BY_LABELS.__getitem__))
+_SIZE = np.array([len(labels) for labels in _SMALL_LABELS])
 
 
 def _labels(mask: int) -> tuple[int, ...]:
@@ -419,52 +424,23 @@ def _delete_split_leaf(masks: np.ndarray, m: int, k: int) -> np.ndarray:
     return np.where(s & 2, ((1 << m) - 2) ^ s, s)  # labels 1..m-1
 
 
-def _cherry_mask(splits: Iterable[int], m: int) -> int:
-    """Bitmask of :meth:`Cladogram.cherries`: the splits of size 2, and the
-    complements of size 2 (label 1 and its sibling)."""
-    full = (1 << (m + 1)) - 2  # labels 1..m
-    if m <= 3:
-        return full
-    out = 0
-    for s in splits:
-        size = s.bit_count()
-        if size == 2:
-            out |= s
-        if size == m - 2:
-            out |= full ^ s
-    return out
+def _insert_split_leaf(masks: np.ndarray, m: int, k: int) -> np.ndarray:
+    """Split masks of every ``t.insert_leaf(e, new_label=k)`` of an (S, m - 3)
+    table of m-cladograms t: an (S, 2m - 3, m - 2) int64 array, a row per
+    edge e, unsorted.  After :func:`_delete_split_leaf`, a chain move of leaf k.
 
-
-def _insertions(splits: Iterable[int], m: int, k: int) -> list[tuple[tuple[int, ...], bool]]:
-    """Every ``insert_leaf(e, new_label=k)`` of the m-cladogram with these
-    splits, as ``(unsorted splits, e is external)``, one per edge e.  After
-    :func:`_delete_split_leaf` this is one chain move of leaf k.
-
-    Labels >= k shift up.  Edge e is named by its side s_e without label 1
-    (a single label for a leaf edge, all labels but 1 for leaf 1's edge).
-    Leaf k joins every split s with s_e inside s, and e itself becomes the
-    two splits s_e and s_e | k.  Labels are relative to the old label 1,
-    so for k = 1 splits holding the new label 1 are complemented.
-    """
-    low = (1 << k) - 1
-    kbit = 1 << k
-    full = (1 << (m + 2)) - 2  # labels 1..m+1
-
-    def up(s: int) -> int:
-        return (s & low) | (s >> k << (k + 1))
-
-    shifted = [up(s) for s in splits]
-    edges = [(up(1 << j), True) for j in range(2, m + 1)]
-    edges.append((up((1 << (m + 1)) - 4), True))
-    edges += [(s, False) for s in shifted]
-    out = []
-    for se, external in edges:
-        new = {s | kbit if s & se == se else s for s in shifted}
-        for s in (se, se | kbit):
-            if 2 <= s.bit_count() <= m - 1:
-                new.add(s)
-        out.append((tuple(full ^ s if s & 2 else s for s in new), external))
-    return out
+    Edges run leaf edges 2..m, leaf 1's edge, then the internal edges in row
+    order, each named by its side s_e without label 1.  Labels >= k shift
+    up, leaf k joins every mask s with s_e inside s, and e adds s_e | k for
+    a leaf edge and s_e otherwise.  Labels are relative to the old label 1,
+    so for k = 1 masks holding the new label 1 are complemented."""
+    leaf = [1 << j for j in range(2, m + 1)] + [(1 << (m + 1)) - 4]
+    side = np.concatenate([np.broadcast_to(leaf, (len(masks), m)), masks], axis=1)
+    side = ((side & ((1 << k) - 1)) | (side >> k << (k + 1)))[:, :, None]  # labels >= k shift up
+    old = side[:, None, m:, 0]
+    out = np.concatenate([np.where(old & side == side, old | 1 << k, old), side], axis=2)
+    out[:, : m - 1, -1] |= 1 << k  # a leaf edge adds s_e | k
+    return np.where(out & 2, ((1 << (m + 2)) - 2) ^ out, out)  # labels 1..m+1
 
 
 def double_factorial(n: int) -> int:
@@ -483,30 +459,10 @@ def num_cladograms(m: int) -> int:
     return double_factorial(2 * m - 5)
 
 
-@lru_cache(maxsize=None)
-def enumerate_cladograms(m: int) -> tuple[Cladogram, ...]:
-    """All (2m-5)!! labeled m-cladograms, sorted by canonical key.
-
-    Inserting leaf m at every edge of every (m-1)-cladogram, taken from the
-    cache, produces each labeled m-cladogram exactly once, so no
-    deduplication is needed.
-    """
-    if not 2 <= m <= MAX_ENUMERATION_LEAVES:
-        raise StructureError(
-            f"enumeration supports 2 <= m <= {MAX_ENUMERATION_LEAVES}, got {m}"
-        )
-    if m == 2:
-        return (Cladogram(2, [(1, 2)]),)
-    trees = [t.insert_leaf(e) for t in enumerate_cladograms(m - 1) for e in t.edges]
-    trees.sort(key=lambda t: t.key)
-    return tuple(trees)
-
-
-# -- the state code ----------------------------------------------------------------
+# -- the state code and the state table ----------------------------------------------
 #
-# Every lookup of an m-cladogram's position in ``enumerate_cladograms(m)`` goes
-# through one integer code, computed from split masks by the exact layer and
-# from quartet queries by the Monte Carlo shape estimator.
+# A state's position in ``enumerate_cladograms(m)`` is looked up by one integer
+# code, read from split masks and from quartet queries on a sampled tree.
 
 
 def _triple_code(masks: np.ndarray, m: int) -> np.ndarray:
@@ -540,42 +496,91 @@ def _triple_code(masks: np.ndarray, m: int) -> np.ndarray:
     return code
 
 
+class Cladograms(Sequence):
+    """The m-cladograms in key order as one table, ``masks``: an (S, m - 3)
+    int64 array (no columns for m < 4), a sorted row of split masks per
+    state.  The exact layer reads it and its derived arrays and builds no
+    tree; the :class:`Cladogram` items are read off the rows when asked for."""
+
+    def __init__(self, m: int, masks: np.ndarray):
+        self.m, self.masks = m, masks
+        codes = _triple_code(masks, m)
+        self._order = np.argsort(codes)
+        self._codes = codes[self._order]
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, i):
+        return self._trees[i]
+
+    def locate(self, codes: np.ndarray) -> np.ndarray:
+        """Positions of the states with these codes (any shape); a code of no
+        m-cladogram raises ``StructureError``."""
+        at = np.searchsorted(self._codes, codes)
+        missing = self._codes[np.minimum(at, len(self) - 1)] != codes
+        if missing.any():
+            code = np.asarray(codes)[missing].flat[0]
+            raise StructureError(f"{code} is not the code of a {self.m}-cladogram")
+        return self._order[at]
+
+    @cached_property
+    def keys(self) -> tuple:
+        """:attr:`Cladogram.key` of each state, read from its row."""
+        return tuple(_split_key(self.m, row) for row in self.masks.tolist())
+
+    @cached_property
+    def cherries(self) -> np.ndarray:
+        """(S, m) bool: whether leaf k of state s is a cherry, a label of a mask
+        of size 2 or of the complement of one of size m - 2 (all for m <= 3)."""
+        m, masks, size = self.m, self.masks, _SIZE[self.masks]
+        if m <= 3:
+            return np.ones((1, m), dtype=bool)
+        pairs = np.where(size == 2, masks, 0) | np.where(size == m - 2, ((1 << (m + 1)) - 2) ^ masks, 0)
+        return (np.bitwise_or.reduce(pairs, axis=1)[:, None] & (2 << np.arange(m))) != 0
+
+    @cached_property
+    def deletions(self) -> np.ndarray:
+        """(S, m) int64: in row s, column k - 1, the position of
+        ``t.delete_leaf(k)`` in ``enumerate_cladograms(m - 1)``, t the state s."""
+        m, smaller = self.m, enumerate_cladograms(self.m - 1)
+        # a leaf at a time: the (S, m - 3) temporaries of one deletion stay small
+        reduced = (_delete_split_leaf(self.masks, m, k) for k in range(1, m + 1))
+        return np.stack([smaller.locate(_triple_code(r, m - 1)) for r in reduced], axis=1)
+
+    @cached_property
+    def _trees(self) -> tuple[Cladogram, ...]:
+        """Rooted at leaf 1, a cluster (leaf, mask or the top, labels 2..m) hangs
+        from its smallest strict superset; the internal vertex whose children
+        have smallest labels i < j gets id 2 - j, as ``insert_leaf`` numbers it."""
+        m, masks, n = self.m, self.masks, len(self.masks)
+        if m == 2:
+            return (Cladogram(2, [(1, 2)]),)
+        inner = np.concatenate([masks, np.full((n, 1), (1 << (m + 1)) - 4)], axis=1)
+        below = np.concatenate([np.broadcast_to(2 << np.arange(1, m), (n, m - 1)), masks], axis=1)
+        c, d = below[:, :, None], inner[:, None, :]
+        parent = np.argmin(np.where((c & d == c) & (c != d), _SIZE[d], m), axis=2)  # into inner
+        low = np.log2(below & -below).astype(np.int64)[:, :, None]  # smallest label
+        name = np.where(parent[:, :, None] == np.arange(m - 2), low, 0).max(axis=1)
+        ids = np.concatenate([np.broadcast_to(np.arange(2, m + 1), (n, m - 1)), 2 - name], axis=1)
+        up = np.take_along_axis(ids, m - 1 + parent, axis=1)
+        up = np.concatenate([up, np.ones((n, 1), np.int64)], axis=1)  # the top hangs off leaf 1
+        return tuple(Cladogram(m, e) for e in np.stack([up, ids], axis=2).tolist())
+
+
 @lru_cache(maxsize=None)
-def _state_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The split masks of ``enumerate_cladograms(m)``, an (S, m - 3) int64
-    array in state order (no columns for m < 4), their codes sorted, and the
-    state position of each sorted code."""
-    states = enumerate_cladograms(m)
-    masks = np.array([t.splits for t in states], dtype=np.int64).reshape(len(states), max(m - 3, 0))
-    codes = _triple_code(masks, m)
-    order = np.argsort(codes)
-    return masks, codes[order], order
-
-
-def _locate(m: int, codes: np.ndarray) -> np.ndarray:
-    """Positions in ``enumerate_cladograms(m)`` of the states with these
-    codes (any shape); a code of no m-cladogram raises ``StructureError``."""
-    _, known, order = _state_table(m)
-    at = np.searchsorted(known, codes)
-    missing = known[np.minimum(at, len(known) - 1)] != codes
-    if missing.any():
-        code = np.asarray(codes)[missing].flat[0]
-        raise StructureError(f"{code} is not the code of a {m}-cladogram")
-    return order[at]
-
-
-@lru_cache(maxsize=None)
-def _deletions(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two (S, m) arrays over ``enumerate_cladograms(m)``: in row s, column
-    k - 1, the position of ``t.delete_leaf(k)`` in ``enumerate_cladograms(m - 1)``
-    (int64), and whether leaf k is a cherry of t (bool)."""
-    masks = _state_table(m)[0]
-    # a leaf at a time: the (S, m - 3) temporaries of one deletion stay small
-    reduced = (_delete_split_leaf(masks, m, k) for k in range(1, m + 1))
-    rows = [_locate(m - 1, _triple_code(r, m - 1)) for r in reduced]
-    states = enumerate_cladograms(m)
-    cherries = np.fromiter((_cherry_mask(t.splits, m) for t in states), np.int64, len(states))
-    return np.stack(rows, axis=1), (cherries[:, None] & (2 << np.arange(m))) != 0
+def enumerate_cladograms(m: int) -> Cladograms:
+    """All (2m-5)!! labeled m-cladograms, sorted by canonical key: leaf m
+    inserted at every edge of every (m-1)-cladogram gives each once, and the
+    sorted rows are ordered as their :func:`_split_key` by mask ranks."""
+    if not 2 <= m <= MAX_ENUMERATION_LEAVES:
+        raise StructureError(f"enumeration supports 2 <= m <= {MAX_ENUMERATION_LEAVES}, got {m}")
+    masks = np.zeros((1, 0), dtype=np.int64)
+    if m > 3:
+        masks = _insert_split_leaf(enumerate_cladograms(m - 1).masks, m - 1, m).reshape(-1, m - 3)
+        rank = np.sort(_LABEL_RANK[masks], axis=1)
+        masks = np.sort(masks[np.lexsort(rank.T[::-1])], axis=1)
+    return Cladograms(m, masks)
 
 
 def shape(tree, samples: Sequence[int]) -> Cladogram:
@@ -648,12 +653,11 @@ def from_newick(s: str) -> Cladogram:
     Accepts any binary unrooted Newick with integer leaf labels: the top
     level must have 3 children (or 2 for the two-leaf tree), every other
     internal node exactly 2.  Internal vertices are numbered -1, -2, ... in
-    the order their parentheses open.  Iterative, so nesting depth is
-    unlimited.
+    the order their parentheses open.  Whitespace around ``(``, ``)``, ``,``
+    and ``;``, line breaks included, is ignored; inside a label it is an
+    error.  Iterative, so nesting depth is unlimited.
     """
-    s = s.strip()
-    if s.endswith(";"):
-        s = s[:-1]
+    s = re.sub(r"\s*([(),;])\s*", r"\1", s).strip().removesuffix(";")
     n = len(s)
     pos = 0
     open_nodes: list[tuple[int, list[int]]] = []  # (vertex, children so far)

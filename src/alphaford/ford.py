@@ -21,8 +21,8 @@ is stored once per m as integer coefficient arrays in alpha: a numerator
 per state over one common denominator.  A ``Fraction`` appears only when
 one alpha is evaluated, in Python ints, so every rational alpha is exact.
 The deletion check is an identity between the same integer arrays, and both
-read the deletion table of split bitmasks (:attr:`Cladogram.splits`), with
-no tree built per deleted leaf.
+read the deletion table and cherry flags of the split-mask state table of
+:mod:`alphaford.cladogram`; neither builds a tree.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from alphaford._rng import parse_alpha
-from alphaford.cladogram import Cladogram, StructureError, _deletions, enumerate_cladograms
+from alphaford.cladogram import Cladogram, StructureError, enumerate_cladograms
 from alphaford.tree import FiniteMeasureTree
 
 __all__ = [
@@ -199,7 +199,7 @@ def _law(m: int) -> tuple[np.ndarray, np.ndarray]:
     if m <= 4:
         return np.ones((len(states), 1), dtype=np.int64), np.array([len(states)])
     prev_num, prev_den = _law(m - 1)
-    rows, cherry = _deletions(m)
+    rows, cherry = states.deletions, states.cherries
     num = np.zeros((len(states), m - 3), dtype=np.int64)
     for k in range(m):  # leaf k weighs alpha, plus 1 - 2 alpha as a cherry
         terms = prev_num[rows[:, k]]
@@ -217,7 +217,7 @@ def exact_distribution(alpha, m: int) -> ExactDistribution:
     num, den = _law(m)
     alpha = parse_alpha(alpha)
     den, states = _evaluate(den, alpha), enumerate_cladograms(m)
-    table = {t.key: Fraction(n, den) for t, n in zip(states, _evaluate(num, alpha))}
+    table = {key: Fraction(n, den) for key, n in zip(states.keys, _evaluate(num, alpha))}
     return ExactDistribution(alpha, m, table)
 
 
@@ -231,7 +231,7 @@ def deletion_stability_check(alpha, m: int) -> tuple[bool, Fraction]:
     prev_num, prev_den = _law(m - 1)
     alpha = parse_alpha(alpha)
     marginal = np.zeros((len(prev_num), num.shape[1]), dtype=np.int64)
-    np.add.at(marginal, _deletions(m)[0].ravel(), np.repeat(num, m, axis=0))
+    np.add.at(marginal, enumerate_cladograms(m).deletions.ravel(), np.repeat(num, m, axis=0))
     residual = _evaluate(_times(marginal, prev_den) - _times(prev_num, m * den), alpha)
     scale = m * _evaluate(den, alpha) * _evaluate(prev_den, alpha)
     residual = Fraction(max(abs(x) for x in residual), scale)

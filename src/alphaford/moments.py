@@ -53,44 +53,56 @@ def _dec(k: MultiIndex, i: int, by: int = 1) -> MultiIndex:
     return tuple(out)
 
 
-def _moment(alpha: Fraction, k: MultiIndex, cache: dict) -> Fraction:
-    skey = tuple(sorted(k))
-    hit = cache.get(skey)
-    if hit is not None:
-        return hit
+def _terms(alpha: Fraction, k: MultiIndex):
+    """The recursion for E[eta^k] at total degree s: E[eta^k] is (c +
+    sum of w E[eta^j]) / ((s + 3)(s + 2 - 3 alpha)), returned as c, the
+    (w, j) pairs, each j of degree s - 1 and sorted (the moments are
+    exchangeable), and the divisor.  For s <= 1 the value is c itself."""
     s = sum(k)
     if s == 0:
-        value = Fraction(1)
-    elif s == 1:
+        return Fraction(1), [], 1
+    if s == 1:
         # forced by exchangeability; also the only point where the recursion
         # denominator (s + 2 - 3*alpha) can vanish (at alpha = 1)
-        value = Fraction(1, 3)
-    else:
-        acc = Fraction(0)
+        return Fraction(1, 3), [], 1
+    terms = [((k[i] + 1) * (k[i] - alpha), tuple(sorted(_dec(k, i)))) for i in range(3) if k[i]]
+    constant = Fraction(0)
+    if 2 - 3 * alpha:
+        zero_pairs = sum(1 for i, j in ((0, 1), (1, 2), (2, 0)) if k[i] == 0 and k[j] == 0)
+        constant += (2 - 3 * alpha) * zero_pairs
+    if alpha:
+        half_alpha = alpha / 2
         for i in range(3):
-            if k[i]:
-                acc += (k[i] + 1) * (k[i] - alpha) * _moment(alpha, _dec(k, i), cache)
-        if 2 - 3 * alpha:
-            zero_pairs = sum(1 for i, j in ((0, 1), (1, 2), (2, 0)) if k[i] == 0 and k[j] == 0)
-            acc += (2 - 3 * alpha) * zero_pairs
-        if alpha:
-            half_alpha = alpha / 2
-            for i in range(3):
-                if k[i] == 0:
-                    for j in range(3):
-                        if j != i and k[j]:
-                            for p in range(1, k[j] + 1):
-                                kk = list(k)
-                                kk[i] += p - 1
-                                kk[j] -= p
-                                acc += (
-                                    half_alpha
-                                    * math.comb(k[j], p)
-                                    * _moment(alpha, tuple(kk), cache)
-                                )
-        value = acc / ((s + 3) * (s + 2 - 3 * alpha))
-    cache[skey] = value
-    return value
+            if k[i] == 0:
+                for j in range(3):
+                    if j != i and k[j]:
+                        for p in range(1, k[j] + 1):
+                            kk = list(k)
+                            kk[i] += p - 1
+                            kk[j] -= p
+                            terms.append((half_alpha * math.comb(k[j], p), tuple(sorted(kk))))
+    return constant, terms, (s + 3) * (s + 2 - 3 * alpha)
+
+
+def _moment(alpha: Fraction, k: MultiIndex, cache: dict) -> Fraction:
+    """E[eta^k] through ``cache``, keyed by sorted index.  An explicit stack
+    replaces recursion, so the degree is not bounded by the interpreter's
+    recursion limit: an index is evaluated once every lower moment it needs
+    is cached, and until then it waits under them."""
+    top = tuple(sorted(k))
+    stack: list = [(top, None)]
+    while stack:
+        k, recursion = stack.pop()
+        if k in cache:
+            continue
+        recursion = recursion or _terms(alpha, k)
+        missing = [(j, None) for _, j in recursion[1] if j not in cache]
+        if missing:
+            stack += [(k, recursion), *missing]
+            continue
+        constant, terms, divisor = recursion
+        cache[k] = (constant + sum(w * cache[j] for w, j in terms)) / divisor
+    return cache[top]
 
 
 _MOMENT_CACHES: dict[Fraction, dict] = {}
@@ -100,7 +112,8 @@ def moment(alpha, k) -> Fraction:
     """E[eta^k] under the stationary subtree-mass law at parameter alpha.
 
     Memoized top-down recursion; every recursive term lowers the total degree
-    by one, so it bottoms out at the constants.  Exact for every rational
+    by one, so it bottoms out at the constants.  It runs on an explicit
+    stack, so any degree is reachable.  Exact for every rational
     alpha in [0, 1].
     """
     alpha = parse_alpha(alpha)

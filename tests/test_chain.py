@@ -33,8 +33,7 @@ from alphaford.chain import (
 from alphaford.cladogram import (
     Cladogram,
     StructureError,
-    _deletions,
-    _insertions,
+    _insert_split_leaf,
     _split_key,
     enumerate_cladograms,
     shape,
@@ -73,32 +72,57 @@ def test_chain_move_produces_valid_states():
             assert got.m == 6  # constructor validates the rest
 
 
+def _edge_position(t: Cladogram, edge) -> int:
+    """Where ``_insert_split_leaf`` lists ``edge`` of t: leaf j's edge at
+    j - 2 (j >= 2), leaf 1's at m - 1, and an internal edge at m plus the
+    index of its split, the labels it separates from label 1."""
+    u, v = edge
+    if v > 0:
+        return v - 2 if v > 1 else t.m - 1
+    side, todo, seen = 0, [u], {u, v}
+    while todo:
+        x = todo.pop()
+        if x > 0:
+            side |= 1 << x
+        for w in t.adjacency[x]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    if side & 2:  # u's side holds label 1
+        side ^= (1 << (t.m + 1)) - 2
+    return t.m + t.splits.index(side)
+
+
 @pytest.mark.parametrize("m", [4, 5, 6, 7])
 def test_move_tables_match_cladogram_edits(m):
     """Split-mask moves and tables against moves built through chain_move:
-    every (state, leaf, edge) with the edge's class in the reduced tree and
-    the leaf's cherry class, tallied per (src, tgt) pair."""
-    states = enumerate_cladograms(m)
+    every (state, leaf, edge), the edge found in the rows of
+    ``_insert_split_leaf`` (leaf edges 2..m - 1, leaf 1's edge, then the
+    internal edges in row order), with the edge's class in the reduced tree
+    and the leaf's cherry class, tallied per (src, tgt) pair."""
+    states, smaller = enumerate_cladograms(m), enumerate_cladograms(m - 1)
     index = {t.key: i for i, t in enumerate(states)}
-    reduced = _deletions(m)[0]
+    reduced = states.deletions
     ref: dict[tuple[int, int], list[int]] = {}
     for s, t in enumerate(states):
         cherries = t.cherries()
         for k in t.leaves:
-            moves = [
-                (chain_move(t, k, e).key, e[0] > 0 or e[1] > 0) for e in t.delete_leaf(k).edges
-            ]
-            r = enumerate_cladograms(m - 1)[reduced[s, k - 1]]
-            masks = _insertions(r.splits, m - 1, k)
-            assert sorted(moves) == sorted((_split_key(m, x), ext) for x, ext in masks)
-            for key, external in moves:
+            r = t.delete_leaf(k)
+            assert r.key == smaller[reduced[s, k - 1]].key
+            rows = _insert_split_leaf(smaller.masks[reduced[s, k - 1], None], m - 1, k)[0]
+            assert rows.shape == (2 * m - 5, m - 3)
+            for e in r.edges:
+                at = _edge_position(r, e)
+                key, external = chain_move(t, k, e).key, e[0] > 0 or e[1] > 0
+                assert key == _split_key(m, rows[at].tolist())
+                assert external == (at < m - 1)
                 tgt = index[key]
                 if tgt != s:
                     counts = ref.setdefault((s, tgt), [0, 0, 0, 0])
                     counts[0 if external else 1] += 1
                     counts[2 if k in cherries else 3] += 1
     mt = _move_tables(m)
-    assert mt.states == states
+    assert forward_rate_matrix("0", m).states is states
     assert list(zip(mt.src.tolist(), mt.tgt.tolist())) == sorted(ref)
     columns = (mt.external, mt.internal, mt.cherry, mt.non_cherry)
     assert np.stack(columns, axis=1).tolist() == [ref[pair] for pair in sorted(ref)]
@@ -241,7 +265,7 @@ def _raw_forward_moves(m):
     """The forward chain's q_raw: the non-self moves, then one self-move row
     per state, as (src, tgt, external count, internal count)."""
     mt = _move_tables(m)
-    diag = np.arange(len(mt.states))
+    diag = np.arange(len(enumerate_cladograms(m)))
     return (
         np.concatenate([mt.src, diag]),
         np.concatenate([mt.tgt, diag]),
@@ -776,6 +800,14 @@ def test_duality_rejects_bad_replicates_and_time(monkeypatch, t, replicates):
 def test_estimate_shape_vector_rejects_no_samples(samples):
     with pytest.raises(ValueError):
         estimate_shape_vector(build_comb_tree(8), 4, samples, stream(0))
+
+
+@pytest.mark.parametrize("m", [-1, 1, 9])
+def test_estimate_shape_vector_rejects_m_before_drawing(m):
+    rng, untouched = stream(0), stream(0)
+    with pytest.raises(StructureError):
+        estimate_shape_vector(build_comb_tree(10), m, 100, rng)
+    assert rng.integers(1 << 62) == untouched.integers(1 << 62)
 
 
 def test_feynman_kac_rejects_negative_time():

@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 from alphaford.cladogram import (
     Cladogram,
     StructureError,
-    _cherry_mask,
     _delete_split_leaf,
-    _locate,
     _split_key,
-    _state_table,
     _triple_code,
     enumerate_cladograms,
     from_newick,
@@ -345,12 +342,12 @@ def test_split_deletion_matches_delete_leaf(m):
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_triple_code_is_injective(m):
-    masks, codes, order = _state_table(m)
     states = enumerate_cladograms(m)
+    masks = states.masks
     assert masks.shape == (len(states), max(m - 3, 0)) and masks.dtype == np.int64
     assert masks.tolist() == [list(t.splits) for t in states]
-    assert len(np.unique(codes)) == len(states)
-    assert _locate(m, _triple_code(masks, m)).tolist() == list(range(len(states)))
+    assert len(np.unique(_triple_code(masks, m))) == len(states)
+    assert states.locate(_triple_code(masks, m)).tolist() == list(range(len(states)))
     # repeats, trivial masks and the order of a row do not change its code
     trivial = np.broadcast_to([2 << j for j in range(1, m)] + [(1 << (m + 1)) - 4], (len(masks), m))
     padded = np.concatenate([masks[:, ::-1], masks, trivial], axis=1)
@@ -360,7 +357,7 @@ def test_triple_code_is_injective(m):
 @pytest.mark.parametrize("m", [4, 5, 6])
 def test_triple_code_digits_are_quartet_partners(m):
     # digit by digit against path medians on the tree, in bijective base 3
-    masks = _state_table(m)[0]
+    masks = enumerate_cladograms(m).masks
     for t, code in zip(enumerate_cladograms(m), _triple_code(masks, m).tolist()):
         expected = 0
         for j, k, l in itertools.combinations(range(2, m + 1), 3):
@@ -370,21 +367,42 @@ def test_triple_code_digits_are_quartet_partners(m):
 
 @pytest.mark.parametrize("m", range(4, 8))
 def test_locate_rejects_codes_of_no_state(m):
+    states = enumerate_cladograms(m)
     with pytest.raises(StructureError):
-        _locate(m, np.array([0]))
-    bigger = _state_table(m + 1)[1]
+        states.locate(np.array([0]))
+    bigger = np.sort(_triple_code(enumerate_cladograms(m + 1).masks, m + 1))
     with pytest.raises(StructureError):
-        _locate(m, bigger[:1])
+        states.locate(bigger[:1])
     with pytest.raises(StructureError):
-        _locate(m, np.concatenate([_state_table(m)[1], bigger[-1:]]))
+        states.locate(np.concatenate([np.sort(_triple_code(states.masks, m)), bigger[-1:]]))
 
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_cherry_mask_matches_cherries(m):
-    for t in enumerate_cladograms(m):
-        mask = _cherry_mask(t.splits, m)
-        assert {k for k in t.leaves if mask >> k & 1} == t.cherries()
-        assert mask >> (m + 1) == 0 and mask & 1 == 0
+    """The table's cherry flags, read from split sizes, against the tree."""
+    flags = enumerate_cladograms(m).cherries
+    assert flags.shape == (num_cladograms(m), m) and flags.dtype == bool
+    for t, row in zip(enumerate_cladograms(m), flags.tolist()):
+        assert {k for k in t.leaves if row[k - 1]} == t.cherries()
+
+
+def grown_cladograms(m: int) -> list[Cladogram]:
+    """Reference enumeration: leaf n + 1 inserted at every edge of every
+    n-cladogram by tree edits, sorted by key."""
+    trees = [Cladogram(2, [(1, 2)])]
+    for _ in range(2, m):
+        trees = sorted((t.insert_leaf(e) for t in trees for e in t.edges), key=lambda t: t.key)
+    return trees
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_enumeration_matches_insert_leaf_growth(m):
+    """Trees read off the state table have the edges, internal ids included,
+    and the keys of the trees grown by ``insert_leaf``."""
+    got = enumerate_cladograms(m)
+    ref = grown_cladograms(m)
+    assert [t.edges for t in got] == [t.edges for t in ref]
+    assert [t.key for t in got] == [t.key for t in ref]
 
 
 def recursive_newick(t: Cladogram) -> str:
@@ -420,10 +438,20 @@ def test_newick_roundtrip_deep_trees(alpha):
     assert repr(t).startswith("Cladogram(m=1500, '(")
 
 
-@pytest.mark.parametrize("text", ["", "(1,2", "(1,2,(3,4)", "(1,,3);", "(1,2,-3);", "(0,2,3);"])
+# "(1 2,3,4);": whitespace inside a label separates nothing, and is no leaf 12
+@pytest.mark.parametrize(
+    "text", ["", "(1,2", "(1,2,(3,4)", "(1,,3);", "(1,2,-3);", "(0,2,3);", "(1 2,3,4);"]
+)
 def test_newick_malformed_is_structure_error(text):
     with pytest.raises(StructureError):
         from_newick(text)
+
+
+def test_newick_ignores_whitespace_around_punctuation():
+    assert from_newick("(1, 2, 3);") == from_newick("(1,2,3);")
+    wrapped = " (\n  (1, 2) ,\n\t(3,\n 4) ,\r\n 5\n) ;\n"
+    assert to_newick(from_newick(wrapped)) == to_newick(from_newick("((1,2),(3,4),5);"))
+    assert from_newick(" ( 1 , 2 ) ; ").m == 2
 
 
 # -- vertex numbering -------------------------------------------------------------

@@ -337,6 +337,18 @@ def test_tree_nu_deep_newick_file(tmp_path, capsys):
     assert len(rows) == 1 + 1500 + 1498
 
 
+def test_tree_nu_wrapped_newick_file(tmp_path, capsys):
+    """A Newick file broken over lines, with spaces around commas, gives the
+    same artifact as the one-line file at the same path."""
+    path = tmp_path / "tree.nwk"
+    path.write_text(NEWICK12 + "\n")
+    code, flat, _ = run_cli(capsys, "tree", "nu", "--newick-file", str(path))
+    assert code == 0
+    path.write_text(NEWICK12.replace(",(", ",\n  (").replace(",", " , ").replace(";", "\n;") + "\n")
+    code, wrapped, _ = run_cli(capsys, "tree", "nu", "--newick-file", str(path))
+    assert code == 0 and wrapped == flat
+
+
 SCIPY_BLOCKED = """
 import sys
 sys.modules["scipy"] = None  # any scipy import now raises ImportError

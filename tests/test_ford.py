@@ -1,6 +1,10 @@
 import itertools
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +220,33 @@ def test_deletion_stability_m6_half():
 def test_deletion_stability_m4_trivial():
     ok, residual = deletion_stability_check("1/3", 4)
     assert ok and residual == 0
+
+
+NO_TREES = """
+from alphaford import chain, cladogram, ford
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a Cladogram was built")
+
+cladogram.Cladogram.__init__ = refuse
+law = ford.exact_distribution("1/3", 8)
+assert len(law.table) == 10395 and sum(law.table.values()) == 1
+assert ford.deletion_stability_check("1/3", 8) == (True, 0)
+assert chain.verify_invariance("1/3", 7) == 0 and chain.verify_beta_is_rate_discrepancy("1/3", 7)
+"""
+
+
+def test_exact_layer_builds_no_tree():
+    """The m = 8 law, the deletion check and the m = 7 chain tables run on
+    the split-mask tables alone, in a fresh interpreter whose cladogram
+    constructor raises."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", NO_TREES], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # -- sampling consistency -----------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -64,6 +65,11 @@ def test_kingman_univariate_values():
     assert kingman_univariate(1) == Fraction(72, 216) == Fraction(1, 3)
     assert kingman_univariate(2) == Fraction(144, 720) == Fraction(1, 5)
     assert kingman_univariate(3) == Fraction(264, 1800) == Fraction(11, 75)
+
+
+def test_moment_degree_past_the_recursion_limit():
+    k = sys.getrecursionlimit() + 100
+    assert moment(0, (k, 0, 0)) == kingman_univariate(k)
 
 
 def test_kingman_beta_moment_values():
