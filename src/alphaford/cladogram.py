@@ -526,8 +526,12 @@ class Cladograms(Sequence):
 
     @cached_property
     def keys(self) -> tuple:
-        """:attr:`Cladogram.key` of each state, read from its row."""
-        return tuple(_split_key(self.m, row) for row in self.masks.tolist())
+        """:attr:`Cladogram.key` of each state: its row sorted by the rank of
+        each mask's label tuple, the tuples shared from ``_SMALL_LABELS``."""
+        masks = self.masks
+        rows = np.take_along_axis(masks, np.argsort(_LABEL_RANK[masks], axis=1), axis=1).tolist()
+        # tuple(map(...)) would leave each key tuple over-allocated
+        return tuple((self.m, tuple([_SMALL_LABELS[s] for s in row])) for row in rows)
 
     @cached_property
     def cherries(self) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Exact subtree-mass moments of the alpha-Ford measure tree.
 
-The stationary law of the component-mass triple at a sampled branch point has
-moments E[eta_1^k1 * eta_2^k2 * eta_3^k3] that satisfy a closed recursion in
-the total degree.  This module implements that recursion over exact
-rationals, the closed forms available at alpha = 0 (Yule/coalescent),
+The component-mass triple eta at a sampled branch point evolves under a
+generator Omega on the mass polynomials f^k = eta_1^k1 eta_2^k2 eta_3^k3.
+Twice Omega is A0 + alpha A1 with integer coefficients, and apart from f^k
+itself and a constant every monomial of 2 Omega f^k has degree |k| - 1, so
+stationarity, E[Omega f^k] = 0, gives the moments E[eta^k] degree by degree
+over exact rationals.  Also: the closed forms at alpha = 0 (Yule/coalescent),
 alpha = 1/2 (Dirichlet(1/2,1/2,1/2)) and alpha = 1 (comb, a symmetrized
-Beta(2,2) on the boundary of the simplex), plus Monte Carlo estimators on
+Beta(2,2) on the boundary of the simplex), and Monte Carlo estimators on
 finite trees for cross-checking.
 """
 
@@ -13,6 +15,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,89 +41,137 @@ __all__ = [
 
 MultiIndex = tuple[int, int, int]
 
-_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
 
 def _norm_index(k) -> MultiIndex:
-    k = tuple(int(x) for x in k)
+    """k as a tuple of Python ints: integer entries (numpy's too) are read
+    through ``operator.index``, and bools, floats and strings raise
+    ``TypeError``."""
+    k = tuple(k)
+    if any(isinstance(x, (bool, np.bool_)) or not hasattr(x, "__index__") for x in k):
+        raise TypeError(f"multi-index entries must be integers, got {k}")
+    k = tuple(map(operator.index, k))
     if len(k) != 3 or any(x < 0 for x in k):
         raise ValueError(f"multi-index must be 3 nonnegative integers, got {k}")
     return k
 
 
-def _dec(k: MultiIndex, i: int, by: int = 1) -> MultiIndex:
-    out = list(k)
-    out[i] -= by
-    return tuple(out)
+def _dec(k: MultiIndex, i: int) -> MultiIndex:
+    return k[:i] + (k[i] - 1,) + k[i + 1 :]
 
 
-def _terms(alpha: Fraction, k: MultiIndex):
-    """The recursion for E[eta^k] at total degree s: E[eta^k] is (c +
-    sum of w E[eta^j]) / ((s + 3)(s + 2 - 3 alpha)), returned as c, the
-    (w, j) pairs, each j of degree s - 1 and sorted (the moments are
-    exchangeable), and the divisor.  For s <= 1 the value is c itself."""
+# The weights of the pieces of 2 Omega (Wright-Fisher, drift, corner jumps,
+# migration) in A0 and in A1: the drift is 2 - alpha, the corner jumps
+# 2 - 3 alpha and the migration alpha / 2 times their operators below.
+_PARTS = ((2, 4, 4, 0), (0, -2, -6, 1))
+
+
+def _diagonal(s: int, part: int) -> int:
+    """The coefficient of f^k in part ``part`` of 2 Omega f^k; it depends on
+    the degree s = |k| alone."""
+    wright_fisher, drift, corner, _ = _PARTS[part]
+    return -(wright_fisher * s * (s - 1) + 3 * drift * s + 3 * corner)
+
+
+def _generator_row(k: MultiIndex, part: int) -> tuple[int, dict]:
+    """Part ``part`` of 2 Omega f^k (A0 for 0, A1 for 1) in integers: its
+    constant and its nonzero coefficients {j: w} on the monomials f^j, keyed
+    by unsorted index, f^k itself included."""
+    wright_fisher, drift, corner, migration = _PARTS[part]
     s = sum(k)
-    if s == 0:
-        return Fraction(1), [], 1
-    if s == 1:
-        # forced by exchangeability; also the only point where the recursion
-        # denominator (s + 2 - 3*alpha) can vanish (at alpha = 1)
-        return Fraction(1, 3), [], 1
-    terms = [((k[i] + 1) * (k[i] - alpha), tuple(sorted(_dec(k, i)))) for i in range(3) if k[i]]
-    constant = Fraction(0)
-    if 2 - 3 * alpha:
-        zero_pairs = sum(1 for i, j in ((0, 1), (1, 2), (2, 0)) if k[i] == 0 and k[j] == 0)
-        constant += (2 - 3 * alpha) * zero_pairs
-    if alpha:
-        half_alpha = alpha / 2
-        for i in range(3):
-            if k[i] == 0:
-                for j in range(3):
-                    if j != i and k[j]:
-                        for p in range(1, k[j] + 1):
-                            kk = list(k)
-                            kk[i] += p - 1
-                            kk[j] -= p
-                            terms.append((half_alpha * math.comb(k[j], p), tuple(sorted(kk))))
-    return constant, terms, (s + 3) * (s + 2 - 3 * alpha)
+    row = Counter({k: _diagonal(s, part)})
+    # Wright-Fisher sum_ij eta_i (delta_ij - eta_j) d2_ij and drift
+    # sum_i (1 - 3 eta_i) d_i; their f^k terms are in the diagonal
+    for i in range(3):
+        if k[i]:
+            row[_dec(k, i)] += wright_fisher * k[i] * (k[i] - 1) + drift * k[i]
+    # corner jumps sum_i (f(e_i) - f): f(e_i) = 1 iff the other two exponents
+    # vanish
+    constant = corner * k.count(s)
+    # migration sum_{i != j} eta_i^{-1} (f o theta_ij - f), theta_ij moving
+    # the mass of i onto j: a binomial expansion when k_i = 0, else -f^{k - e_i}
+    if migration:
+        for i, j in itertools.permutations(range(3), 2):
+            if k[i]:
+                row[_dec(k, i)] -= migration
+                continue
+            for p in range(1, k[j] + 1):
+                kk = list(k)
+                kk[i] += p - 1
+                kk[j] -= p
+                row[tuple(kk)] += migration * math.comb(k[j], p)
+    # boundary reflection (1/2) sum_{i != j} (1{eta_j = 0} - 1{eta_i = 0}) d_i:
+    # nothing, both indicators vanish on the open simplex
+    return constant, {j: w for j, w in row.items() if w}
 
 
-def _moment(alpha: Fraction, k: MultiIndex, cache: dict) -> Fraction:
-    """E[eta^k] through ``cache``, keyed by sorted index.  An explicit stack
-    replaces recursion, so the degree is not bounded by the interpreter's
-    recursion limit: an index is evaluated once every lower moment it needs
-    is cached, and until then it waits under them."""
+def _scaled_row(k: MultiIndex, p: int, q: int) -> tuple[int, dict]:
+    """2q Omega f^k at alpha = p/q: q A0 + p A1, with A1 built only if p != 0."""
+    constant, row = 0, Counter()
+    for part, x in ((0, q), (1, p)):
+        if x:
+            c, coefficients = _generator_row(k, part)
+            constant += x * c
+            for j, w in coefficients.items():
+                row[j] += x * w
+    return constant, row
+
+
+def _lower_terms(k: MultiIndex, p: int, q: int) -> tuple[int, dict]:
+    """2q Omega f^k at alpha = p/q without its f^k term, on sorted indices."""
+    constant, row = _scaled_row(k, p, q)
+    lower = Counter()
+    for j, w in row.items():
+        if j != k:
+            lower[tuple(sorted(j))] += w
+    return constant, {j: w for j, w in lower.items() if w}
+
+
+def _numerator(alpha: Fraction, k: MultiIndex, nums: dict, dens: list) -> int:
+    """E[eta^k] * dens[|k|] through ``nums``, keyed by sorted index.
+
+    If 2q Omega f^k = c - t_s f^k + sum_j w_j f^j at alpha = p/q and degree
+    s >= 2, then t_s = 2 (s + 3)((s + 2) q - 3p) and stationarity gives
+    E[eta^k] = (c + sum_j w_j E[eta^j]) / t_s, so over D_s = D_(s-1) t_s the
+    numerator is c D_(s-1) + sum_j w_j N_j.  An explicit stack replaces
+    recursion, so any degree is reachable: an index waits under the lower
+    numerators it needs until they are cached."""
+    p, q = alpha.numerator, alpha.denominator
     top = tuple(sorted(k))
+    while len(dens) <= sum(top):
+        s = len(dens)
+        dens.append(-dens[-1] * (q * _diagonal(s, 0) + p * _diagonal(s, 1)))
     stack: list = [(top, None)]
     while stack:
-        k, recursion = stack.pop()
-        if k in cache:
+        k, terms = stack.pop()
+        if k in nums:
             continue
-        recursion = recursion or _terms(alpha, k)
-        missing = [(j, None) for _, j in recursion[1] if j not in cache]
+        terms = terms or _lower_terms(k, p, q)
+        missing = [(j, None) for j in terms[1] if j not in nums]
         if missing:
-            stack += [(k, recursion), *missing]
+            stack += [(k, terms), *missing]
             continue
-        constant, terms, divisor = recursion
-        cache[k] = (constant + sum(w * cache[j] for w, j in terms)) / divisor
-    return cache[top]
+        constant, lower = terms
+        nums[k] = constant * dens[sum(k) - 1] + sum(w * nums[j] for j, w in lower.items())
+    return nums[top]
 
 
-_MOMENT_CACHES: dict[Fraction, dict] = {}
+# alpha -> (numerators by sorted index, denominators by degree); degree 1 is
+# 1/3 by exchangeability, since t_1 vanishes at alpha = 1
+_MOMENT_CACHES: dict[Fraction, tuple[dict, list]] = {}
 
 
 def moment(alpha, k) -> Fraction:
     """E[eta^k] under the stationary subtree-mass law at parameter alpha.
 
-    Memoized top-down recursion; every recursive term lowers the total degree
-    by one, so it bottoms out at the constants.  It runs on an explicit
-    stack, so any degree is reachable.  Exact for every rational
-    alpha in [0, 1].
+    Read off the generator's integer rows: E[Omega f^k] = 0 solved degree by
+    degree in Python integers over one denominator per degree, and one
+    ``Fraction`` built at the end.  It runs on an explicit stack, so any
+    degree is reachable.  Exact for every rational alpha in [0, 1].
     """
     alpha = parse_alpha(alpha)
     k = _norm_index(k)
-    cache = _MOMENT_CACHES.setdefault(alpha, {})
-    return _moment(alpha, k, cache)
+    nums, dens = _MOMENT_CACHES.setdefault(alpha, ({(0, 0, 0): 1, (0, 0, 1): 1}, [1, 3]))
+    return Fraction(_numerator(alpha, k, nums, dens), dens[sum(k)])
 
 
 def kingman_closed_form(k) -> Fraction:
@@ -202,82 +254,30 @@ def crt_dirichlet_moment(k) -> Fraction:
 @dataclass(frozen=True)
 class GeneratorAction:
     """Action of the mass-polynomial generator on a monomial, re-expanded over
-    monomials: Omega f^k = constant + sum_j coefficients[j] * f^j.
-
-    Setting the stationary expectation of this expression to zero and solving
-    for E[f^k] reproduces the moment recursion, which is how the expansion is
-    tested.
-    """
+    monomials: Omega f^k = constant + sum_j coefficients[j] * f^j, a
+    polynomial identity with unsorted indices j and no zero coefficient."""
 
     alpha: Fraction
     k: MultiIndex
     constant: Fraction
     coefficients: dict
 
-    def solve_for_top(self, resolve) -> Fraction:
-        """E[f^k] from stationarity, resolving lower moments via ``resolve``."""
-        acc = self.constant
-        top = self.coefficients[self.k]
-        for j, c in self.coefficients.items():
-            if j != self.k:
-                acc += c * resolve(j)
-        return -acc / top
-
 
 def monomial_generator_action(alpha, k) -> GeneratorAction:
-    """Expand the generator applied to f^k = eta^k over monomials.
+    """The generator applied to f^k = eta^k at alpha: the row of f^k in
+    (A0 + alpha A1) / 2, the one encoding that :func:`moment` also reads.
 
-    The five pieces: a Wright-Fisher diffusion term, a drift toward the
-    simplex center, jumps to the corners, mass migration between coordinates,
-    and a boundary reflection whose indicator factors vanish identically on
-    the open simplex where this polynomial identity is read off.
+    Its pieces: a Wright-Fisher diffusion term, a drift toward the simplex
+    center, jumps to the corners, mass migration between coordinates, and a
+    boundary reflection whose indicator factors vanish identically on the open
+    simplex where this polynomial identity is read off.
     """
     alpha = parse_alpha(alpha)
     k = _norm_index(k)
-    coeffs: dict[MultiIndex, Fraction] = {}
-    constant = Fraction(0)
-
-    def add(idx: MultiIndex, c: Fraction) -> None:
-        if c:
-            coeffs[idx] = coeffs.get(idx, Fraction(0)) + c
-
-    # Wright-Fisher: sum_ij eta_i (delta_ij - eta_j) d2_ij f
-    for i in range(3):
-        for j in range(3):
-            if k[i] and k[j]:
-                c = (k[i] - (1 if i == j else 0)) * k[j]
-                if i == j:
-                    add(_dec(k, i), Fraction(c))
-                add(k, Fraction(-c))
-    # drift: (2 - alpha) sum_i (1 - 3 eta_i) d_i f
-    for i in range(3):
-        if k[i]:
-            add(_dec(k, i), (2 - alpha) * k[i])
-            add(k, -3 * (2 - alpha) * k[i])
-    # corner jumps: (2 - 3 alpha) sum_i (f(e_i) - f); f(e_i) = 1 iff the other
-    # two exponents vanish
-    for i in range(3):
-        if all(k[j] == 0 for j in range(3) if j != i):
-            constant += 2 - 3 * alpha
-    add(k, -3 * (2 - 3 * alpha))
-    # migration: (alpha/2) sum_{i != j} eta_i^{-1} (f o theta_ij - f); on
-    # monomials: binomial expansion when k_i = 0, else -f^{k - e_i}
-    for i in range(3):
-        for j in range(3):
-            if j == i:
-                continue
-            if k[i] == 0:
-                for p in range(1, k[j] + 1):
-                    kk = list(k)
-                    kk[i] += p - 1
-                    kk[j] -= p
-                    add(tuple(kk), alpha / 2 * math.comb(k[j], p))
-            else:
-                add(_dec(k, i), -alpha / 2)
-    # boundary reflection: (alpha/2) sum_{i != j} (1{eta_j = 0} - 1{eta_i = 0}) d_i f
-    # contributes nothing: both indicators are identically zero on (0, 1)^3
-
-    return GeneratorAction(alpha, k, constant, coeffs)
+    p, q = alpha.numerator, alpha.denominator
+    constant, row = _scaled_row(k, p, q)
+    coefficients = {j: Fraction(w, 2 * q) for j, w in row.items() if w}
+    return GeneratorAction(alpha, k, Fraction(constant, 2 * q), coefficients)
 
 
 def estimate_mass_moments(
@@ -319,11 +319,8 @@ def exact_tree_moment(tree: FiniteMeasureTree, k) -> Fraction:
     n = tree.n
     if n < 3:
         raise StructureError(f"component masses need 3 distinct leaves, the tree has {n}")
-    acc = Fraction(0)
+    acc = 0
     for counts in tree.internal_component_counts().values():
-        for perm in itertools.permutations(counts):
-            weight = perm[0] * perm[1] * perm[2]
-            acc += weight * Fraction(
-                perm[0] ** k[0] * perm[1] ** k[1] * perm[2] ** k[2], n ** sum(k)
-            )
-    return acc / (n * (n - 1) * (n - 2))
+        for a, b, c in itertools.permutations(counts):
+            acc += a ** (k[0] + 1) * b ** (k[1] + 1) * c ** (k[2] + 1)
+    return Fraction(acc, n ** sum(k) * n * (n - 1) * (n - 2))

@@ -405,6 +405,12 @@ def test_enumeration_matches_insert_leaf_growth(m):
     assert [t.key for t in got] == [t.key for t in ref]
 
 
+@pytest.mark.parametrize("m", range(2, 9))
+def test_state_keys_match_split_key(m):
+    states = enumerate_cladograms(m)
+    assert states.keys == tuple(_split_key(m, row) for row in states.masks.tolist())
+
+
 def recursive_newick(t: Cladogram) -> str:
     """Reference serializer: the recursive form of :func:`to_newick`."""
     if t.m == 2:

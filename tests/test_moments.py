@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import sys
@@ -12,6 +13,7 @@ from alphaford._rng import stream
 from alphaford.cladogram import StructureError
 from alphaford.ford import build_comb_tree, sample_ford_tree
 from alphaford.moments import (
+    _generator_row,
     comb_moment,
     crt_dirichlet_moment,
     estimate_mass_moments,
@@ -134,24 +136,123 @@ def test_moment_input_validation():
         moment("1/2", (1, -1, 0))
     with pytest.raises(TypeError):
         moment(0.3, (1, 0, 0))  # floats are ambiguous; demand exact input
+    # index entries are integers: no float, string or bool is read as one
+    for k in [(1.5, 0, 0), (2.0, 0, 0), ("2", 0, 0), "120", (True, 0, 0), (np.bool_(True), 1, 0)]:
+        with pytest.raises(TypeError):
+            moment("1/3", k)
+    for k in [(1, 0), (1, 0, 0, 0), ()]:
+        with pytest.raises(ValueError):
+            moment("1/3", k)
+    # numpy integers are integers
+    assert moment("1/3", np.array([2, 0, 0])) == moment("1/3", (np.int32(2), np.uint8(0), 0)) == Fraction(1, 5)
+    with pytest.raises(TypeError):
+        exact_tree_moment(build_comb_tree(5), (0.5, 0, 0))
 
 
 # -- generator action ----------------------------------------------------------
 
 
+def omega_at(alpha, k, eta):
+    """Omega f^k at the point eta, from the operator's definition: Wright-Fisher
+    sum_ij eta_i (delta_ij - eta_j) d2_ij f, drift (2 - alpha) sum_i
+    (1 - 3 eta_i) d_i f, corner jumps (2 - 3 alpha) sum_i (f(e_i) - f) and
+    migration (alpha / 2) sum_{i != j} (f(theta_ij eta) - f(eta)) / eta_i, where
+    theta_ij moves the mass of coordinate i onto coordinate j."""
+
+    def f(x):
+        return x[0] ** k[0] * x[1] ** k[1] * x[2] ** k[2]
+
+    def d(orders):
+        out = Fraction(1)
+        for ki, o, x in zip(k, orders, eta):
+            out *= math.perm(ki, o) * x ** max(ki - o, 0)
+        return out
+
+    units = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+    out = sum(
+        eta[i] * ((i == j) - eta[j]) * d(tuple(a + b for a, b in zip(units[i], units[j])))
+        for i in range(3)
+        for j in range(3)
+    )
+    out += (2 - alpha) * sum((1 - 3 * eta[i]) * d(units[i]) for i in range(3))
+    out += (2 - 3 * alpha) * sum(f(e) - f(eta) for e in units)
+    for i, j in itertools.permutations(range(3), 2):
+        moved = list(eta)
+        moved[j] += moved[i]
+        moved[i] = 0
+        out += alpha / 2 * (f(moved) - f(eta)) / eta[i]
+    return out
+
+
+SIMPLEX_POINTS = [
+    (Fraction(1, 7), Fraction(2, 7), Fraction(4, 7)),
+    (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+    (Fraction(3, 11), Fraction(5, 13), 1 - Fraction(3, 11) - Fraction(5, 13)),
+]
+
+
 @pytest.mark.parametrize("alpha", [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)])
 @pytest.mark.parametrize("k", [(1, 0, 0), (2, 0, 0), (1, 1, 0), (3, 2, 1), (0, 4, 2), (5, 0, 0)])
 def test_generator_action_rederives_moments(alpha, k):
+    """The expansion is Omega f^k as the operator defines it, and the moments
+    solve its stationarity E[Omega f^k] = 0."""
     action = monomial_generator_action(alpha, k)
-    if action.coefficients[k] == 0:
-        # degree 1 at alpha = 1: stationarity gives 0 = 0, so check only that
-        # the known moments do annihilate the expansion
-        residual = action.constant + sum(
-            c * moment(alpha, j) for j, c in action.coefficients.items()
+    for eta in SIMPLEX_POINTS:
+        expanded = action.constant + sum(
+            c * eta[0] ** j[0] * eta[1] ** j[1] * eta[2] ** j[2] for j, c in action.coefficients.items()
         )
-        assert residual == 0
-    else:
-        assert action.solve_for_top(lambda j: moment(alpha, j)) == moment(alpha, k)
+        assert expanded == omega_at(alpha, k, eta)
+    residual = action.constant + sum(c * moment(alpha, j) for j, c in action.coefficients.items())
+    assert residual == 0
+
+
+@pytest.mark.parametrize(
+    "law, alpha", [(kingman_closed_form, 0), (crt_dirichlet_moment, Fraction(1, 2)), (comb_moment, 1)]
+)
+def test_generator_annihilates_the_closed_form_laws(law, alpha):
+    for k in INDICES_S10:
+        if sum(k) <= 8:
+            action = monomial_generator_action(alpha, k)
+            assert action.constant + sum(c * law(j) for j, c in action.coefficients.items()) == 0
+
+
+def test_generator_integer_rows_by_hand():
+    # 2 Omega = A0 + alpha A1; each part is (constant, {j: coefficient of f^j})
+    rows = {
+        (1, 0, 0): ((4, {(0, 0, 0): 4, (1, 0, 0): -24}), (-6, {(0, 0, 0): -2, (1, 0, 0): 24})),
+        (2, 1, 0): (
+            (0, {(1, 1, 0): 12, (2, 0, 0): 4, (2, 1, 0): -60}),
+            (0, {(1, 1, 0): -4, (2, 0, 0): -3, (0, 1, 1): 1, (2, 1, 0): 36}),
+        ),
+        (0, 0, 2): (
+            (4, {(0, 0, 1): 12, (0, 0, 2): -40}),
+            (-6, {(0, 0, 1): -2, (1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 2): 30}),
+        ),
+    }
+    for k, (a0, a1) in rows.items():
+        assert _generator_row(k, 0) == a0
+        assert _generator_row(k, 1) == a1
+
+
+def test_generator_top_coefficient_summed_from_the_pieces():
+    for k in itertools.product(range(13), repeat=3):
+        s = sum(k)
+        if s <= 12:
+            assert _generator_row(k, 0)[1][k] == -2 * (s + 3) * (s + 2)
+            assert _generator_row(k, 1)[1][k] == 6 * (s + 3)
+            for alpha in (Fraction(1, 3), Fraction(3, 4)):
+                top = monomial_generator_action(alpha, k).coefficients[k]
+                assert top == -(s + 3) * (s + 2 - 3 * alpha)
+
+
+def test_moments_digest_to_degree_12():
+    # pinned exact values: a change to Omega's rows or to the solve shows here
+    h = hashlib.sha256()
+    for alpha in (Fraction(1, 8), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4)):
+        for k in itertools.product(range(13), repeat=3):
+            if sum(k) <= 12:
+                h.update(f"{alpha} {k} {moment(alpha, k)}\n".encode())
+    assert h.hexdigest() == "eda738c40223802632e4a485acad4131afc98b3eaa753fac075a58a9ca05e72a"
 
 
 def test_generator_action_zero_index():
@@ -161,9 +262,12 @@ def test_generator_action_zero_index():
 
 
 def test_generator_action_first_moment_equation():
-    # 4(3 - 3a) E = 2(1 - a) + (2 - 3a) + a, i.e. E = 1/3
-    action = monomial_generator_action(0, (1, 0, 0))
-    assert action.solve_for_top(lambda j: Fraction(1)) == Fraction(1, 3)
+    # 2 Omega eta_1 = (4 - 6a) + (4 - 2a) - 24 (1 - a) eta_1, so E[eta_1] = 1/3
+    for alpha in (Fraction(0), Fraction(1, 3), Fraction(1, 2)):
+        action = monomial_generator_action(alpha, (1, 0, 0))
+        assert action.constant == 2 - 3 * alpha
+        assert action.coefficients == {(0, 0, 0): 2 - alpha, (1, 0, 0): -12 * (1 - alpha)}
+        assert action.constant + action.coefficients[(0, 0, 0)] + action.coefficients[(1, 0, 0)] / 3 == 0
 
 
 def test_generator_action_normalization_identity():
