@@ -126,7 +126,6 @@ class RateMatrix:
 
     alpha: Fraction
     m: int
-    kind: str
     tables: MoveTables
     counts: tuple
 
@@ -191,14 +190,14 @@ def forward_rate_matrix(alpha, m: int) -> RateMatrix:
     """Forward chain: insertion edges weighted 1 - alpha (external) / alpha
     (internal).  Total rate at every state is m(m - 1 - 3 alpha)."""
     alpha, mt = parse_alpha(alpha), _move_tables(m)
-    return RateMatrix(alpha, m, "forward", mt, (mt.external, mt.internal))
+    return RateMatrix(alpha, m, mt, (mt.external, mt.internal))
 
 
 def backward_rate_matrix(alpha, m: int) -> RateMatrix:
     """Backward chain: displaced leaf weighted 1 - alpha (cherry) / alpha
     (non-cherry), any insertion edge.  Entrywise q_bwd(t', t) = q_fwd(t, t')."""
     alpha, mt = parse_alpha(alpha), _move_tables(m)
-    return RateMatrix(alpha, m, "backward", mt, (mt.cherry, mt.non_cherry))
+    return RateMatrix(alpha, m, mt, (mt.cherry, mt.non_cherry))
 
 
 def _beta_coefficients(m: int, n_cherries: np.ndarray) -> np.ndarray:
@@ -657,6 +656,10 @@ def _duality_samples(alpha, m, n_leaves, t, replicates, seed, initial):
     initial tree."""
     if not 0 <= t < math.inf or replicates < 2:
         raise ValueError(f"need finite t >= 0 and replicates >= 2, got t={t}, {replicates=}")
+    if initial is not None and initial.n != n_leaves:
+        raise ValueError(f"the initial tree has {initial.n} leaves, not n_leaves={n_leaves}")
+    if n_leaves < m:  # every Phi^m would be 0 on both sides
+        raise ValueError(f"need n_leaves >= m, got n_leaves={n_leaves}, m={m}")
     alpha = parse_alpha(alpha)
     # the rate matrix bounds m, so an unsupported m fails before any sampling
     mat = matrix_exponential(_tilted_backward(alpha, m), t)
@@ -683,7 +686,9 @@ def verify_chain_diffusion_duality(
 ) -> list[DualityCheck]:
     """Compare E[Phi^{m,target}(X_t)] for the N-leaf chain started at a fixed
     tree against the dual expectation computed exactly on the m-cladogram
-    backward chain tilted by the potential, for 4 <= m <= 7.
+    backward chain tilted by the potential, for 4 <= m <= 7.  The start is
+    ``initial`` or else an alpha-Ford tree drawn from ``seed``; it must have
+    ``n_leaves`` >= m leaves, or both sides would be 0 for every target.
 
     Left side: ``replicates`` (at least 2) independent chain runs, each
     contributing a shape-vector estimate from ``DUALITY_TUPLES`` leaf

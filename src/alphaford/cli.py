@@ -7,8 +7,10 @@ moments), ``tree`` (branch-point-distribution and mass-metric exports), and
 
 Every artifact carries a header block with the tool version, a hash of the
 resolved configuration, and the seed, so identical invocations produce
-byte-identical outputs.  Exit codes: 0 success, 1 a verification check
-failed, 2 usage or validation error.
+byte-identical outputs.  The hash covers the command, the seed and every
+option except ``--seed``, ``--out``, ``--threads`` and ``--format``, which
+change neither what is computed nor the seeded results.  Exit codes: 0
+success, 1 a verification report failed, 2 usage or validation error.
 """
 
 from __future__ import annotations
@@ -38,17 +40,20 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
+# parsed options left out of the config hash: --seed has its own header line,
+# and the other three change neither what is computed nor the seeded results
+_UNHASHED = ("seed", "out", "threads", "fmt")
+
 
 @dataclass
 class RunConfig:
-    """Resolved parameters of one invocation; hashed into artifact headers."""
+    """One invocation: the hashed parameters, and the options outside the hash."""
 
     command: str
     params: dict
-    seed: int = 0
-    threads: int = 1
-    out: str | None = None
-    fmt: str | None = None
+    seed: int
+    threads: int | None
+    fmt: str | None
 
     def hash(self) -> str:
         blob = json.dumps(
@@ -78,23 +83,16 @@ class VerificationReport:
         }
 
 
-def _resolve_out(path: str | None) -> str | None:
-    if path is None:
-        return None
-    base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
-def _emit(config: RunConfig, text: str) -> None:
-    out = _resolve_out(config.out)
+def _emit(out: str | None, text: str) -> None:
+    """Write an artifact to stdout, or to ``out`` (a relative path lies under
+    $ALPHAFORD_OUT_DIR when that is set)."""
     if out is None:
         sys.stdout.write(text)
-    else:
-        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-        with open(out, "w") as fh:
-            fh.write(text)
+        return
+    out = os.path.join(os.environ.get(OUTPUT_DIR_ENV) or "", out)
+    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+    with open(out, "w") as fh:
+        fh.write(text)
 
 
 def _csv_artifact(config: RunConfig, header: list[str], rows) -> str:
@@ -120,10 +118,6 @@ def _json_artifact(config: RunConfig, data) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _report_artifact(config: RunConfig, reports: list[VerificationReport]) -> str:
-    return _json_artifact(config, [r.to_dict() for r in reports])
-
-
 def _alpha_str(alpha: Fraction) -> str:
     return f"{alpha.numerator}/{alpha.denominator}"
 
@@ -131,46 +125,37 @@ def _alpha_str(alpha: Fraction) -> str:
 # -- ford ------------------------------------------------------------------------
 
 
-def _cmd_ford_sample(config: RunConfig) -> int:
-    p = config.params
-    if p["count"] < 1:
-        raise StructureError("need --count >= 1")
-    alpha = parse_alpha(p["alpha"])
-    rng = stream(config.seed)
-    trees = [
-        ford_mod.sample_ford_cladogram(alpha, p["leaves"], rng) for _ in range(p["count"])
-    ]
-    newicks = [to_newick(t) for t in trees]
-    if config.fmt == "json":
-        _emit(config, _json_artifact(config, {"alpha": _alpha_str(alpha), "trees": newicks}))
-    else:
-        _emit(config, "".join(n + "\n" for n in newicks))
-    return EXIT_OK
-
-
-def _cmd_ford_coalescent(config: RunConfig) -> int:
-    p = config.params
-    if p["count"] < 1:
+def _trees_artifact(config: RunConfig, draw, **data) -> str:
+    """``--count`` cladograms ``draw(rng)`` from the seed's stream, one Newick
+    line each, or a JSON artifact holding them next to ``data``."""
+    if config.params["count"] < 1:
         raise StructureError("need --count >= 1")
     rng = stream(config.seed)
-    trees = [ford_mod.sample_kingman_cladogram(p["m"], rng) for _ in range(p["count"])]
-    newicks = [to_newick(t) for t in trees]
+    newicks = [to_newick(draw(rng)) for _ in range(config.params["count"])]
     if config.fmt == "json":
-        _emit(config, _json_artifact(config, {"trees": newicks}))
-    else:
-        _emit(config, "".join(n + "\n" for n in newicks))
-    return EXIT_OK
+        return _json_artifact(config, {**data, "trees": newicks})
+    return "".join(n + "\n" for n in newicks)
 
 
-def _cmd_ford_exact(config: RunConfig) -> int:
+def _cmd_ford_sample(config: RunConfig) -> str:
+    alpha, leaves = parse_alpha(config.params["alpha"]), config.params["leaves"]
+    draw = lambda rng: ford_mod.sample_ford_cladogram(alpha, leaves, rng)  # noqa: E731
+    return _trees_artifact(config, draw, alpha=_alpha_str(alpha))
+
+
+def _cmd_ford_coalescent(config: RunConfig) -> str:
+    m = config.params["m"]
+    return _trees_artifact(config, lambda rng: ford_mod.sample_kingman_cladogram(m, rng))
+
+
+def _cmd_ford_exact(config: RunConfig) -> str:
     p = config.params
     dist = exact_distribution(p["alpha"], p["m"])
     rows = []
     for t in enumerate_cladograms(p["m"]):
         prob = dist.table[t.key]
         rows.append((f'"{to_newick(t)}"', prob.numerator, prob.denominator))
-    _emit(config, _csv_artifact(config, ["newick", "numerator", "denominator"], rows))
-    return EXIT_OK
+    return _csv_artifact(config, ["newick", "numerator", "denominator"], rows)
 
 
 # -- moments ---------------------------------------------------------------------
@@ -189,18 +174,17 @@ def _degree_indices(max_degree: int):
     return out
 
 
-def _cmd_moments_exact(config: RunConfig) -> int:
+def _cmd_moments_exact(config: RunConfig) -> str:
     p = config.params
     alpha = parse_alpha(p["alpha"])
     rows = []
     for k in _degree_indices(p["max_degree"]):
         v = moments.moment(alpha, k)
         rows.append((k[0], k[1], k[2], v.numerator, v.denominator))
-    _emit(config, _csv_artifact(config, ["k1", "k2", "k3", "numerator", "denominator"], rows))
-    return EXIT_OK
+    return _csv_artifact(config, ["k1", "k2", "k3", "numerator", "denominator"], rows)
 
 
-def _cmd_moments_estimate(config: RunConfig) -> int:
+def _cmd_moments_estimate(config: RunConfig) -> str:
     p = config.params
     alpha = parse_alpha(p["alpha"])
     ks = [k for k in _degree_indices(p["max_degree"]) if sum(k) >= 1]
@@ -213,43 +197,45 @@ def _cmd_moments_estimate(config: RunConfig) -> int:
         mean, se = est[k]
         exact = moments.moment(alpha, k)
         rows.append((k[0], k[1], k[2], repr(mean), repr(se), exact.numerator, exact.denominator))
-    _emit(
-        config,
-        _csv_artifact(
-            config,
-            ["k1", "k2", "k3", "estimate", "stderr", "exact_numerator", "exact_denominator"],
-            rows,
-        ),
-    )
-    return EXIT_OK
+    header = ["k1", "k2", "k3", "estimate", "stderr", "exact_numerator", "exact_denominator"]
+    return _csv_artifact(config, header, rows)
+
+
+def _kingman_suite(ks) -> int:
+    bad = 0
+    for k in ks:
+        m0 = moments.moment(0, k)
+        bad += (m0 != moments.kingman_closed_form(k)) + (m0 != moments.kingman_beta_moment(k))
+        if k[1] == 0:  # (k1, 0, 0): the univariate law
+            bad += m0 != moments.kingman_univariate(k[0])
+    return bad
+
+
+def _universal_suite(ks) -> int:
+    """The alpha-free moments, on a grid of alpha; ``ks`` is not read."""
+    bad = 0
+    for alpha in (Fraction(a) for a in ("0", "1/8", "1/4", "1/2", "3/4", "1")):
+        bad += moments.moment(alpha, (1, 0, 0)) != Fraction(1, 3)
+        bad += moments.moment(alpha, (2, 0, 0)) != Fraction(1, 5)
+        bad += moments.moment(alpha, (1, 1, 0)) != Fraction(1, 15)
+        bad += moments.moment(alpha, (3, 0, 0)) != (11 - 7 * alpha) / (15 * (5 - 3 * alpha))
+    return bad
+
+
+# suite -> the number of mismatches of the moment recursion against closed forms
+_MOMENT_SUITES = {
+    "kingman": _kingman_suite,
+    "crt": lambda ks: sum(
+        moments.moment(Fraction(1, 2), k) != moments.crt_dirichlet_moment(k) for k in ks
+    ),
+    "comb": lambda ks: sum(moments.moment(1, k) != moments.comb_moment(k) for k in ks),
+    "universal": _universal_suite,
+}
 
 
 def _moments_suite(suite: str, max_degree: int) -> VerificationReport:
     t0 = time.perf_counter()
-    ks = _degree_indices(max_degree)
-    bad = 0
-    if suite == "kingman":
-        for k in ks:
-            m0 = moments.moment(0, k)
-            bad += m0 != moments.kingman_closed_form(k)
-            bad += m0 != moments.kingman_beta_moment(k)
-        for k1 in range(max_degree + 1):
-            bad += moments.moment(0, (k1, 0, 0)) != moments.kingman_univariate(k1)
-    elif suite == "crt":
-        for k in ks:
-            bad += moments.moment(Fraction(1, 2), k) != moments.crt_dirichlet_moment(k)
-    elif suite == "comb":
-        for k in ks:
-            bad += moments.moment(1, k) != moments.comb_moment(k)
-    elif suite == "universal":
-        grid = (0, Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1)
-        for alpha in (Fraction(a) for a in grid):
-            bad += moments.moment(alpha, (1, 0, 0)) != Fraction(1, 3)
-            bad += moments.moment(alpha, (2, 0, 0)) != Fraction(1, 5)
-            bad += moments.moment(alpha, (1, 1, 0)) != Fraction(1, 15)
-            bad += moments.moment(alpha, (3, 0, 0)) != (11 - 7 * alpha) / (15 * (5 - 3 * alpha))
-    else:
-        raise StructureError(f"unknown moments suite {suite!r}")
+    bad = _MOMENT_SUITES[suite](_degree_indices(max_degree))
     return VerificationReport(
         check=f"moments-{suite}",
         parameters={"max_degree": max_degree},
@@ -260,19 +246,18 @@ def _moments_suite(suite: str, max_degree: int) -> VerificationReport:
     )
 
 
-def _cmd_moments_verify(config: RunConfig) -> int:
-    report = _moments_suite(config.params["suite"], config.params["max_degree"])
-    _emit(config, _report_artifact(config, [report]))
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+def _cmd_moments_verify(config: RunConfig) -> list[VerificationReport]:
+    return [_moments_suite(config.params["suite"], config.params["max_degree"])]
 
 
 # -- chain -----------------------------------------------------------------------
 
 
 def _parse_observable(text: str) -> int:
-    if not text.startswith("shape:m="):
-        raise StructureError(f"unsupported observable {text!r}; use shape:m=M")
-    return int(text.split("=", 1)[1])
+    prefix, _, m = text.partition("shape:m=")
+    if prefix or not m.isdigit() or not 2 <= int(m) <= 8:
+        raise StructureError(f"observable {text!r} is not shape:m=M, M an integer in 2..8")
+    return int(m)
 
 
 def _chain_run_replicate(args: tuple) -> tuple[int, list]:
@@ -289,7 +274,7 @@ def _chain_run_replicate(args: tuple) -> tuple[int, list]:
     return r, rows
 
 
-def _cmd_chain_run(config: RunConfig) -> int:
+def _cmd_chain_run(config: RunConfig) -> str:
     p = config.params
     alpha = parse_alpha(p["alpha"])
     m = _parse_observable(p["observe"])
@@ -319,63 +304,70 @@ def _cmd_chain_run(config: RunConfig) -> int:
         results = [_chain_run_replicate(w) for w in work]
     results.sort(key=lambda pair: pair[0])
     rows = [row for _, chunk in results for row in chunk]
-    _emit(config, _csv_artifact(config, ["replicate", "time", *labels], rows))
-    return EXIT_OK
+    return _csv_artifact(config, ["replicate", "time", *labels], rows)
+
+
+def _invariance_check(alpha, m: int, t: float) -> tuple:
+    residual = chain_mod.verify_invariance(alpha, m)
+    return {}, str(residual), "0", residual == 0
+
+
+def _beta_check(alpha, m: int, t: float) -> tuple:
+    ok = chain_mod.verify_beta_is_rate_discrepancy(alpha, m)
+    return {}, 0 if ok else 1, 0, ok
+
+
+def _duality_check(alpha, m: int, t: float) -> tuple:
+    dev = chain_mod.verify_feynman_kac(alpha, m, t)
+    return {"t": t}, dev, 1e-8, dev < 1e-8
+
+
+# check -> (alpha, m, t) -> (parameters besides alpha and m, residual, threshold,
+# passed); ``verify`` runs them in this order
+_CHAIN_CHECKS = {"invariance": _invariance_check, "beta": _beta_check, "duality": _duality_check}
 
 
 def _chain_check(check: str, alpha, m: int, t: float) -> VerificationReport:
     t0 = time.perf_counter()
     alpha = parse_alpha(alpha)
-    params = {"alpha": _alpha_str(alpha), "m": m}
-    if check == "invariance":
-        residual = chain_mod.verify_invariance(alpha, m)
-        rep = VerificationReport("invariance", params, str(residual), "0", residual == 0)
-    elif check == "beta":
-        ok = chain_mod.verify_beta_is_rate_discrepancy(alpha, m)
-        rep = VerificationReport("beta", params, 0 if ok else 1, 0, ok)
-    elif check == "duality":
-        params["t"] = t
-        dev = chain_mod.verify_feynman_kac(alpha, m, t)
-        rep = VerificationReport("duality", params, dev, 1e-8, dev < 1e-8)
-    else:
-        raise StructureError(f"unknown chain check {check!r}")
-    rep.wall_time = time.perf_counter() - t0
-    return rep
+    if not 0 <= t < math.inf:
+        raise ValueError(f"need finite t >= 0, got t={t}")
+    extra, residual, threshold, passed = _CHAIN_CHECKS[check](alpha, m, t)
+    params = {"alpha": _alpha_str(alpha), "m": m, **extra}
+    return VerificationReport(check, params, residual, threshold, passed, time.perf_counter() - t0)
 
 
-def _cmd_chain_verify(config: RunConfig) -> int:
+def _cmd_chain_verify(config: RunConfig) -> list[VerificationReport]:
     p = config.params
-    report = _chain_check(p["check"], p["alpha"], p["m"], p["t"])
-    _emit(config, _report_artifact(config, [report]))
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return [_chain_check(p["check"], p["alpha"], p["m"], p["t"])]
 
 
 # -- tree ------------------------------------------------------------------------
 
 
 def _tree_from_params(p: dict, seed: int) -> FiniteMeasureTree:
-    sources = [p.get("newick"), p.get("newick_file"), p.get("comb"), p.get("ford")]
+    alpha = parse_alpha(p["alpha"])
+    sources = [p["newick"], p["newick_file"], p["comb"], p["ford"]]
     if sum(x is not None for x in sources) != 1:
         raise StructureError("give exactly one of --newick, --newick-file, --comb, --ford-leaves")
-    if p.get("newick") is not None:
+    if p["newick"] is not None:
         return FiniteMeasureTree.from_newick(p["newick"])
-    if p.get("newick_file") is not None:
+    if p["newick_file"] is not None:
         with open(p["newick_file"]) as fh:
             return FiniteMeasureTree.from_newick(fh.read())
-    if p.get("comb") is not None:
+    if p["comb"] is not None:
         return build_comb_tree(p["comb"])
-    return sample_ford_tree(parse_alpha(p["alpha"]), p["ford"], stream(seed))
+    return sample_ford_tree(alpha, p["ford"], stream(seed))
 
 
-def _cmd_tree_nu(config: RunConfig) -> int:
+def _cmd_tree_nu(config: RunConfig) -> str:
     tree = _tree_from_params(config.params, config.seed)
     nu = tree.branch_point_distribution()
     rows = [(v, val.numerator, val.denominator) for v, val in sorted(nu.items())]
-    _emit(config, _csv_artifact(config, ["vertex", "numerator", "denominator"], rows))
-    return EXIT_OK
+    return _csv_artifact(config, ["vertex", "numerator", "denominator"], rows)
 
 
-def _cmd_tree_rmu(config: RunConfig) -> int:
+def _cmd_tree_rmu(config: RunConfig) -> str:
     tree = _tree_from_params(config.params, config.seed)
     if tree.n > 200:
         raise StructureError("pairwise mass-metric export is limited to 200 leaves")
@@ -386,47 +378,32 @@ def _cmd_tree_rmu(config: RunConfig) -> int:
             if x <= y:
                 val = tree.r_mu(x, y)
                 rows.append((x, y, val.numerator, val.denominator))
-    _emit(config, _csv_artifact(config, ["x", "y", "numerator", "denominator"], rows))
-    return EXIT_OK
+    return _csv_artifact(config, ["x", "y", "numerator", "denominator"], rows)
 
 
 # -- aggregated verify -------------------------------------------------------------
 
+# the moment suite whose closed form holds at alpha
+_CLOSED_FORM_SUITE = {Fraction(0): "kingman", Fraction(1, 2): "crt", Fraction(1): "comb"}
 
-def _cmd_verify(config: RunConfig) -> int:
+
+def _cmd_verify(config: RunConfig) -> list[VerificationReport]:
     p = config.params
     alpha = parse_alpha(p["alpha"])
     m = p["m"]
     universal = _moments_suite("universal", p["max_degree"])  # first: validates --max-degree
-    reports = [
-        _chain_check("invariance", alpha, m, p["t"]),
-        _chain_check("beta", alpha, m, p["t"]),
-        _chain_check("duality", alpha, m, p["t"]),
-        universal,
-    ]
+    reports = [_chain_check(check, alpha, m, p["t"]) for check in _CHAIN_CHECKS]
+    reports.append(universal)
     t0 = time.perf_counter()
     ok, residual = ford_mod.deletion_stability_check(alpha, m)
-    reports.append(
-        VerificationReport(
-            "deletion-stability",
-            {"alpha": _alpha_str(alpha), "m": m},
-            str(residual),
-            "0",
-            ok,
-            time.perf_counter() - t0,
-        )
-    )
-    if alpha == 0:
-        reports.append(_moments_suite("kingman", p["max_degree"]))
-    elif alpha == Fraction(1, 2):
-        reports.append(_moments_suite("crt", p["max_degree"]))
-    elif alpha == 1:
-        reports.append(_moments_suite("comb", p["max_degree"]))
-    _emit(config, _report_artifact(config, reports))
+    wall, params = time.perf_counter() - t0, {"alpha": _alpha_str(alpha), "m": m}
+    reports.append(VerificationReport("deletion-stability", params, str(residual), "0", ok, wall))
+    if alpha in _CLOSED_FORM_SUITE:
+        reports.append(_moments_suite(_CLOSED_FORM_SUITE[alpha], p["max_degree"]))
     for r in reports:
         status = "pass" if r.passed else "FAIL"
         print(f"[{status}] {r.check} ({r.wall_time:.2f}s)", file=sys.stderr)
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
+    return reports
 
 
 # -- argument parsing ---------------------------------------------------------------
@@ -441,24 +418,31 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ford = sub.add_parser("ford", help="samplers and exact cladogram laws")
-    fsub = ford.add_subparsers(dest="subcommand", required=True)
-    fs = fsub.add_parser("sample", parents=[common])
+    def command(group, name: str, handler, **kwargs) -> argparse.ArgumentParser:
+        """Declare one subcommand and the handler that computes its artifact."""
+        p = group.add_parser(name, parents=[common], **kwargs)
+        p.set_defaults(handler=handler)
+        return p
+
+    def group(name: str, summary: str):
+        return sub.add_parser(name, help=summary).add_subparsers(dest="subcommand", required=True)
+
+    fsub = group("ford", "samplers and exact cladogram laws")
+    fs = command(fsub, "sample", _cmd_ford_sample)
     fs.add_argument("--alpha", required=True)
     fs.add_argument("--leaves", type=int, required=True)
     fs.add_argument("--count", type=int, default=1)
     fs.add_argument("--format", dest="fmt", choices=["newick", "json"], default="newick")
-    fe = fsub.add_parser("exact", parents=[common])
+    fe = command(fsub, "exact", _cmd_ford_exact)
     fe.add_argument("--alpha", required=True)
     fe.add_argument("--m", type=int, required=True)
-    fc = fsub.add_parser("coalescent", parents=[common])
+    fc = command(fsub, "coalescent", _cmd_ford_coalescent)
     fc.add_argument("--m", type=int, required=True)
     fc.add_argument("--count", type=int, default=1)
     fc.add_argument("--format", dest="fmt", choices=["newick", "json"], default="newick")
 
-    chain_p = sub.add_parser("chain", help="chain simulation and verifications")
-    csub = chain_p.add_subparsers(dest="subcommand", required=True)
-    cr = csub.add_parser("run", parents=[common])
+    csub = group("chain", "chain simulation and verifications")
+    cr = command(csub, "run", _cmd_chain_run)
     cr.add_argument("--alpha", required=True)
     cr.add_argument("--leaves", type=int, required=True)
     cr.add_argument("--t", type=float, required=True)
@@ -468,37 +452,35 @@ def _build_parser() -> argparse.ArgumentParser:
     cr.add_argument(
         "--threads", type=int, default=os.cpu_count() or 1, help="worker processes, 1 to all cores"
     )
-    cv = csub.add_parser("verify", parents=[common])
-    cv.add_argument("check", choices=["invariance", "duality", "beta"])
+    cv = command(csub, "verify", _cmd_chain_verify)
+    cv.add_argument("check", choices=list(_CHAIN_CHECKS))
     cv.add_argument("--alpha", required=True)
     cv.add_argument("--m", type=int, required=True)
     cv.add_argument("--t", type=float, default=0.5)
 
-    mo = sub.add_parser("moments", help="subtree-mass moments")
-    msub = mo.add_subparsers(dest="subcommand", required=True)
-    me = msub.add_parser("exact", parents=[common])
+    msub = group("moments", "subtree-mass moments")
+    me = command(msub, "exact", _cmd_moments_exact)
     me.add_argument("--alpha", required=True)
     me.add_argument("--max-degree", type=int, default=5)
-    mm = msub.add_parser("estimate", parents=[common])
+    mm = command(msub, "estimate", _cmd_moments_estimate)
     mm.add_argument("--alpha", required=True)
     mm.add_argument("--leaves", type=int, required=True)
     mm.add_argument("--triples", type=int, default=100_000)
     mm.add_argument("--max-degree", type=int, default=3)
-    mv = msub.add_parser("verify", parents=[common])
-    mv.add_argument("--suite", required=True, choices=["kingman", "crt", "comb", "universal"])
+    mv = command(msub, "verify", _cmd_moments_verify)
+    mv.add_argument("--suite", required=True, choices=list(_MOMENT_SUITES))
     mv.add_argument("--max-degree", type=int, default=8)
 
-    tr = sub.add_parser("tree", help="branch point distribution and mass metric")
-    tsub = tr.add_subparsers(dest="subcommand", required=True)
-    for name in ("nu", "rmu"):
-        tp = tsub.add_parser(name, parents=[common])
+    tsub = group("tree", "branch point distribution and mass metric")
+    for name, handler in (("nu", _cmd_tree_nu), ("rmu", _cmd_tree_rmu)):
+        tp = command(tsub, name, handler)
         tp.add_argument("--newick")
         tp.add_argument("--newick-file")
         tp.add_argument("--comb", type=int)
         tp.add_argument("--ford-leaves", type=int, dest="ford")
         tp.add_argument("--alpha", default="1/2")
 
-    ver = sub.add_parser("verify", parents=[common], help="aggregated verification suite")
+    ver = command(sub, "verify", _cmd_verify, help="aggregated verification suite")
     ver.add_argument("--alpha", required=True)
     ver.add_argument("--m", type=int, default=5)
     ver.add_argument("--t", type=float, default=0.5)
@@ -506,48 +488,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    ("ford", "sample"): (_cmd_ford_sample, ["alpha", "leaves", "count"]),
-    ("ford", "exact"): (_cmd_ford_exact, ["alpha", "m"]),
-    ("ford", "coalescent"): (_cmd_ford_coalescent, ["m", "count"]),
-    ("chain", "run"): (_cmd_chain_run, ["alpha", "leaves", "t", "observe", "replicates", "obs_times"]),
-    ("chain", "verify"): (_cmd_chain_verify, ["check", "alpha", "m", "t"]),
-    ("moments", "exact"): (_cmd_moments_exact, ["alpha", "max_degree"]),
-    ("moments", "estimate"): (_cmd_moments_estimate, ["alpha", "leaves", "triples", "max_degree"]),
-    ("moments", "verify"): (_cmd_moments_verify, ["suite", "max_degree"]),
-    ("tree", "nu"): (_cmd_tree_nu, ["newick", "newick_file", "comb", "ford", "alpha"]),
-    ("tree", "rmu"): (_cmd_tree_rmu, ["newick", "newick_file", "comb", "ford", "alpha"]),
-    ("verify", None): (_cmd_verify, ["alpha", "m", "t", "max_degree"]),
-}
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch a resolved configuration; returns the process exit code."""
-    key = tuple(config.command.split(" ", 1)) if " " in config.command else (config.command, None)
-    handler, _ = _DISPATCH[key]
-    return handler(config)
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    command = args.command + (f" {args.subcommand}" if getattr(args, "subcommand", None) else "")
-    key = (args.command, getattr(args, "subcommand", None))
-    _, param_names = _DISPATCH[key]
-    params = {name: getattr(args, name, None) for name in param_names}
-    config = RunConfig(
-        command=command,
-        params=params,
-        seed=args.seed,
-        threads=getattr(args, "threads", 1),
-        out=args.out,
-        fmt=getattr(args, "fmt", None),
-    )
+    """Run one command: write its artifact and return the exit code, 1 iff a
+    verification report failed."""
+    params = vars(_build_parser().parse_args(argv))
+    handler = params.pop("handler")
+    command = " ".join(filter(None, (params.pop("command"), params.pop("subcommand", None))))
+    seed, out, threads, fmt = (params.pop(name, None) for name in _UNHASHED)
+    config = RunConfig(command, params, seed, threads, fmt)
     try:
-        return run(config)
+        artifact, failed = handler(config), False
+        if isinstance(artifact, list):  # verification reports
+            failed = not all(r.passed for r in artifact)
+            artifact = _json_artifact(config, [r.to_dict() for r in artifact])
+        _emit(out, artifact)
     except (StructureError, ValueError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return EXIT_USAGE
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 if __name__ == "__main__":

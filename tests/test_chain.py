@@ -796,6 +796,25 @@ def test_duality_rejects_bad_replicates_and_time(monkeypatch, t, replicates):
         verify_chain_diffusion_duality("1/2", 4, 64, t, replicates=replicates)
 
 
+def _no_sample(*args):
+    raise AssertionError("a tree was sampled")
+
+
+@pytest.mark.parametrize("initial", [None, build_comb_tree(5)])
+def test_duality_rejects_fewer_leaves_than_m(monkeypatch, initial):
+    # a 5-leaf tree spans no 6-leaf shape: every Phi^6 is 0, and both sides would agree at 0
+    monkeypatch.setattr("alphaford.chain.ChainState", _no_chain)
+    monkeypatch.setattr("alphaford.chain.sample_ford_tree", _no_sample)
+    with pytest.raises(ValueError, match="n_leaves >= m"):
+        verify_chain_diffusion_duality("1/2", 6, 5, 0.05, replicates=50, initial=initial)
+
+
+def test_duality_rejects_initial_tree_of_other_size(monkeypatch):
+    monkeypatch.setattr("alphaford.chain.ChainState", _no_chain)
+    with pytest.raises(ValueError, match="8 leaves, not n_leaves=999"):
+        verify_chain_diffusion_duality("0", 4, 999, 0.05, replicates=10, initial=build_comb_tree(8))
+
+
 @pytest.mark.parametrize("samples", [0, -1])
 def test_estimate_shape_vector_rejects_no_samples(samples):
     with pytest.raises(ValueError):

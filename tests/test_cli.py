@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -306,6 +307,13 @@ def test_moments_verify_suites(capsys, suite):
         ["moments", "estimate", "--alpha", "0", "--leaves", "20", "--triples", "0"],
         ["moments", "estimate", "--alpha", "0", "--leaves", "20", "--triples", "1"],
         ["chain", "run", "--alpha", "0", "--leaves", "6", "--t", "0.1", "--observe", "shape:m=7"],
+        ["tree", "nu", "--comb", "5", "--alpha", "2"],
+        ["tree", "nu", "--comb", "5", "--alpha", "foo"],
+        ["chain", "verify", "invariance", "--alpha", "0", "--m", "5", "--t", "nan"],
+        ["chain", "verify", "beta", "--alpha", "0", "--m", "5", "--t", "-1"],
+        # rejected before the m <= 5 note, so stderr holds the error alone
+        ["chain", "run", "--alpha", "0", "--leaves", "8", "--t", "0.1", "--observe", "shape:m=1"],
+        ["chain", "run", "--alpha", "0", "--leaves", "8", "--t", "0.1", "--observe", "shape:m=x"],
     ],
 )
 def test_out_of_range_values_are_usage_errors(capsys, argv):
@@ -314,11 +322,38 @@ def test_out_of_range_values_are_usage_errors(capsys, argv):
     assert json.loads(err.strip())["error"]
 
 
+@pytest.mark.parametrize("observe", ["shape:m=x", "shape:m=1.5", "shape:m=", "shape:M=6"])
+def test_chain_run_names_the_observable_form(capsys, observe):
+    code, _, err = run_cli(capsys, *CHAIN_RUN, "--observe", observe, "--threads", "1")
+    assert code == 2
+    assert "shape:m=M" in json.loads(err)["message"]
+
+
 def test_moments_verify_detects_failure(capsys, monkeypatch):
     monkeypatch.setattr(moments, "kingman_univariate", lambda k: 0)
     code, out, _ = run_cli(capsys, "moments", "verify", "--suite", "kingman", "--max-degree", "3")
     assert code == 1
     assert json.loads(out)["data"][0]["pass"] is False
+
+
+def test_chain_verify_detects_failure(capsys, monkeypatch):
+    monkeypatch.setattr(cli.chain_mod, "verify_invariance", lambda alpha, m: Fraction(1))
+    code, out, _ = run_cli(capsys, "chain", "verify", "invariance", "--alpha", "1/3", "--m", "5")
+    assert code == 1
+    assert json.loads(out)["data"] == [
+        {"check": "invariance", "parameters": {"alpha": "1/3", "m": 5}, "residual": "1",
+         "threshold": "0", "pass": False}
+    ]
+
+
+def test_verify_detects_failure(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli.chain_mod, "verify_invariance", lambda alpha, m: Fraction(1))
+    out = tmp_path / "verify.json"
+    code, stdout, err = run_cli(capsys, "verify", "--alpha", "0", "--m", "5", "--out", str(out))
+    assert code == 1 and stdout == ""
+    passed = {item["check"]: item["pass"] for item in json.loads(out.read_text())["data"]}
+    assert passed.pop("invariance") is False and len(passed) == 5 and all(passed.values())
+    assert "[FAIL] invariance" in err
 
 
 def test_tree_nu_comb(capsys):
