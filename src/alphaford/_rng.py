@@ -26,6 +26,8 @@ def as_fraction(x) -> Fraction:
     Floats are rejected: a binary float silently misrepresents most decimal
     inputs and the exact suites would inherit the error.
     """
+    if type(x) is Fraction:  # immutable: nothing to convert
+        return x
     if isinstance(x, bool) or isinstance(x, float):
         raise TypeError(f"pass {x!r} as a string or Fraction to keep arithmetic exact")
     return Fraction(x)
@@ -34,6 +36,6 @@ def as_fraction(x) -> Fraction:
 def parse_alpha(x) -> Fraction:
     """Exact alpha in [0, 1]."""
     alpha = as_fraction(x)
-    if not 0 <= alpha <= 1:
+    if not 0 <= alpha.numerator <= alpha.denominator:  # the denominator is positive
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     return alpha

@@ -367,10 +367,23 @@ def _cmd_tree_nu(config: RunConfig) -> str:
     return _csv_artifact(config, ["vertex", "numerator", "denominator"], rows)
 
 
+_RMU_MAX_LEAVES = 200
+
+
+def _check_rmu_leaves(n: int) -> None:
+    if n > _RMU_MAX_LEAVES:
+        raise StructureError(f"pairwise mass-metric export is limited to {_RMU_MAX_LEAVES} leaves")
+
+
 def _cmd_tree_rmu(config: RunConfig) -> str:
-    tree = _tree_from_params(config.params, config.seed)
-    if tree.n > 200:
-        raise StructureError("pairwise mass-metric export is limited to 200 leaves")
+    p = config.params
+    # --comb and --ford-leaves give the size up front: it is checked before
+    # the tree is built
+    for n in (p["comb"], p["ford"]):
+        if n is not None:
+            _check_rmu_leaves(n)
+    tree = _tree_from_params(p, config.seed)
+    _check_rmu_leaves(tree.n)
     vertices = sorted(tree.topology.vertices)
     rows = []
     for x in vertices:

@@ -5,7 +5,11 @@ generator Omega on the mass polynomials f^k = eta_1^k1 eta_2^k2 eta_3^k3.
 Twice Omega is A0 + alpha A1 with integer coefficients, and apart from f^k
 itself and a constant every monomial of 2 Omega f^k has degree |k| - 1, so
 stationarity, E[Omega f^k] = 0, gives the moments E[eta^k] degree by degree
-over exact rationals.  Also: the closed forms at alpha = 0 (Yule/coalescent),
+over exact rationals.  One numpy builder writes the rows of a whole degree at
+once (Python ints in object arrays), and the solve takes one degree per step
+from them: every index of the degree at alpha != 0, where the migration terms
+reach all of them, and only the indices the request dominates at alpha = 0.
+Also: the closed forms at alpha = 0 (Yule/coalescent),
 alpha = 1/2 (Dirichlet(1/2,1/2,1/2)) and alpha = 1 (comb, a symmetrized
 Beta(2,2) on the boundary of the simplex), and Monte Carlo estimators on
 finite trees for cross-checking.
@@ -13,6 +17,7 @@ finite trees for cross-checking.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -46,6 +51,9 @@ def _norm_index(k) -> MultiIndex:
     """k as a tuple of Python ints: integer entries (numpy's too) are read
     through ``operator.index``, and bools, floats and strings raise
     ``TypeError``."""
+    if type(k) is tuple and len(k) == 3 and type(k[0]) is type(k[1]) is type(k[2]) is int:
+        if min(k) >= 0:
+            return k  # the common case, already normal
     k = tuple(k)
     if any(isinstance(x, (bool, np.bool_)) or not hasattr(x, "__index__") for x in k):
         raise TypeError(f"multi-index entries must be integers, got {k}")
@@ -55,123 +63,194 @@ def _norm_index(k) -> MultiIndex:
     return k
 
 
-def _dec(k: MultiIndex, i: int) -> MultiIndex:
-    return k[:i] + (k[i] - 1,) + k[i + 1 :]
-
-
 # The weights of the pieces of 2 Omega (Wright-Fisher, drift, corner jumps,
 # migration) in A0 and in A1: the drift is 2 - alpha, the corner jumps
 # 2 - 3 alpha and the migration alpha / 2 times their operators below.
 _PARTS = ((2, 4, 4, 0), (0, -2, -6, 1))
 
+# the ordered coordinate pairs (i, j), i != j, of the migrations theta_ij
+_PAIRS = np.array(list(itertools.permutations(range(3), 2)))
 
-def _diagonal(s: int, part: int) -> int:
-    """The coefficient of f^k in part ``part`` of 2 Omega f^k; it depends on
-    the degree s = |k| alone."""
-    wright_fisher, drift, corner, _ = _PARTS[part]
+
+def _pieces(x0: int, x1: int) -> tuple[int, ...]:
+    """The piece weights of x0 A0 + x1 A1, in the order of ``_PARTS``."""
+    return tuple(x0 * a + x1 * b for a, b in zip(*_PARTS))
+
+
+def _diagonal(s: int, x0: int, x1: int) -> int:
+    """The coefficient of f^k in (x0 A0 + x1 A1) f^k; it depends on the degree
+    s = |k| alone."""
+    wright_fisher, drift, corner, _ = _pieces(x0, x1)
     return -(wright_fisher * s * (s - 1) + 3 * drift * s + 3 * corner)
 
 
-def _generator_row(k: MultiIndex, part: int) -> tuple[int, dict]:
-    """Part ``part`` of 2 Omega f^k (A0 for 0, A1 for 1) in integers: its
-    constant and its nonzero coefficients {j: w} on the monomials f^j, keyed
-    by unsorted index, f^k itself included."""
-    wright_fisher, drift, corner, migration = _PARTS[part]
-    s = sum(k)
-    row = Counter({k: _diagonal(s, part)})
-    # Wright-Fisher sum_ij eta_i (delta_ij - eta_j) d2_ij and drift
-    # sum_i (1 - 3 eta_i) d_i; their f^k terms are in the diagonal
-    for i in range(3):
-        if k[i]:
-            row[_dec(k, i)] += wright_fisher * k[i] * (k[i] - 1) + drift * k[i]
+@functools.cache
+def _binomials(n: int) -> tuple[int, ...]:
+    """C(n, p) for p = 1..n as Python ints, which pass int64 from n = 67 on.
+    Cached for the life of the process: n never exceeds the largest degree
+    solved at alpha != 0."""
+    return tuple(math.comb(n, p) for p in range(1, n + 1))
+
+
+def _generator_rows(ks: np.ndarray, x0: int, x1: int):
+    """The rows of x0 A0 + x1 A1 on the monomials f^k, one per row of ``ks``,
+    an (R, 3) integer array of indices of one degree s.
+
+    At alpha = p/q, (x0, x1) = (q, p) gives 2q Omega, (1, 0) gives A0 and
+    (0, 1) gives A1.  Returns ``(constants, rows, targets, weights)``: the R
+    constants, and the lower terms, weights[t] f^targets[t] in row rows[t],
+    ascending by row, on unsorted indices of degree s - 1.  The f^k term
+    itself is left out: its coefficient is ``_diagonal(s, x0, x1)``.  The
+    weights are Python ints in an object array; a target can repeat within a
+    row, and the migration terms are built only if x1 != 0.
+    """
+    wright_fisher, drift, corner, migration = _pieces(x0, x1)
+    s = int(ks[0].sum())
     # corner jumps sum_i (f(e_i) - f): f(e_i) = 1 iff the other two exponents
-    # vanish
-    constant = corner * k.count(s)
-    # migration sum_{i != j} eta_i^{-1} (f o theta_ij - f), theta_ij moving
-    # the mass of i onto j: a binomial expansion when k_i = 0, else -f^{k - e_i}
+    # vanish; their f^k terms are in the diagonal
+    constants = (ks == s).sum(axis=1).astype(object) * corner
+    # Wright-Fisher sum_ij eta_i (delta_ij - eta_j) d2_ij, drift
+    # sum_i (1 - 3 eta_i) d_i and the migration terms -f^(k - e_i) of the
+    # two theta_ij with k_i > 0 all land on k - e_i
+    rows, i = np.nonzero(ks)
+    n = ks[rows, i].astype(object)
+    weights = n * (wright_fisher * (n - 1) + drift) - 2 * migration
+    targets = ks[rows]
+    targets[np.arange(len(rows)), i] -= 1
     if migration:
-        for i, j in itertools.permutations(range(3), 2):
-            if k[i]:
-                row[_dec(k, i)] -= migration
-                continue
-            for p in range(1, k[j] + 1):
-                kk = list(k)
-                kk[i] += p - 1
-                kk[j] -= p
-                row[tuple(kk)] += migration * math.comb(k[j], p)
+        # migration sum_{i != j} eta_i^{-1} (f o theta_ij - f), theta_ij moving
+        # the mass of i onto j: when k_i = 0 the binomial expansion of
+        # (eta_i + eta_j)^k_j / eta_i puts C(k_j, p) on k_i = p - 1,
+        # k_j - p, p = 1..k_j
+        r, pair = np.nonzero((ks[:, _PAIRS[:, 0]] == 0) & (ks[:, _PAIRS[:, 1]] > 0))
+        i, j = _PAIRS[pair].T
+        n = ks[r, j]
+        p = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n) + 1
+        r = np.repeat(r, n)
+        term = np.arange(len(p))
+        t = ks[r]
+        t[term, np.repeat(i, n)] = p - 1
+        t[term, np.repeat(j, n)] -= p
+        binomials = np.array([c for m in n.tolist() for c in _binomials(m)], dtype=object)
+        rows = np.concatenate([rows, r])
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        targets = np.concatenate([targets, t])[order]
+        weights = np.concatenate([weights, migration * binomials])[order]
     # boundary reflection (1/2) sum_{i != j} (1{eta_j = 0} - 1{eta_i = 0}) d_i:
     # nothing, both indicators vanish on the open simplex
-    return constant, {j: w for j, w in row.items() if w}
+    return constants, rows, targets, weights
 
 
-def _scaled_row(k: MultiIndex, p: int, q: int) -> tuple[int, dict]:
-    """2q Omega f^k at alpha = p/q: q A0 + p A1, with A1 built only if p != 0."""
-    constant, row = 0, Counter()
-    for part, x in ((0, q), (1, p)):
-        if x:
-            c, coefficients = _generator_row(k, part)
-            constant += x * c
-            for j, w in coefficients.items():
-                row[j] += x * w
-    return constant, row
+def _row(k: MultiIndex, x0: int, x1: int) -> tuple[int, dict]:
+    """The row of f^k in x0 A0 + x1 A1: its constant and its nonzero
+    coefficients {j: w} on the monomials f^j, keyed by unsorted index, f^k
+    itself included."""
+    constants, _, targets, weights = _generator_rows(np.array([k]), x0, x1)
+    row = Counter({k: _diagonal(sum(k), x0, x1)})
+    for j, w in zip(map(tuple, targets.tolist()), weights):
+        row[j] += w
+    return constants[0], {j: w for j, w in row.items() if w}
 
 
-def _lower_terms(k: MultiIndex, p: int, q: int) -> tuple[int, dict]:
-    """2q Omega f^k at alpha = p/q without its f^k term, on sorted indices."""
-    constant, row = _scaled_row(k, p, q)
-    lower = Counter()
-    for j, w in row.items():
-        if j != k:
-            lower[tuple(sorted(j))] += w
-    return constant, {j: w for j, w in lower.items() if w}
+def _generator_row(k: MultiIndex, part: int) -> tuple[int, dict]:
+    """Part ``part`` of 2 Omega f^k in integers: A0 for 0, A1 for 1."""
+    return _row(k, 1 - part, part)
 
 
-def _numerator(alpha: Fraction, k: MultiIndex, nums: dict, dens: list) -> int:
-    """E[eta^k] * dens[|k|] through ``nums``, keyed by sorted index.
+def _sort_dec(k: MultiIndex, i: int) -> MultiIndex:
+    """k - e_i, sorted."""
+    return tuple(sorted(k[:i] + (k[i] - 1,) + k[i + 1 :]))
 
-    If 2q Omega f^k = c - t_s f^k + sum_j w_j f^j at alpha = p/q and degree
-    s >= 2, then t_s = 2 (s + 3)((s + 2) q - 3p) and stationarity gives
+
+def _sorted_indices(s: int) -> list[MultiIndex]:
+    """Every sorted index a <= b <= c of degree s."""
+    return [(a, b, s - a - b) for a in range(s // 3 + 1) for b in range(a, (s - a) // 2 + 1)]
+
+
+class _Moments:
+    """E[eta^k] at one alpha = p/q, on sorted indices k.
+
+    If 2q Omega f^k = c - t_s f^k + sum_j w_j f^j at degree s >= 2, then
+    t_s = 2 (s + 3)((s + 2) q - 3p) and stationarity gives
     E[eta^k] = (c + sum_j w_j E[eta^j]) / t_s, so over D_s = D_(s-1) t_s the
-    numerator is c D_(s-1) + sum_j w_j N_j.  An explicit stack replaces
-    recursion, so any degree is reachable: an index waits under the lower
-    numerators it needs until they are cached."""
-    p, q = alpha.numerator, alpha.denominator
-    top = tuple(sorted(k))
-    while len(dens) <= sum(top):
-        s = len(dens)
-        dens.append(-dens[-1] * (q * _diagonal(s, 0) + p * _diagonal(s, 1)))
-    stack: list = [(top, None)]
-    while stack:
-        k, terms = stack.pop()
-        if k in nums:
-            continue
-        terms = terms or _lower_terms(k, p, q)
-        missing = [(j, None) for j in terms[1] if j not in nums]
-        if missing:
-            stack += [(k, terms), *missing]
-            continue
-        constant, lower = terms
-        nums[k] = constant * dens[sum(k) - 1] + sum(w * nums[j] for j, w in lower.items())
-    return nums[top]
+    numerator is N_k = c D_(s-1) + sum_j w_j N_j, with every j of degree
+    s - 1.  A cache miss solves this for a batch of indices one degree at a
+    time, lowest first, from one ``_generator_rows`` call, one object-array
+    product and one ``np.add.reduceat``; no degree is out of reach.
+    """
+
+    def __init__(self, p: int, q: int):
+        self.p, self.q = p, q
+        # degree 1 is 1/3 by exchangeability, since t_1 vanishes at alpha = 1
+        self.nums = {(0, 0, 0): 1, (0, 0, 1): 1}
+        self.dens = [1, 3]
+        # the Fractions handed out, one per sorted index
+        self.values: dict[MultiIndex, Fraction] = {}
+
+    def value(self, k: MultiIndex) -> Fraction:
+        value = self.values.get(k)
+        if value is None:
+            if k not in self.nums:
+                self._fill(k)
+            value = self.values[k] = Fraction(self.nums[k], self.dens[sum(k)])
+        return value
+
+    def _missing(self, k: MultiIndex) -> list[list[MultiIndex]]:
+        """The indices that the solve for k still needs, by degree, lowest
+        first.  The cached set is closed downward, so they are found from k.
+
+        At alpha != 0 the migration terms reach every lower index, so whole
+        degrees are filled: those from len(dens) on, since ``_fill`` extends
+        the denominators only over the degrees it fills.  At alpha = 0 the
+        lower terms of f^k are on the k - e_i, so only the indices that k
+        dominates are needed: (k, 0, 0) costs one per degree.
+        """
+        if self.p:
+            return [_sorted_indices(s) for s in range(len(self.dens), sum(k) + 1)]
+        levels = [[k]]
+        while True:
+            below = {_sort_dec(j, i) for j in levels[-1] for i in range(3) if j[i]}
+            below = [j for j in below if j not in self.nums]
+            if not below:
+                return levels[::-1]
+            levels.append(below)
+
+    def _fill(self, k: MultiIndex) -> None:
+        p, q, nums, dens = self.p, self.q, self.nums, self.dens
+        levels = self._missing(k)
+        while len(dens) <= sum(k):
+            dens.append(-dens[-1] * _diagonal(len(dens), q, p))
+        for ks in levels:
+            s = sum(ks[0])
+            constants, rows, targets, weights = _generator_rows(np.array(ks), q, p)
+            targets.sort(axis=1)
+            lower = np.array([nums[j] for j in zip(*targets.T.tolist())], dtype=object)
+            # every row has a term, since s >= 2, so no start repeats
+            starts = np.searchsorted(rows, np.arange(len(ks)))
+            solved = constants * dens[s - 1] + np.add.reduceat(weights * lower, starts)
+            nums.update(zip(ks, solved.tolist()))
 
 
-# alpha -> (numerators by sorted index, denominators by degree); degree 1 is
-# 1/3 by exchangeability, since t_1 vanishes at alpha = 1
-_MOMENT_CACHES: dict[Fraction, tuple[dict, list]] = {}
+# (p, q) of alpha = p/q -> its moments
+_MOMENT_CACHES: dict[tuple[int, int], _Moments] = {}
 
 
 def moment(alpha, k) -> Fraction:
     """E[eta^k] under the stationary subtree-mass law at parameter alpha.
 
-    Read off the generator's integer rows: E[Omega f^k] = 0 solved degree by
-    degree in Python integers over one denominator per degree, and one
-    ``Fraction`` built at the end.  It runs on an explicit stack, so any
-    degree is reachable.  Exact for every rational alpha in [0, 1].
+    Read off the generator's integer rows: E[Omega f^k] = 0 solved one
+    degree at a time in Python integers over one denominator per degree, so
+    any degree is reachable.  One ``Fraction`` is built and cached per
+    (alpha, sorted index).  Exact for every rational alpha in [0, 1].
     """
     alpha = parse_alpha(alpha)
-    k = _norm_index(k)
-    nums, dens = _MOMENT_CACHES.setdefault(alpha, ({(0, 0, 0): 1, (0, 0, 1): 1}, [1, 3]))
-    return Fraction(_numerator(alpha, k, nums, dens), dens[sum(k)])
+    k = tuple(sorted(_norm_index(k)))
+    key = (alpha.numerator, alpha.denominator)
+    cache = _MOMENT_CACHES.get(key)
+    if cache is None:
+        cache = _MOMENT_CACHES[key] = _Moments(*key)
+    return cache.value(k)
 
 
 def kingman_closed_form(k) -> Fraction:
@@ -197,22 +276,22 @@ def kingman_univariate(k: int) -> Fraction:
     return Fraction(2 * k * (k * (k + 6) + 11) + 36, 3 * (k + 1) * (k + 2) ** 2 * (k + 3))
 
 
-def _beta_product_moment(k: MultiIndex) -> Fraction:
-    # moments of (B12*B22, B12*(1-B22), 1-B12), B12 ~ Beta(1,2), B22 ~ Beta(2,2)
-    f = math.factorial
-    s = sum(k)
-    return Fraction(
-        12 * f(k[0] + 1) * f(k[1] + 1) * f(k[2] + 1) * f(k[0] + k[1]),
-        f(s + 2) * f(k[0] + k[1] + 3),
-    )
-
-
 def kingman_beta_moment(k) -> Fraction:
     """alpha = 0 moments through the independent-Beta representation,
-    symmetrized over the six coordinate permutations."""
+    symmetrized over the six coordinate permutations.
+
+    For one permutation (a, b, c) of k the law of (B12 B22, B12 (1 - B22),
+    1 - B12), B12 ~ Beta(1, 2), B22 ~ Beta(2, 2), has the moment
+    12 (a + 1)! (b + 1)! (c + 1)! (a + b)! / ((S + 2)! (a + b + 3)!); the six
+    are summed in integers over the common denominator (S + 2)! (S + 3)!.
+    """
     k = _norm_index(k)
-    acc = sum((_beta_product_moment(p) for p in itertools.permutations(k)), Fraction(0))
-    return acc / 6
+    f = math.factorial
+    s = sum(k)
+    total = sum(f(a + b) * (f(s + 3) // f(a + b + 3)) for a, b, _ in itertools.permutations(k))
+    # 12 / 6: the Beta normalization over the six permutations
+    numerator = 2 * f(k[0] + 1) * f(k[1] + 1) * f(k[2] + 1) * total
+    return Fraction(numerator, f(s + 2) * f(s + 3))
 
 
 def _beta22_moment(a: int, b: int) -> Fraction:
@@ -233,22 +312,18 @@ def comb_moment(k) -> Fraction:
     return acc / 6
 
 
-def _rising(x: Fraction, n: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(n):
-        out *= x + i
-    return out
+def _odd_double_factorial(n: int) -> int:
+    """(2n - 1)!! = 1 * 3 * ... * (2n - 1), and 1 at n = 0."""
+    return math.prod(range(1, 2 * n, 2))
 
 
 def crt_dirichlet_moment(k) -> Fraction:
     """alpha = 1/2 moments: Dirichlet(1/2, 1/2, 1/2) mixed moments
-    prod (1/2)_{k_i} / (3/2)_S in rising factorials."""
+    prod (1/2)_{k_i} / (3/2)_S in rising factorials, which is
+    prod (2 k_i - 1)!! / (2S + 1)!! in integers."""
     k = _norm_index(k)
-    half = Fraction(1, 2)
-    num = Fraction(1)
-    for ki in k:
-        num *= _rising(half, ki)
-    return num / _rising(Fraction(3, 2), sum(k))
+    numerator = math.prod(_odd_double_factorial(ki) for ki in k)
+    return Fraction(numerator, _odd_double_factorial(sum(k) + 1))
 
 
 @dataclass(frozen=True)
@@ -274,9 +349,9 @@ def monomial_generator_action(alpha, k) -> GeneratorAction:
     """
     alpha = parse_alpha(alpha)
     k = _norm_index(k)
-    p, q = alpha.numerator, alpha.denominator
-    constant, row = _scaled_row(k, p, q)
-    coefficients = {j: Fraction(w, 2 * q) for j, w in row.items() if w}
+    q = alpha.denominator
+    constant, row = _row(k, q, alpha.numerator)
+    coefficients = {j: Fraction(w, 2 * q) for j, w in row.items()}
     return GeneratorAction(alpha, k, Fraction(constant, 2 * q), coefficients)
 
 

@@ -418,6 +418,26 @@ def test_tree_rmu_newick(capsys):
     assert rows[0] == "x,y,numerator,denominator"
 
 
+def _no_tree(*args, **kwargs):
+    raise AssertionError("a tree was built")
+
+
+@pytest.mark.parametrize("source", ["--comb", "--ford-leaves"])
+def test_tree_rmu_rejects_a_large_size_before_building(capsys, monkeypatch, source):
+    monkeypatch.setattr(cli, "build_comb_tree", _no_tree)
+    monkeypatch.setattr(cli, "sample_ford_tree", _no_tree)
+    code, out, err = run_cli(capsys, "tree", "rmu", source, "1000000")
+    assert code == 2 and out == ""
+    assert "200 leaves" in json.loads(err.strip())["message"]
+
+
+def test_tree_rmu_rejects_a_large_newick_tree(capsys):
+    newick = build_comb_tree(201).to_newick()
+    code, out, err = run_cli(capsys, "tree", "rmu", "--newick", newick)
+    assert code == 2 and out == ""
+    assert "200 leaves" in json.loads(err.strip())["message"]
+
+
 def test_tree_requires_one_source(capsys):
     code, _, err = run_cli(capsys, "tree", "nu", "--comb", "6", "--newick", "(1,2);")
     assert code == 2

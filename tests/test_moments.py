@@ -255,6 +255,33 @@ def test_moments_digest_to_degree_12():
     assert h.hexdigest() == "eda738c40223802632e4a485acad4131afc98b3eaa753fac075a58a9ca05e72a"
 
 
+def test_moments_digest_to_degree_30():
+    # every sorted index of degree <= 30 at alpha = 1/3, as the benchmark's
+    # exact pass reads them; pinned values, so a wrong row or solve shows
+    h = hashlib.sha256()
+    count = 0
+    for s in range(31):
+        for a in range(s // 3 + 1):
+            for b in range(a, (s - a) // 2 + 1):
+                k = (a, b, s - a - b)
+                h.update(f"{k} {moment('1/3', k)}\n".encode())
+                count += 1
+    assert count == 1041
+    assert h.hexdigest() == "c2532045701de9c6265a723c5c4a859a80888294aa9880b2f02ab693f7193b98"
+
+
+def test_moment_past_the_int64_binomials():
+    # C(80, 40) > 2**63: the migration weights of degree 80 need Python ints
+    value = moment("1/3", (80, 0, 0))
+    digest = hashlib.sha256(str(value).encode()).hexdigest()
+    assert digest == "c5cff2be507af06629c91e0fe19738ed341bf9a1273e4182c6773a58b935a57c"
+
+
+def test_alpha_zero_high_degree_matches_the_closed_form():
+    # the alpha = 0 solve fills only the indices (40, 40, 40) dominates
+    assert moment(0, (40, 40, 40)) == kingman_closed_form((40, 40, 40))
+
+
 def test_generator_action_zero_index():
     action = monomial_generator_action("1/2", (0, 0, 0))
     # constants are harmonic: the expansion must evaluate to zero at stationarity
