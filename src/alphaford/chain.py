@@ -24,9 +24,10 @@ the Feynman-Kac matrix identity
 A simulator runs the same dynamics on trees with hundreds of leaves.  Every
 event has the same total rate, so a run to time t draws a Poisson event
 count and then the iid moves in vectorized blocks; each move rewrites three
-fixed edge slots, with no rejection loop.  The sample-shape vector of a
-tree, fixed or simulated, is computed exactly by one pass over its rooted
-view; the chain-vs-dual check still estimates it from quartet queries.
+fixed edge slots, with no rejection loop; a block of moves is applied in
+one loop.  The sample-shape vector of a tree, fixed or simulated, is
+computed exactly by one pass over its rooted view; the chain-vs-dual check
+still estimates it, every digit of its state codes from one quartet query.
 Move targets, the unlabeled shape classes and the estimator's samples all
 find their states through the one state code of :mod:`alphaford.cladogram`.
 """
@@ -364,7 +365,9 @@ class ChainState:
     event has rate N(N - 1 - 3 alpha), whatever the state, and a move
     reinserting the leaf where it stood leaves the state unchanged.  So a run
     over [s, t) is a Poisson(N(N - 1 - 3 alpha)(t - s)) number of iid moves,
-    drawn in blocks of ``_BLOCK``.
+    drawn in blocks of ``_BLOCK``; :meth:`_steps` applies a whole block in
+    one loop, and :meth:`move` hands it a block of one.  ``self_moves``
+    counts the self-moves taken so far.
     """
 
     def __init__(self, tree: FiniteMeasureTree, alpha, rng: np.random.Generator):
@@ -392,6 +395,7 @@ class ChainState:
         self.total_rate = n * (n - 1 - 3 * self.alpha)
         self.time = 0.0
         self.jumps = 0
+        self.self_moves = 0
         self.rng = rng
 
     def move(self) -> bool:
@@ -401,11 +405,12 @@ class ChainState:
         k = int(rng.integers(n))
         if rng.random() * self._w_all < self._w_ext:
             z = int(rng.integers(n - 1))
-            return self._step(k, True, z + (z >= k))
-        return self._step(k, False, n + int(rng.integers(n - 4)))
+            return not self._steps((k,), (True,), (z + (z >= k),))
+        return not self._steps((k,), (False,), (n + int(rng.integers(n - 4)),))
 
-    def _step(self, k: int, external: bool, z: int) -> bool:
-        """Move leaf k onto slot z; returns False for a self-move.
+    def _steps(self, ks, exts, zs) -> int:
+        """Move leaf k onto slot z for each (k, external, z) in turn; returns
+        the number of self-moves, which ``self_moves`` adds up.
 
         Leaf k hangs off v, whose other slots x and y lead to a and b.  The
         internal one of them (y if both are) merges away as f; the other, g,
@@ -417,26 +422,30 @@ class ChainState:
         """
         n = self.n
         ends, inc = self.ends, self.inc
-        v = ends[k][1]
-        s0, s1, s2 = inc[v]
-        x, y = (s1, s2) if s0 == k else (s0, s2) if s1 == k else (s0, s1)
-        f, g = (y, x) if y >= n else (x, y)
-        if not external:
-            z += z >= f
-        if z == g:
-            return False  # reinsertion at the merged edge
-        a0, a1 = ends[g]
-        b0, b1 = ends[f]
-        b = b0 + b1 - v
-        p, q = ends[z]
-        ends[g] = (a0 + a1 - v, b)
-        ends[z] = (p, v)
-        ends[f] = (v, q)
-        at_b, at_q = inc[b], inc[q]
-        at_b[at_b.index(f)] = g
-        at_q[at_q.index(z)] = f
-        inc[v] = [k, z, f]
-        return True
+        stays = 0
+        for k, external, z in zip(ks, exts, zs):
+            v = ends[k][1]
+            s0, s1, s2 = inc[v]
+            x, y = (s1, s2) if s0 == k else (s0, s2) if s1 == k else (s0, s1)
+            f, g = (y, x) if y >= n else (x, y)
+            if not external:
+                z += z >= f
+            if z == g:
+                stays += 1  # reinsertion at the merged edge
+                continue
+            a0, a1 = ends[g]
+            b0, b1 = ends[f]
+            b = b0 + b1 - v
+            p, q = ends[z]
+            ends[g] = (a0 + a1 - v, b)
+            ends[z] = (p, v)
+            ends[f] = (v, q)
+            at_b, at_q = inc[b], inc[q]
+            at_b[at_b.index(f)] = g
+            at_q[at_q.index(z)] = f
+            inc[v] = [k, z, f]
+        self.self_moves += stays
+        return stays
 
     def run_until(self, horizon: float) -> int:
         """Advance the clock to ``horizon``; returns the events taken,
@@ -446,15 +455,13 @@ class ChainState:
         rng = self.rng
         n = self.n
         events = int(rng.poisson(self.total_rate * (horizon - self.time)))
-        step = self._step
         for done in range(0, events, _BLOCK):
             size = min(_BLOCK, events - done)
             k = rng.integers(n, size=size)
             ext = rng.random(size) * self._w_all < self._w_ext
             r = rng.integers(np.where(ext, n - 1, n - 4))
             z = np.where(ext, r + (r >= k), n + r)
-            for args in zip(k.tolist(), ext.tolist(), z.tolist()):
-                step(*args)
+            self._steps(k.tolist(), ext.tolist(), z.tolist())
         self.time = horizon
         self.jumps += events
         return events
@@ -480,10 +487,12 @@ class ChainState:
         return order, top
 
     def as_tree(self) -> FiniteMeasureTree:
-        """Snapshot of the current state as an immutable measure tree."""
-        n = self.n
-        label = [*range(1, n + 1), *range(-1, 1 - n, -1)]
-        return FiniteMeasureTree(Cladogram(n, [(label[u], label[w]) for u, w in self.ends]))
+        """Snapshot of the current state as an immutable measure tree; the
+        slot table goes to :class:`Cladogram` as an (E, 2) int64 array of
+        vertex ids, validated in numpy."""
+        n, size = self.n, 2 * len(self.ends)
+        ends = np.fromiter(itertools.chain.from_iterable(self.ends), np.int64, size).reshape(-1, 2)
+        return FiniteMeasureTree(Cladogram(n, np.where(ends < n, ends + 1, n - 1 - ends)))
 
     def audit(self) -> None:
         """Full invariant check (test builds call this periodically)."""
@@ -517,13 +526,12 @@ def _shape_indices(tree: FiniteMeasureTree, tuples: np.ndarray) -> np.ndarray:
     """State index, in ``enumerate_cladograms(m)`` order, of the cladogram
     spanned by each row of pairwise distinct leaf ids (label i is column
     i - 1, as in :func:`alphaford.cladogram.shape`), read from its triple
-    code (:func:`alphaford.cladogram._triple_code`), one quartet query a
-    digit."""
+    code (:func:`alphaford.cladogram._triple_code`): one quartet query
+    answers every digit of every row."""
     m = tuples.shape[1]
-    code = np.zeros(len(tuples), dtype=np.int64)
-    for j, k, l in itertools.combinations(range(1, m), 3):
-        code *= 3
-        code += tree.quartet_partners(tuples[:, 0], tuples[:, j], tuples[:, k], tuples[:, l])
+    j, k, l = np.array(list(itertools.combinations(range(1, m), 3)), np.int64).reshape(-1, 3).T
+    digits = tree.quartet_partners(tuples[:, :1], tuples[:, j], tuples[:, k], tuples[:, l])
+    code = digits @ 3 ** np.arange(len(j) - 1, -1, -1, dtype=np.int64)
     return enumerate_cladograms(m).locate(code)
 
 

@@ -161,9 +161,15 @@ def _cmd_ford_exact(config: RunConfig) -> str:
 # -- moments ---------------------------------------------------------------------
 
 
+# the moment recursion's cost grows as d^3 indices with ever longer numerators:
+# `moments exact --alpha 1/3 --max-degree 160` takes 2-4 s and 215 MB peak RSS
+# on a 2-core Xeon VM and writes 29 MB
+_MAX_DEGREE = 160
+
+
 def _degree_indices(max_degree: int):
-    if max_degree < 0:
-        raise StructureError("need --max-degree >= 0")
+    if not 0 <= max_degree <= _MAX_DEGREE:
+        raise StructureError(f"need 0 <= --max-degree <= {_MAX_DEGREE}, got {max_degree}")
     out = []
     for s in range(max_degree + 1):
         for k1 in range(s, -1, -1):

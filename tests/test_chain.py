@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -475,7 +476,41 @@ def test_simulator_self_moves_leave_state_unchanged():
         # a self-move keeps the labeled tree, every other move changes it
         assert (state.as_tree().topology.key != before) == moved[-1]
     assert any(moved) and not all(moved)
+    assert state.self_moves == moved.count(False)
     state.audit()
+
+
+@pytest.mark.parametrize("alpha", ["0", "1/3", "1"])
+def test_run_until_self_move_fraction_at_five_leaves(alpha):
+    # every 5-leaf tree has 4 cherry leaves, so from every state a fraction
+    # ((1 - a) 4 + a) / (5 (4 - 3a)) = 1/5 of the events are self-moves
+    state = ChainState(build_comb_tree(5), alpha, stream(42, JUMP_ALPHAS.index(alpha)))
+    events = state.run_until(50_000 / state.total_rate)
+    frac = state.self_moves / events
+    assert abs(frac - 0.2) < 5 * math.sqrt(0.2 * 0.8 / events)
+    state.audit()
+
+
+def test_as_tree_validates_the_slot_table():
+    # leaf 1's edge (0, v) and an edge (v, a) swap endpoints into (0, a) and
+    # a loop at v: every degree stays, the graph splits in two.  A slot
+    # copied over another leaves a vertex with the wrong degree.  The array
+    # path raises what the pair path raises.
+    state = ChainState(sample_ford_tree("1/3", 12, stream(43)), "1/3", stream(44))
+    state.run_until(0.2)
+    for corrupt in ("swap", "copy"):
+        bad = ChainState(state.as_tree(), "1/3", stream(45))
+        v = bad.ends[0][1]
+        e = next(e for e in bad.inc[v] if e != 0)
+        if corrupt == "swap":
+            bad.ends[0], bad.ends[e] = (0, sum(bad.ends[e]) - v), (v, v)
+        else:
+            bad.ends[e] = bad.ends[0]
+        label = [*range(1, 13), *range(-1, -11, -1)]
+        with pytest.raises(StructureError) as pairs:
+            Cladogram(12, [(label[u], label[w]) for u, w in bad.ends])
+        with pytest.raises(StructureError, match=re.escape(str(pairs.value))):
+            bad.as_tree()
 
 
 JUMP_ALPHAS = ["0", "1/3", "1"]
@@ -552,7 +587,7 @@ def test_run_until_rejects_bad_horizon_before_drawing(monkeypatch, horizon):
     taken = state.run_until(1.0)
     assert taken == state.jumps > 0 and state.run_until(1.0) == 0
     twin = copy.deepcopy(state.rng)
-    monkeypatch.setattr(state, "_step", _no_step)
+    monkeypatch.setattr(state, "_steps", _no_step)
     with pytest.raises(ValueError, match="horizon"):
         state.run_until(horizon)
     assert (state.time, state.jumps) == (1.0, taken)

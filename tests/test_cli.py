@@ -322,6 +322,33 @@ def test_out_of_range_values_are_usage_errors(capsys, argv):
     assert json.loads(err.strip())["error"]
 
 
+def _no_moment(*args):
+    raise AssertionError("a moment was computed")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "exact", "--alpha", "1/3"],
+        ["moments", "estimate", "--alpha", "0", "--leaves", "20"],
+        ["moments", "verify", "--suite", "kingman"],
+        ["verify", "--alpha", "0", "--m", "4"],
+    ],
+)
+def test_max_degree_above_cap_is_usage_error_before_any_moment(capsys, monkeypatch, argv):
+    monkeypatch.setattr(moments, "moment", _no_moment)
+    code, out, err = run_cli(capsys, *argv, "--max-degree", str(cli._MAX_DEGREE + 1))
+    assert code == 2 and out == ""
+    assert str(cli._MAX_DEGREE) in json.loads(err)["message"]
+
+
+def test_max_degree_cap_admits_degree_70():
+    # degree 70 is the largest the numpy-only CI job asks for
+    assert len(cli._degree_indices(70)) == 11022
+    top = cli._degree_indices(cli._MAX_DEGREE)
+    assert max(map(sum, top)) == cli._MAX_DEGREE
+
+
 @pytest.mark.parametrize("observe", ["shape:m=x", "shape:m=1.5", "shape:m=", "shape:M=6"])
 def test_chain_run_names_the_observable_form(capsys, observe):
     code, _, err = run_cli(capsys, *CHAIN_RUN, "--observe", observe, "--threads", "1")

@@ -310,6 +310,41 @@ def test_quartet_partners_against_oracle(rng):
         assert code == bf_quartet_partner(t, *(int(x) for x in row))
 
 
+def _median_rule(ft: FiniteMeasureTree, quads: np.ndarray) -> np.ndarray:
+    """Partner codes of (rows, 4) leaf ids by equality of medians: a pairs
+    with b iff c(a,b,c) == c(a,b,d), else with c iff c(a,b,c) == c(a,c,d)."""
+    idx = ft.index
+    pa, pb, pc, pd = (quads[:, i] - 1 for i in range(4))
+    m_abc = idx.median(pa, pb, pc)
+    return np.where(
+        m_abc == idx.median(pa, pb, pd), 1, np.where(m_abc == idx.median(pa, pc, pd), 2, 3)
+    )
+
+
+def test_quartet_partners_across_blocks_and_shapes():
+    # more rows than three LCA blocks, the last one partial; a shift of a
+    # block's rows or a swapped pair shows against the median rule
+    ft = sample_ford_tree("1/3", 300, np.random.default_rng(5))
+    rows = 3 * tree_module._QUARTET_BLOCK + 5
+    quads = ft.sample_distinct_leaves(rows, 4, np.random.default_rng(6))
+    codes = ft.quartet_partners(*quads.T)
+    assert codes.shape == (rows,) and codes.dtype == np.int64
+    expected = _median_rule(ft, quads)
+    assert (codes == expected).all()
+    assert set(np.unique(codes).tolist()) == {1, 2, 3}
+    # a 2-D batch answers row by row in its own shape
+    grid = quads[:77].reshape(7, 11, 4)
+    assert (ft.quartet_partners(*np.moveaxis(grid, 2, 0)) == expected[:77].reshape(7, 11)).all()
+    # a column of a broadcasts against (rows, 2) columns of b, c, d, as the
+    # shape estimator asks
+    five = ft.sample_distinct_leaves(50, 5, np.random.default_rng(7))
+    got = ft.quartet_partners(five[:, :1], five[:, [1, 2]], five[:, [2, 3]], five[:, [3, 4]])
+    assert got.shape == (50, 2)
+    for col, (j, k, l) in enumerate([(1, 2, 3), (2, 3, 4)]):
+        assert (got[:, col] == _median_rule(ft, five[:, [0, j, k, l]])).all()
+    assert ft.quartet_partners(*np.ones((4, 0, 3), np.int64)).shape == (0, 3)
+
+
 def test_triple_component_counts_matches_exact(rng):
     t = random_cladogram(rng, 13)
     ft = FiniteMeasureTree(t)
