@@ -14,9 +14,10 @@ slots; any other iterable of pairs (edit moves, chain snapshots, Newick,
 hand-built lists) is checked pair by pair into neighbour lists, which are
 then laid out in the same slots.  The slots feed one walk, depth first from
 leaf 1, which is the connectivity check and keeps the preorder of positions
-(``_preorder``) and each position's parent (``_parent``, -1 for leaf 1).
-:attr:`Cladogram.splits` and the tree index (:mod:`alphaford.tree`) read
-that walk instead of walking again.
+(``_preorder``) and each position's parent (``_parent``, -1 for leaf 1) as
+two read-only int64 arrays, the one stored copy of the tree: the tree index
+(:mod:`alphaford.tree`) shares them, and :attr:`Cladogram.splits` and the
+edges of an array input are read off them.
 
 Identity of labeled cladograms goes through :meth:`Cladogram.key`, the sorted
 tuple of internal-edge bipartitions encoded by the side that excludes label 1.
@@ -83,13 +84,13 @@ class Cladogram:
     edges : (E, 2) signed integer ndarray, or iterable of (int, int)
         Undirected edges.  Internal vertices must use negative ids; others
         than -1..-(m-2) are renumbered onto those in descending order.  An
-        integer array is validated in numpy and :attr:`edges` is built from
-        it only when read; any other iterable is validated pair by pair.
-        Both forms check the same things, with the same messages.
+        integer array is validated in numpy and :attr:`edges` is read off
+        the walk when asked for; any other iterable is validated pair by
+        pair.  Both forms check the same things, with the same messages.
     """
 
     __slots__ = (
-        "m", "_edges", "_array", "_adj", "_preorder", "_parent", "_splits", "_key", "_code_", "_hash",
+        "m", "_edges", "_adj", "_preorder", "_parent", "_splits", "_key", "_code_", "_hash",
     )
 
     def __init__(self, m: int, edges: Iterable[Edge] | np.ndarray):
@@ -100,9 +101,8 @@ class Cladogram:
         self._code_: tuple[int, ...] | None = None
         self._hash = None
         self._edges: tuple[Edge, ...] | None = None
-        self._array: np.ndarray | None = None
         if isinstance(edges, np.ndarray) and edges.dtype.kind == "i":
-            self._array = self._validate_array(edges)
+            self._validate_array(edges)
             return
         edges = sorted(_edge(u, v) for u, v in edges)
         if edges and edges[0][0] < 2 - self.m:
@@ -149,9 +149,9 @@ class Cladogram:
             slots += nb
         self._walk(slots)
 
-    def _validate_array(self, edges: np.ndarray) -> np.ndarray:
+    def _validate_array(self, edges: np.ndarray) -> None:
         """The checks of :meth:`_validate_pairs` on an (E, 2) integer array,
-        in numpy; returns the edges with each row ordered (u, v), u < v."""
+        in numpy, ending in the same walk."""
         m = self.m
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise StructureError(f"an edge array must have shape (E, 2), got {edges.shape}")
@@ -178,14 +178,13 @@ class Cladogram:
         key = np.sort(pos.ravel() * width + (edges[:, ::-1].ravel() + m))
         head = key % width - m
         self._walk(np.where(head > 0, head - 1, m - 1 - head).tolist())
-        return np.sort(edges, axis=1)
 
     def _walk(self, slots: list[int]) -> None:
         """Depth-first walk from leaf 1 over the neighbour slots (leaf p's
         neighbour at p, internal p's at 3p - 2m .. 3p - 2m + 2, each run in
         ascending vertex id).  With the edge count and degrees checked, the
         graph is a tree iff the walk reaches every vertex; its preorder and
-        parents are kept for :attr:`splits` and the index."""
+        parents are kept, read-only, for :attr:`splits`, :attr:`edges` and the index."""
         m = self.m
         V = 2 * m - 2
         shift = 2 * m
@@ -213,17 +212,20 @@ class Cladogram:
                     stack.append(w)
         if len(order) != V:
             raise StructureError("tree is not connected")
-        self._preorder = order
-        self._parent = parent
+        self._preorder = np.array(order, np.int64)
+        self._parent = np.array(parent, np.int64)
+        self._preorder.flags.writeable = self._parent.flags.writeable = False
 
     @property
     def edges(self) -> tuple[Edge, ...]:
         """Sorted edges ``(u, v)``, u < v, with canonical internal ids."""
         if self._edges is None:
-            a = self._array
-            a = a[np.lexsort((a[:, 1], a[:, 0]))]
-            self._edges = tuple(map(tuple, a.tolist()))
-            self._array = None
+            # an array input: each position but leaf 1's gives its parent edge
+            m = self.m
+            ends = np.stack([np.arange(1, 2 * m - 2), self._parent[1:]])
+            ends = np.sort(np.where(ends < m, ends + 1, m - 1 - ends), axis=0)
+            ends = ends[:, np.lexsort(ends[::-1])]
+            self._edges = tuple(zip(*ends.tolist()))
         return self._edges
 
     @property
@@ -259,7 +261,7 @@ class Cladogram:
         pass over the recorded preorder, backwards, computes them all.
         """
         if self._splits is None:
-            m, order, parent = self.m, self._preorder, self._parent
+            m, order, parent = self.m, self._preorder.tolist(), self._parent.tolist()
             side = [2 << p for p in range(m)] + [0] * (m - 2)
             for v in reversed(order[2:]):  # children before parents
                 side[parent[v]] |= side[v]
@@ -291,7 +293,7 @@ class Cladogram:
         of leaf 1's neighbour).
         """
         if self._code_ is None:
-            m, order, parent = self.m, self._preorder, self._parent
+            m, order, parent = self.m, self._preorder.tolist(), self._parent.tolist()
             low = list(range(1, m + 1)) + [0] * (m - 2)  # smallest label below
             name = list(range(1, m + 1)) + [0] * (m - 2)
             for v in reversed(order[2:]):  # children before parents

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from alphaford import __version__, moments
+from alphaford import __version__, cladogram, moments
 from alphaford import chain as chain_mod
 from alphaford import ford as ford_mod
 from alphaford._rng import parse_alpha, stream
@@ -152,8 +152,7 @@ def _cmd_ford_exact(config: RunConfig) -> str:
     p = config.params
     dist = exact_distribution(p["alpha"], p["m"])
     rows = []
-    for t in enumerate_cladograms(p["m"]):
-        prob = dist.table[t.key]
+    for t, prob in zip(enumerate_cladograms(p["m"]), dist.table.values()):
         rows.append((f'"{to_newick(t)}"', prob.numerator, prob.denominator))
     return _csv_artifact(config, ["newick", "numerator", "denominator"], rows)
 
@@ -171,12 +170,8 @@ def _degree_indices(max_degree: int):
     if not 0 <= max_degree <= _MAX_DEGREE:
         raise StructureError(f"need 0 <= --max-degree <= {_MAX_DEGREE}, got {max_degree}")
     out = []
-    for s in range(max_degree + 1):
-        for k1 in range(s, -1, -1):
-            for k2 in range(min(k1, s - k1), -1, -1):
-                k3 = s - k1 - k2
-                if k3 <= k2:
-                    out.append((k1, k2, k3))
+    for s in range(max_degree + 1):  # each degree's k1 >= k2 >= k3, descending
+        out += sorted((k[::-1] for k in moments._sorted_indices(s)), reverse=True)
     return out
 
 
@@ -261,8 +256,9 @@ def _cmd_moments_verify(config: RunConfig) -> list[VerificationReport]:
 
 def _parse_observable(text: str) -> int:
     prefix, _, m = text.partition("shape:m=")
-    if prefix or not m.isdigit() or not 2 <= int(m) <= 8:
-        raise StructureError(f"observable {text!r} is not shape:m=M, M an integer in 2..8")
+    top = cladogram.MAX_ENUMERATION_LEAVES
+    if prefix or not m.isdigit() or not 2 <= int(m) <= top:
+        raise StructureError(f"observable {text!r} is not shape:m=M, M an integer in 2..{top}")
     return int(m)
 
 
@@ -359,7 +355,7 @@ def _tree_from_params(p: dict, seed: int) -> FiniteMeasureTree:
     if p["newick"] is not None:
         return FiniteMeasureTree.from_newick(p["newick"])
     if p["newick_file"] is not None:
-        with open(p["newick_file"]) as fh:
+        with open(p["newick_file"], encoding="utf-8-sig") as fh:  # a BOM is no label
             return FiniteMeasureTree.from_newick(fh.read())
     if p["comb"] is not None:
         return build_comb_tree(p["comb"])

@@ -34,7 +34,12 @@ from functools import lru_cache
 import numpy as np
 
 from alphaford._rng import parse_alpha
-from alphaford.cladogram import Cladogram, StructureError, enumerate_cladograms
+from alphaford.cladogram import (
+    MAX_ENUMERATION_LEAVES,
+    Cladogram,
+    StructureError,
+    enumerate_cladograms,
+)
 from alphaford.tree import FiniteMeasureTree
 
 __all__ = [
@@ -47,12 +52,11 @@ __all__ = [
     "deletion_stability_check",
 ]
 
-MAX_EXACT_LEAVES = 8
-
 
 @dataclass(frozen=True)
 class ExactDistribution:
-    """Exact law on the m-cladograms, keyed by canonical key."""
+    """Exact law on the m-cladograms, keyed by canonical key; the table
+    lists the states in the order of ``enumerate_cladograms(m)``."""
 
     alpha: Fraction
     m: int
@@ -193,8 +197,8 @@ def _law(m: int) -> tuple[np.ndarray, np.ndarray]:
     """P_m = N_m / D_m as integer coefficients in alpha: N_m per state, shape
     (S, max(m - 3, 1)), and D_m.  Each recursion step is linear in alpha
     and shares the factor m (m - 1 - 3 alpha) across states."""
-    if not 2 <= m <= MAX_EXACT_LEAVES:
-        raise StructureError(f"exact distributions support 2 <= m <= {MAX_EXACT_LEAVES}")
+    if not 2 <= m <= MAX_ENUMERATION_LEAVES:
+        raise StructureError(f"exact distributions support 2 <= m <= {MAX_ENUMERATION_LEAVES}")
     states = enumerate_cladograms(m)
     if m <= 4:
         return np.ones((len(states), 1), dtype=np.int64), np.array([len(states)])

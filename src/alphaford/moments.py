@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from alphaford._rng import parse_alpha
-from alphaford.cladogram import StructureError
+from alphaford.cladogram import StructureError, double_factorial
 from alphaford.tree import FiniteMeasureTree
 
 __all__ = [
@@ -312,18 +312,13 @@ def comb_moment(k) -> Fraction:
     return acc / 6
 
 
-def _odd_double_factorial(n: int) -> int:
-    """(2n - 1)!! = 1 * 3 * ... * (2n - 1), and 1 at n = 0."""
-    return math.prod(range(1, 2 * n, 2))
-
-
 def crt_dirichlet_moment(k) -> Fraction:
     """alpha = 1/2 moments: Dirichlet(1/2, 1/2, 1/2) mixed moments
     prod (1/2)_{k_i} / (3/2)_S in rising factorials, which is
     prod (2 k_i - 1)!! / (2S + 1)!! in integers."""
     k = _norm_index(k)
-    numerator = math.prod(_odd_double_factorial(ki) for ki in k)
-    return Fraction(numerator, _odd_double_factorial(sum(k) + 1))
+    numerator = math.prod(double_factorial(2 * ki - 1) for ki in k)
+    return Fraction(numerator, double_factorial(2 * sum(k) + 1))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ carry no probabilistic meaning.
 Single-point queries return exact rationals.  Batched queries (used by the
 Monte Carlo estimators) run on flat numpy arrays read from the preorder walk
 from leaf 1 that :class:`~alphaford.cladogram.Cladogram` records when it
-validates the tree, so the index does not walk the tree again.  A subtree
+validates the tree, and shares its arrays instead of walking again.  A subtree
 occupies a run of preorder positions, which gives O(1) ancestor tests and
 picks the child of v that leads to u, and a sparse table of depths over the
 preorder gives O(1) LCA lookups.  The ends of those runs, and from them the
@@ -70,16 +70,17 @@ class _Index:
     """Flat-array view of a tree rooted at leaf 1, on vertex positions (leaf v
     at v - 1, internal v at n - 1 - v), read from the preorder walk that
     validated the cladogram: parents, depths, children, subtree leaf counts,
-    and the preorder itself.  Each subtree is a run of preorder positions
-    ``first..last``, which answers ancestor tests, and a sparse table of
-    minimum depths over the preorder answers LCA queries."""
+    and the preorder itself (these two are the cladogram's, not copies).  The
+    subtree at v is the run of 2 leafcnt[v] - 1 preorder positions from
+    ``first[v]``, which answers ancestor tests, and a sparse table of minimum
+    depths over the preorder answers LCA queries."""
 
     def __init__(self, clad: Cladogram):
         n = clad.m
         self.n_leaves = n
         V = 2 * n - 2
-        self.parent = parent = np.array(clad._parent, np.int64)
-        self.order = order = np.array(clad._preorder, np.int64)
+        self.parent = parent = clad._parent
+        self.order = order = clad._preorder
         self.first = first = np.empty(V, np.int64)
         first[order] = np.arange(V)
         span = _subtree_spans(order, n)
@@ -88,7 +89,6 @@ class _Index:
         self.leafcnt = leafcnt = np.empty(V, np.int64)
         leafcnt[order[1:]] = span // 2 + 1
         leafcnt[0] = n
-        self.last = first + 2 * leafcnt - 2
         # each vertex before preorder position i is an ancestor of it or lies
         # in a subtree closed before i; the subtree at i closes at i + span + 1
         positions = np.arange(V + 1)
@@ -105,9 +105,7 @@ class _Index:
         self.children = children
 
         # sparse[j, i]: the shallowest vertex at preorder positions i..i+2^j-1
-        logs = np.frexp(np.arange(V + 1))[1] - 1
-        self.logs = logs
-        K = logs[V] + 1
+        K = V.bit_length()
         sparse = np.zeros((K, V), np.int32)
         sparse[0] = order
         for j in range(1, K):
@@ -125,7 +123,7 @@ class _Index:
         fu, fv = self.first[u], self.first[v]
         hi = np.maximum(fu, fv)
         lo = np.minimum(np.minimum(fu, fv) + 1, hi)
-        j = self.logs[hi - lo + 1]
+        j = np.frexp(hi - lo + 1)[1] - 1  # floor(log2)
         a = self.sparse[j, lo]
         b = self.sparse[j, hi - (1 << j) + 1]
         best = np.where(self.depth[a] <= self.depth[b], a, b)
@@ -140,8 +138,8 @@ class _Index:
         return np.where(self.depth[c] > self.depth[out], c, out)
 
     def is_ancestor(self, a: np.ndarray, u: np.ndarray) -> np.ndarray:
-        fu = self.first[u]
-        return (self.first[a] <= fu) & (fu <= self.last[a])
+        fa, fu = self.first[a], self.first[u]
+        return (fa <= fu) & (fu <= fa + 2 * self.leafcnt[a] - 2)
 
     def component_leaf_count(self, v: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Leaves in the component of (tree minus v) containing u, u != v."""

@@ -493,7 +493,7 @@ def test_every_builder_numbers_internal_vertices_densely():
 
 def _index_arrays(t: Cladogram):
     idx = FiniteMeasureTree(t).index
-    arrays = (idx.parent, idx.depth, idx.order, idx.first, idx.last, idx.leafcnt, idx.children)
+    arrays = (idx.parent, idx.depth, idx.order, idx.first, idx.leafcnt, idx.children)
     return [a.tolist() for a in arrays + (idx.sparse,)]
 
 
@@ -570,9 +570,45 @@ def test_array_and_tuple_inputs_agree(alpha):
             t = Cladogram(m, [tuple(e) for e in edges.tolist()])
             assert a.edges == t.edges
             assert all(type(x) is int for e in a.edges for x in e)
-            assert (a._preorder, a._parent) == (t._preorder, t._parent)
+            assert a._preorder.tolist() == t._preorder.tolist()
+            assert a._parent.tolist() == t._parent.tolist()
             # numpy ints would wrap in 2 << p from 62 leaves on
             assert a.splits == t.splits and all(type(s) is int for s in a.splits)
             assert a.key == t.key
             _assert_same_index(FiniteMeasureTree(a).index, FiniteMeasureTree(t).index)
         assert Cladogram(m, shuffled) == Cladogram(m, grown)
+
+
+@pytest.mark.parametrize("form", ["tuples", "array"])
+def test_index_shares_the_read_only_walk(form):
+    # the index holds the cladogram's own walk arrays; a write through it
+    # would change the splits, edges and code read off them afterwards
+    grown = _grow_edges(parse_alpha("1/3"), 200, np.random.default_rng(8))
+    edges = grown if form == "array" else [tuple(e) for e in grown.tolist()]
+    t, twin = Cladogram(200, edges), Cladogram(200, edges)
+    idx = FiniteMeasureTree(t).index
+    assert idx.parent is t._parent and idx.order is t._preorder
+    for a in (idx.parent, idx.order):
+        with pytest.raises(ValueError, match="read-only"):
+            a[1:3] = a[2:0:-1]
+    assert t.splits == twin.splits and t.edges == twin.edges and t == twin
+    assert t._preorder.tolist() == twin._preorder.tolist()
+    assert t._parent.tolist() == twin._parent.tolist()
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(1, 2)],
+        [(2, 1)],
+        [(1, -1), (2, -1), (3, -1)],
+        [(-1, 3), (1, -1), (-1, 2)],
+        [(3, -9), (-9, 2), (1, -9)],
+    ],
+)
+def test_two_and_three_leaf_arrays_give_the_pair_edges(pairs):
+    m = max(max(e) for e in pairs)
+    a, t = Cladogram(m, np.array(pairs)), Cladogram(m, pairs)
+    assert a.edges == t.edges
+    assert all(type(x) is int for e in a.edges for x in e)
+    assert a == t and a.key == t.key

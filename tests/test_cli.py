@@ -411,6 +411,19 @@ def test_tree_nu_wrapped_newick_file(tmp_path, capsys):
     assert code == 0 and wrapped == flat
 
 
+def test_tree_nu_newick_file_with_byte_order_mark(tmp_path, capsys):
+    """A UTF-8 byte order mark, as some editors write one, is not part of the
+    tree: the rows equal those of --newick with the same text."""
+    path = tmp_path / "bom.nwk"
+    path.write_bytes(b"\xef\xbb\xbf" + NEWICK12.encode())
+    code, from_file, _ = run_cli(capsys, "tree", "nu", "--newick-file", str(path))
+    assert code == 0
+    code, inline, _ = run_cli(capsys, "tree", "nu", "--newick", NEWICK12)
+    assert code == 0
+    rows = lambda out: [line for line in out.splitlines() if not line.startswith("#")]  # noqa: E731
+    assert rows(from_file) == rows(inline)
+
+
 SCIPY_BLOCKED = """
 import sys
 sys.modules["scipy"] = None  # any scipy import now raises ImportError

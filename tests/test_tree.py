@@ -413,6 +413,29 @@ def test_index_ancestor_tests_every_vertex_pair():
         assert idx.component_leaf_count(v, w).tolist() == expected
 
 
+@pytest.mark.parametrize("name", ["comb", "ford"])
+@pytest.mark.parametrize("n", [33, 65])
+def test_lca_at_every_query_length(name, n):
+    # every position pair, so the sparse-table range (min first, max first]
+    # takes every length from 1 (u == v) to V - 1; V = 64 and 128 put the
+    # lengths on both sides of each power of two
+    rng = np.random.default_rng(n)
+    ft = build_comb_tree(n) if name == "comb" else sample_ford_tree("1/3", n, rng)
+    t, idx = ft.topology, ft.index
+    V = 2 * n - 2
+    ids = [p + 1 if p < n else n - 1 - p for p in range(V)]
+    pos = {v: p for p, v in enumerate(ids)}
+    up = [bf_path(t, 1, v) for v in ids]  # v, its parent, ..., leaf 1
+    above = [set(path) for path in up]
+    u, w = (x.ravel() for x in np.meshgrid(np.arange(V), np.arange(V)))
+    lengths = np.abs(idx.first[u] - idx.first[w])
+    assert set(np.maximum(lengths, 1).tolist()) == set(range(1, V))
+    expected = [
+        pos[next(v for v in up[i] if v in above[j])] for i, j in zip(u.tolist(), w.tolist())
+    ]
+    assert idx.lca(u, w).tolist() == expected
+
+
 def test_sample_distinct_leaves(rng):
     ft = build_comb_tree(10)
     draws = ft.sample_distinct_leaves(500, 4, rng)
