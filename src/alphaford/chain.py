@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -351,6 +352,31 @@ def verify_feynman_kac(alpha, m: int, t: float) -> float:
 
 _BLOCK = 4096  # moves drawn at once by ChainState.run_until; bounds its buffers
 
+# each start tree's slot table, built once and copied by every ChainState
+# started from it; trees are immutable, so an entry never goes stale
+_SLOT_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _slot_table(tree: FiniteMeasureTree) -> tuple[tuple, tuple]:
+    """``(ends, inc)`` of :class:`ChainState` for ``tree``, as tuples."""
+    table = _SLOT_TABLES.get(tree)
+    if table is None:
+        n = tree.n
+        ends = [(0, 0)] * (2 * n - 3)
+        inc: list[list[int]] = [[] for _ in range(2 * n - 2)]
+        slot = n
+        for u, w in tree.topology.edges:
+            u = n - 1 - u  # u < w and no edge joins two leaves, so u is internal
+            if w > 0:
+                e, u, w = w - 1, w - 1, u
+            else:
+                e, slot, w = slot, slot + 1, n - 1 - w
+            ends[e] = (u, w)
+            inc[u].append(e)
+            inc[w].append(e)
+        table = _SLOT_TABLES[tree] = tuple(ends), tuple(map(tuple, inc))
+    return table
+
 
 class ChainState:
     """Mutable N-leaf tree evolving under the alpha-Ford chain.
@@ -377,18 +403,9 @@ class ChainState:
             raise StructureError("chain simulation needs at least 5 leaves")
         self.n = n
         self.alpha = float(alpha)
-        self.ends: list[tuple[int, int]] = [(0, 0)] * (2 * n - 3)
-        self.inc: list[list[int]] = [[] for _ in range(2 * n - 2)]
-        slot = n
-        for u, w in tree.topology.edges:
-            u = n - 1 - u  # u < w and no edge joins two leaves, so u is internal
-            if w > 0:
-                e, u, w = w - 1, w - 1, u
-            else:
-                e, slot, w = slot, slot + 1, n - 1 - w
-            self.ends[e] = (u, w)
-            self.inc[u].append(e)
-            self.inc[w].append(e)
+        ends, inc = _slot_table(tree)
+        self.ends: list[tuple[int, int]] = list(ends)
+        self.inc: list[list[int]] = list(map(list, inc))
         # class weights for picking the insertion edge in the reduced tree
         self._w_ext = (1.0 - self.alpha) * (n - 1)
         self._w_all = self._w_ext + self.alpha * (n - 4)

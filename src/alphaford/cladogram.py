@@ -42,6 +42,7 @@ equally from quartet queries on a sampled tree;
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from collections.abc import Iterable, Sequence
 from functools import cached_property, lru_cache
@@ -70,6 +71,14 @@ class StructureError(ValueError):
     """Raised when an operation would violate the cladogram invariants."""
 
 
+def _leaf_count(m) -> int:
+    """m as a Python int: integers (numpy's too) are read through
+    ``operator.index``, and bools, floats and strings raise ``TypeError``."""
+    if isinstance(m, (bool, np.bool_)) or not hasattr(m, "__index__"):
+        raise TypeError(f"a leaf count must be an integer, got {m!r}")
+    return operator.index(m)
+
+
 def _edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
@@ -80,7 +89,8 @@ class Cladogram:
     Parameters
     ----------
     m : int
-        Number of leaves (>= 2).  Leaves carry vertex ids 1..m.
+        Number of leaves (>= 2), an integer (numpy's too; a bool, float or
+        string raises ``TypeError``).  Leaves carry vertex ids 1..m.
     edges : (E, 2) signed integer ndarray, or iterable of (int, int)
         Undirected edges.  Internal vertices must use negative ids; others
         than -1..-(m-2) are renumbered onto those in descending order.  An
@@ -94,7 +104,7 @@ class Cladogram:
     )
 
     def __init__(self, m: int, edges: Iterable[Edge] | np.ndarray):
-        self.m = int(m)
+        self.m = _leaf_count(m)
         self._adj: dict[int, tuple[int, ...]] | None = None
         self._splits: tuple[int, ...] | None = None
         self._key = None
@@ -182,9 +192,13 @@ class Cladogram:
     def _walk(self, slots: list[int]) -> None:
         """Depth-first walk from leaf 1 over the neighbour slots (leaf p's
         neighbour at p, internal p's at 3p - 2m .. 3p - 2m + 2, each run in
-        ascending vertex id).  With the edge count and degrees checked, the
-        graph is a tree iff the walk reaches every vertex; its preorder and
-        parents are kept, read-only, for :attr:`splits`, :attr:`edges` and the index."""
+        ascending vertex id).  Each popped internal vertex pushes its two
+        slots other than the one holding its parent.  With the edge count
+        and degrees checked, the graph is a tree iff the first V - 1 pops
+        after leaf 1 reach every vertex once: a cycle makes the preorder
+        repeat a vertex, and a second component leaves one out.  Its
+        preorder and parents are kept, read-only, for :attr:`splits`,
+        :attr:`edges` and the index."""
         m = self.m
         V = 2 * m - 2
         shift = 2 * m
@@ -192,27 +206,26 @@ class Cladogram:
         top = slots[0]  # leaf 1's neighbour; a leaf's only neighbour is its parent
         parent[top] = 0
         order = [0]
-        stack = [top]
-        while stack:
-            v = stack.pop()
-            order.append(v)
+        stack = [-1, top]  # popping -1 ends a walk that runs out early
+        push, visit = stack.append, order.append
+        for v in itertools.islice(iter(stack.pop, -1), V - 1):
+            visit(v)
             if v >= m:  # three slots, unrolled: a slice per vertex costs more
                 s = 3 * v - shift
-                w = slots[s]
-                if w and parent[w] < 0:  # not leaf 1, not seen
-                    parent[w] = v
-                    stack.append(w)
-                w = slots[s + 1]
-                if w and parent[w] < 0:
-                    parent[w] = v
-                    stack.append(w)
-                w = slots[s + 2]
-                if w and parent[w] < 0:
-                    parent[w] = v
-                    stack.append(w)
-        if len(order) != V:
+                a, b, p = slots[s], slots[s + 1], parent[v]
+                if a == p:
+                    a, b = b, slots[s + 2]
+                elif b == p:
+                    b = slots[s + 2]
+                parent[a] = parent[b] = v
+                push(a)
+                push(b)
+        preorder = np.array(order, np.int64)
+        seen = np.zeros(V, bool)
+        seen[preorder] = True
+        if not seen.all():
             raise StructureError("tree is not connected")
-        self._preorder = np.array(order, np.int64)
+        self._preorder = preorder
         self._parent = np.array(parent, np.int64)
         self._preorder.flags.writeable = self._parent.flags.writeable = False
 

@@ -5,8 +5,12 @@ weight 1 - alpha (external) or alpha (internal), inserting the next leaf in
 its middle, and finally permuting the leaf labels.  alpha = 0 is the
 Yule/coalescent tree, alpha = 1/2 the uniform cladogram, alpha = 1 the comb.
 The growth draws one block of uniforms up front, since the edge counts of
-every step are known, so no step makes a scalar draw.  It returns its edges
-as an (E, 2) int64 array, which :class:`Cladogram` validates in numpy.
+every step are known, so no step makes a scalar draw.  Each draw names an
+edge by its lower end in the tree rooted at leaf 1, which fixes every
+step's target before any tree exists, and the parents follow in numpy
+from one stable sort of the steps by target and a few rounds of pointer
+jumping, with no per-step Python loop.  The growth returns its edges as
+an (E, 2) int64 array, which :class:`Cladogram` validates in numpy.
 
 Exact probabilities on the space of m-cladograms are computed by the
 one-leaf-removal recursion
@@ -38,6 +42,7 @@ from alphaford.cladogram import (
     MAX_ENUMERATION_LEAVES,
     Cladogram,
     StructureError,
+    _leaf_count,
     enumerate_cladograms,
 )
 from alphaford.tree import FiniteMeasureTree
@@ -74,18 +79,33 @@ class ExactDistribution:
 def _grow_edges(alpha: Fraction, n_leaves: int, rng: np.random.Generator):
     """Run the weighted growth from the 2-leaf tree to ``n_leaves`` leaves.
 
-    Returns the edges as an (E, 2) int64 array; leaves are labeled 1..n in
-    insertion order, internal vertices -1, -2, ...  The edge counts of every
-    step are known in advance (k external edges at k leaves, one at k = 2,
-    and k - 3 internal ones), so one block of uniforms, two per step, fixes
-    every class pick and within-class index before the loop, which only moves
-    edge slots between the class lists.  When the total edge weight vanishes
-    (alpha = 1 while only external edges exist) the next edge is drawn
-    uniformly among the external ones.
+    Returns the (parent id, child id) rows of the 2n - 3 edges as an
+    (E, 2) int64 array, rooted at leaf 1; leaves are labeled 1..n in
+    insertion order, internal vertices -1, -2, ...  Step s = 1..n - 2
+    inserts leaf s + 2 and its parent -s in the middle of one edge.  The
+    edge counts of every step are known in advance (k external edges at k
+    leaves, one at k = 2, and k - 3 internal ones), so one block of
+    uniforms, two per step, fixes every class pick and within-class index.
+    When the total edge weight vanishes (alpha = 1 while only external edges
+    exist) the next edge is drawn uniformly among the external ones.
+
+    Each index names an edge by its lower end, so every step's target is
+    known before any tree exists: external index j is the edge above leaf
+    j + 1, except that j = 0 is the edge above the top, leaf 1's neighbour;
+    internal index i is the edge above the i-th internal vertex in creation
+    order, the top skipped.  The top is -t for the last earlier step t that
+    took external index 0, or leaf 2 before any did.  A stable sort of the
+    steps by target gives each vertex its final parent, the last vertex
+    inserted above it, and each inserted vertex its parent at birth: the
+    previous one inserted above the same target, or else that target's own
+    parent at birth (-(l - 2) for leaf l > 2, leaf 1 for leaf 2).  Those
+    references point to earlier vertices, so pointer jumping resolves them
+    in at most log2(n) rounds.
     """
     if n_leaves < 2:
         raise StructureError("need at least 2 leaves")
-    leaves = np.arange(2, n_leaves)
+    n = n_leaves
+    leaves = np.arange(2, n)
     n_ext = np.where(leaves == 2, 1, leaves)
     n_int = np.maximum(leaves - 3, 0)
     ext_weight = float(1 - alpha) * n_ext
@@ -94,27 +114,37 @@ def _grow_edges(alpha: Fraction, n_leaves: int, rng: np.random.Generator):
     pick_ext = (total == 0.0) | (draws[:, 0] * total < ext_weight)
     size = np.where(pick_ext, n_ext, n_int)
     index = np.minimum((draws[:, 1] * size).astype(np.int64), size - 1)
-    # slot e holds edge (head[e], tail[e]); the class lists hold slots, and
-    # the 2k - 3 edges of the k-leaf tree fill slots 0..2k - 4
-    head = [1] + [0] * (2 * n_leaves - 4)
-    tail = [2] + [0] * (2 * n_leaves - 4)
-    ext = [0]
-    internal: list[int] = []
-    for k, is_ext, i in zip(range(2, n_leaves), pick_ext.tolist(), index.tolist()):
-        lst = ext if is_ext else internal
-        lst[i], lst[-1] = lst[-1], lst[i]
-        e = lst.pop()
-        u, v = head[e], tail[e]
-        w = 1 - k
-        s = 2 * k - 3
-        # (u, v) becomes (w, u) in its slot, (w, v) and (w, k + 1) are new
-        head[e], tail[e] = w, u
-        head[s], tail[s] = w, v
-        head[s + 1], tail[s + 1] = w, k + 1
-        (ext if u > 0 else internal).append(e)
-        (ext if v > 0 else internal).append(s)
-        ext.append(s + 1)
-    return np.array([head, tail], np.int64).T
+    # the step number t of the top before each step; -2 stands for leaf 2
+    top = np.maximum.accumulate(np.where(pick_ext & (index == 0), leaves - 1, 0))
+    top[1:] = top[:-1]
+    top[:1] = -2
+    external = np.where(index == 0, -top, index + 1)
+    target = np.where(pick_ext, external, -1 - index - (index + 1 >= top))
+    order = np.argsort(target, kind="stable")
+    below, inserted = target[order], -1 - order
+    # inserted[again + 1] went in just above inserted[again]
+    again = np.flatnonzero(below[1:] == below[:-1])
+    # arrays indexed by vertex id: leaf l at l, internal -s at 2n - 1 - s
+    ids = np.arange(2 * n - 1)
+    ids[n + 1 :] -= 2 * n - 1
+    birth = np.zeros(2 * n - 1, np.int64)
+    birth[2] = 1
+    birth[3 : n + 1] = 1 - leaves
+    birth[inserted[again + 1]] = inserted[again]
+    first = np.ones(n - 2, bool)
+    first[again + 1] = False
+    link = ids.copy()  # link[v]: a vertex with v's birth parent, v itself once known
+    link[inserted[first]] = below[first]
+    while True:
+        jumped = link[link]
+        if (jumped == link).all():
+            break
+        link = jumped
+    parent = birth[link]
+    last = np.ones(n - 2, bool)
+    last[again] = False
+    parent[below[last]] = inserted[last]
+    return np.stack([parent[2:], ids[2:]], axis=1)
 
 
 def sample_ford_cladogram(alpha, m: int, rng: np.random.Generator) -> Cladogram:
@@ -123,7 +153,7 @@ def sample_ford_cladogram(alpha, m: int, rng: np.random.Generator) -> Cladogram:
     Growth by weighted edge insertion followed by a uniform relabeling of the
     leaves, which makes the law exchangeable.
     """
-    alpha = parse_alpha(alpha)
+    m, alpha = _leaf_count(m), parse_alpha(alpha)
     edges = _grow_edges(alpha, m, rng)
     perm = rng.permutation(m) + 1
     return Cladogram(m, np.where(edges > 0, perm[np.maximum(edges, 1) - 1], edges))
@@ -135,7 +165,7 @@ def sample_ford_tree(alpha, n_leaves: int, rng: np.random.Generator) -> FiniteMe
     Same growth as :func:`sample_ford_cladogram`; the final label permutation
     is skipped because the measure tree carries no label information.
     """
-    alpha = parse_alpha(alpha)
+    n_leaves, alpha = _leaf_count(n_leaves), parse_alpha(alpha)
     return FiniteMeasureTree(Cladogram(n_leaves, _grow_edges(alpha, n_leaves, rng)))
 
 
@@ -146,6 +176,7 @@ def sample_kingman_cladogram(m: int, rng: np.random.Generator) -> Cladogram:
     builds one internal vertex per merger; the final merger joins the two
     remaining block vertices by an edge.
     """
+    m = _leaf_count(m)
     if m < 2:
         raise StructureError("need at least 2 leaves")
     if m == 2:
@@ -168,6 +199,7 @@ def sample_kingman_cladogram(m: int, rng: np.random.Generator) -> Cladogram:
 def build_comb_tree(n_leaves: int) -> FiniteMeasureTree:
     """The comb: a spine of n-2 internal vertices, one tooth leaf each, and
     one leaf at either end.  Labels run 1 (left end), 2..n-1 (teeth), n."""
+    n_leaves = _leaf_count(n_leaves)
     if n_leaves < 2:
         raise StructureError("need at least 2 leaves")
     if n_leaves == 2:

@@ -242,6 +242,9 @@ INVALID = [
     (4, [(-1, -1), (-1, 1), (-2, 2), (-2, 3), (-2, 4)], "tree is not connected"),
     (5, [(-1, -2), (-1, -2), (-1, 1), (-2, 2), (-3, 3), (-3, 4), (-3, 5)], "tree is not connected"),
     (6, _TRIANGLE, "tree is not connected"),
+    # the same with leaf 1 on the star: the walk from leaf 1 runs out early
+    (6, [(-1, 1), (-1, 2), (-1, 3), (-2, -3), (-3, -4), (-2, -4), (-2, 4), (-3, 5), (-4, 6)],
+     "tree is not connected"),
 ]
 
 
@@ -255,6 +258,16 @@ def test_invalid_structures_rejected(form):
     t3 = Cladogram(3, _edge_input(form, [(1, -1), (2, -1), (3, -1)]))
     with pytest.raises(StructureError, match="not an edge"):
         t3.insert_leaf((1, 2))
+
+
+@pytest.mark.parametrize("form", ["tuples", "array"])
+@pytest.mark.parametrize("m", [4.9, 4.0, "4", True, np.True_, None])
+def test_leaf_count_must_be_an_integer(form, m):
+    edges = _edge_input(form, [(1, -1), (2, -1), (3, -2), (4, -2), (-1, -2)])
+    with pytest.raises(TypeError, match="leaf count must be an integer"):
+        Cladogram(m, edges)
+    assert Cladogram(np.int64(4), edges) == Cladogram(4, edges)
+    assert type(Cladogram(np.int32(4), edges).m) is int
 
 
 def test_edge_array_must_have_two_columns():

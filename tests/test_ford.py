@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from scipy import stats
 from alphaford._rng import stream
 from alphaford.cladogram import Cladogram, StructureError, enumerate_cladograms, shape
 from alphaford.ford import (
+    _grow_edges,
     build_comb_tree,
     deletion_stability_check,
     exact_distribution,
@@ -82,9 +84,100 @@ def test_alpha_one_sampler_yields_caterpillars():
     for _ in range(50):
         t = sample_ford_cladogram("1", 9, rng)
         assert len(t.cherries()) == 4  # binary tree is a caterpillar iff 2 cherry pairs
-    # long edge lists: every step after the first two picks an internal edge
+    # a comb-like tree of depth ~20 000: every step after the first two splits an
+    # internal edge, so the birth parents chain through earlier insertions
     big = sample_ford_tree("1", 20_000, rng)
     assert len(big.topology.cherries()) == 4
+
+
+class _FixedUniforms:
+    """Stands in for a generator: its one ``random`` call returns the given
+    block of uniforms."""
+
+    def __init__(self, draws):
+        self.draws = np.array(draws, dtype=float).reshape(-1, 2)
+
+    def random(self, shape):
+        assert shape == self.draws.shape
+        return self.draws
+
+
+def _growth_steps(alpha: Fraction, n: int):
+    """Per growth step, every (class, index) choice as (u0, u1, probability),
+    with uniforms that make ``_grow_edges`` take that choice."""
+    for k in range(2, n):  # k leaves before the step
+        n_ext, n_int = (1 if k == 2 else k), max(k - 3, 0)
+        ext, total = (1 - alpha) * n_ext, (1 - alpha) * n_ext + alpha * n_int
+        p_ext = Fraction(1) if total == 0 else ext / total
+        choices = []
+        if p_ext > 0:
+            choices += [(float(p_ext) / 2, (j + 0.5) / n_ext, p_ext / n_ext) for j in range(n_ext)]
+        if p_ext < 1:
+            u0 = (1 + float(p_ext)) / 2
+            choices += [(u0, (i + 0.5) / n_int, (1 - p_ext) / n_int) for i in range(n_int)]
+        yield choices
+
+
+def _insertion_law_oracle(alpha: Fraction, n: int) -> dict:
+    """Law of the growth on insertion-labelled n-cladograms: leaf k + 1 goes
+    into an edge of the current tree, picked with weight 1 - alpha if it is
+    external and alpha if it is internal (uniformly if all weights vanish)."""
+    t2 = Cladogram(2, [(1, 2)])
+    trees, law = {t2.key: t2}, {t2.key: Fraction(1)}
+    for _ in range(2, n):
+        grown = Counter()
+        for key, p in law.items():
+            edges = trees[key].edges
+            weights = [1 - alpha if v > 0 else alpha for _, v in edges]
+            if not any(weights):
+                weights = [Fraction(v > 0) for _, v in edges]
+            total = sum(weights)
+            for e, w in zip(edges, weights):
+                if w:
+                    child = trees[key].insert_leaf(e)
+                    trees[child.key] = child
+                    grown[child.key] += p * w / total
+        law = grown
+    return dict(law)
+
+
+@pytest.mark.parametrize("alpha", ["0", "1/3", "1/2", "3/4", "1"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_grower_law_is_exact(alpha, n):
+    # every class/index sequence of _grow_edges, weighed by its probability,
+    # gives the law of edge-weighted insertion on insertion-labelled trees
+    alpha = Fraction(alpha)
+    law = Counter()
+    for seq in itertools.product(*_growth_steps(alpha, n)):
+        draws = [(u0, u1) for u0, u1, _ in seq]
+        edges = _grow_edges(alpha, n, _FixedUniforms(draws))
+        law[Cladogram(n, edges).key] += math.prod(p for _, _, p in seq)
+    assert dict(law) == _insertion_law_oracle(alpha, n)
+
+
+class _NoDraws:
+    """A generator that fails the test if anything is drawn from it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from the generator ({name})")
+
+
+@pytest.mark.parametrize("count", [5.0, 5.5, "5", True, np.True_, None])
+def test_leaf_counts_must_be_integers(count):
+    calls = [
+        lambda: sample_ford_cladogram("1/2", count, _NoDraws()),
+        lambda: sample_ford_tree("1/2", count, _NoDraws()),
+        lambda: sample_kingman_cladogram(count, _NoDraws()),
+        lambda: build_comb_tree(count),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="leaf count must be an integer"):
+            call()
+    rng = stream(8)
+    assert sample_ford_cladogram("1/2", np.int64(5), rng).m == 5
+    assert sample_ford_tree("1/2", np.int32(5), rng).n == 5
+    assert sample_kingman_cladogram(np.int64(5), rng).m == 5
+    assert build_comb_tree(np.int64(5)).n == 5
 
 
 def test_sample_tree_two_leaves():
