@@ -26,6 +26,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from alphaford import __version__, cladogram, moments
 from alphaford import chain as chain_mod
 from alphaford import ford as ford_mod
@@ -386,13 +388,13 @@ def _cmd_tree_rmu(config: RunConfig) -> str:
             _check_rmu_leaves(n)
     tree = _tree_from_params(p, config.seed)
     _check_rmu_leaves(tree.n)
-    vertices = sorted(tree.topology.vertices)
-    rows = []
-    for x in vertices:
-        for y in vertices:
-            if x <= y:
-                val = tree.r_mu(x, y)
-                rows.append((x, y, val.numerator, val.denominator))
+    # every pair x <= y of vertices in ascending id, row by row
+    vertices = np.array(sorted(tree.topology.vertices))
+    x, y = (vertices[i] for i in np.triu_indices(len(vertices)))
+    numerator = tree.r_mu_numerators(x, y)
+    denominator = 2 * tree.n**3
+    gcd = np.gcd(numerator, denominator)
+    rows = zip(x.tolist(), y.tolist(), (numerator // gcd).tolist(), (denominator // gcd).tolist())
     return _csv_artifact(config, ["x", "y", "numerator", "denominator"], rows)
 
 

@@ -7,24 +7,30 @@ trees).  Leaf labels of the underlying topology are kept for addressing but
 carry no probabilistic meaning.
 
 Single-point queries return exact rationals.  Batched queries (used by the
-Monte Carlo estimators) run on flat numpy arrays read from the preorder walk
-from leaf 1 that :class:`~alphaford.cladogram.Cladogram` records when it
-validates the tree, and shares its arrays instead of walking again.  A subtree
-occupies a run of preorder positions, which gives O(1) ancestor tests and
-picks the child of v that leads to u, and a sparse table of depths over the
-preorder gives O(1) LCA lookups.  The ends of those runs, and from them the
-subtree leaf counts and the depths, are found in numpy from the preorder
-alone, with no per-vertex Python loop.  Quartets are read by the four-point
-condition: ab|cd iff the depths of lca(a, b) and lca(c, d) have the largest
-sum of the three pairings, so one stacked LCA call per block of rows answers
-a batch.
+Monte Carlo estimators and the pairwise mass metric) run on flat numpy arrays
+read from the preorder walk from leaf 1 that
+:class:`~alphaford.cladogram.Cladogram` records when it validates the tree,
+and share its arrays instead of walking again.  A subtree occupies a run of
+preorder positions, which gives O(1) ancestor tests, picks the child of v that
+leads to u, and places each vertex's two children.  The ends of those runs,
+and from them the subtree leaf counts and the depths, are found in numpy from
+the preorder alone, with no per-vertex Python loop.  A sparse table over the
+preorder answers LCA queries in O(1): its entries are packed keys
+depth * 2^shift + position, so one minimum picks the shallowest vertex and a
+mask or a shift reads its position or depth.  Quartets are read by the
+four-point condition: ab|cd iff the depths of lca(a, b) and lca(c, d) have the
+largest sum of the three pairings, so one stacked LCA call per block of rows
+answers a batch.  The branch point distribution is a read-only mapping over
+one shared leaf atom and one shared ``Fraction`` per distinct internal atom.
+Vertex ids must be integers: bools, floats and strings raise ``TypeError``.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
+from collections.abc import ItemsView, Mapping, Sequence, ValuesView
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -35,6 +41,8 @@ __all__ = ["FiniteMeasureTree"]
 # Components a + b + c = N have abc <= (N/3)^3, below 2^63 for N < 3 * 2^21;
 # from there on the products are taken in Python ints.
 _INT64_PRODUCT_LEAVES = 3 << 21
+# r_mu_numerators adds path sums of 2N^3 nu, each at most 2N^3 <= 2^61
+_INT64_METRIC_LEAVES = 1 << 20
 
 # quartet_partners: rows per stacked LCA call, and the pairs (ab, cd, ac, bd,
 # ad, bc) of the quartet's columns a, b, c, d, the two pairs of each split
@@ -70,10 +78,18 @@ class _Index:
     """Flat-array view of a tree rooted at leaf 1, on vertex positions (leaf v
     at v - 1, internal v at n - 1 - v), read from the preorder walk that
     validated the cladogram: parents, depths, children, subtree leaf counts,
-    and the preorder itself (these two are the cladogram's, not copies).  The
-    subtree at v is the run of 2 leafcnt[v] - 1 preorder positions from
-    ``first[v]``, which answers ancestor tests, and a sparse table of minimum
-    depths over the preorder answers LCA queries."""
+    and the preorder itself (these two are the cladogram's, not copies).
+
+    The subtree at v is the run of 2 leafcnt[v] - 1 preorder positions from
+    ``first[v]``, which answers ancestor tests and gives the children: the
+    first child of an internal vertex follows it in the preorder, and the
+    second follows the first child's subtree.  A vertex is named in the LCA
+    table by one packed key, depth * 2^shift + position, so comparing keys
+    compares depths first and a minimum needs no depth lookups.
+    ``sparse[j, i]`` is the smallest key of a parent of the vertices at
+    preorder positions i..i+2^j-1; every shallowest vertex of a range
+    (min first, max first] is a child of the LCA, so the range's minimum is
+    the LCA's key."""
 
     def __init__(self, clad: Cladogram):
         n = clad.m
@@ -93,49 +109,61 @@ class _Index:
         # in a subtree closed before i; the subtree at i closes at i + span + 1
         positions = np.arange(V + 1)
         closed = np.cumsum(np.bincount(span + positions[2:], minlength=V + 1))
+        level = positions[:V] - closed[:V]  # the depth at each preorder position
         self.depth = depth = np.empty(V, np.int64)
-        depth[order] = positions[:V] - closed[:V]
-        # a stable sort keeps each vertex's two children in ascending position,
-        # the order internal_component_counts reports; leaf 1 stores its one
-        # child twice, and the leaf rows are never read
-        by_parent = np.argsort(parent[1:], kind="stable") + 1
+        depth[order] = level
+        # children in ascending position, the order internal_component_counts
+        # reports; leaf 1 stores its one child twice, and the leaf rows are
+        # never read
+        start = first[n:]
+        one = order[start + 1]
+        two = order[start + 2 * leafcnt[one]]
         children = np.zeros((V, 2), np.int64)
-        children[0] = by_parent[0]
-        children[n:] = by_parent[1:].reshape(V - n, 2)
+        children[0] = order[1]
+        children[n:, 0] = np.minimum(one, two)
+        children[n:, 1] = np.maximum(one, two)
         self.children = children
 
-        # sparse[j, i]: the shallowest vertex at preorder positions i..i+2^j-1
-        K = V.bit_length()
-        sparse = np.zeros((K, V), np.int32)
-        sparse[0] = order
+        # positions lie below 2^shift, and the levels j < K have 2^j <= V
+        K = self.shift = shift = V.bit_length()
+        self.mask = (1 << shift) - 1
+        sparse = np.zeros((K, V), np.int64)
+        # position 0 holds leaf 1, which has no parent; no range
+        # (min first, max first] reads it, and it keeps the key 0
+        np.bitwise_or((level[1:] - 1) << shift, parent[order[1:]], out=sparse[0, 1:])
         for j in range(1, K):
-            span = 1 << (j - 1)
-            left = sparse[j - 1, : V - 2 * span + 1]
-            right = sparse[j - 1, span : V - span + 1]
-            sparse[j, : V - 2 * span + 1] = np.where(depth[left] <= depth[right], left, right)
+            half = 1 << (j - 1)
+            np.minimum(
+                sparse[j - 1, : V - 2 * half + 1],
+                sparse[j - 1, half : V - half + 1],
+                out=sparse[j, : V - 2 * half + 1],
+            )
         self.sparse = sparse
 
     # -- vectorized primitives (positions in, positions out) -------------------
 
-    def lca(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """For u != v, the parent of the shallowest vertex at preorder
-        positions (min first, max first]; u itself for u == v."""
+    def lca_key(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Packed key depth * 2^shift + position of lca(u, v): for u != v
+        the smallest table key over preorder positions (min first, max
+        first]; u's own key for u == v."""
         fu, fv = self.first[u], self.first[v]
         hi = np.maximum(fu, fv)
         lo = np.minimum(np.minimum(fu, fv) + 1, hi)
         j = np.frexp(hi - lo + 1)[1] - 1  # floor(log2)
-        a = self.sparse[j, lo]
-        b = self.sparse[j, hi - (1 << j) + 1]
-        best = np.where(self.depth[a] <= self.depth[b], a, b)
-        return np.where(fu == fv, u, self.parent[best])
+        key = np.minimum(self.sparse[j, lo], self.sparse[j, hi - (1 << j) + 1])
+        same = fu == fv
+        if same.any():
+            key = np.where(same, (self.depth[u] << self.shift) | u, key)
+        return key
+
+    def lca(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return self.lca_key(u, v) & self.mask
 
     def median(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        a = self.lca(x, y)
-        b = self.lca(y, z)
-        c = self.lca(x, z)
-        # two of the three pairwise LCAs coincide; the median is the deepest
-        out = np.where(self.depth[b] > self.depth[a], b, a)
-        return np.where(self.depth[c] > self.depth[out], c, out)
+        # two of the three pairwise LCAs coincide and the third lies above
+        # them; the median is the deepest, the largest key
+        key = np.maximum(self.lca_key(x, y), self.lca_key(y, z))
+        return np.maximum(key, self.lca_key(x, z)) & self.mask
 
     def is_ancestor(self, a: np.ndarray, u: np.ndarray) -> np.ndarray:
         fa, fu = self.first[a], self.first[u]
@@ -147,6 +175,58 @@ class _Index:
         child = np.where(self.is_ancestor(c0, u), c0, c1)
         below = self.is_ancestor(v, u)
         return np.where(below, self.leafcnt[child], self.n_leaves - self.leafcnt[v])
+
+
+class _BranchPointDistribution(Mapping):
+    """nu as a read-only mapping, keys in the order leaves 1..N, then
+    internal vertices -1, -2, ...: every leaf reads the one leaf atom, and
+    internal vertex -i the i-th entry of a tuple of shared atoms.  Its
+    views iterate the atoms themselves, with no lookup per key."""
+
+    __slots__ = ("_leaf", "_internal", "_n")
+
+    def __init__(self, leaf: Fraction, internal: tuple[Fraction, ...]):
+        self._leaf = leaf
+        self._internal = internal
+        self._n = len(internal) + 2
+
+    def __len__(self) -> int:
+        return 2 * self._n - 2
+
+    def __iter__(self):
+        return itertools.chain(range(1, self._n + 1), range(-1, 1 - self._n, -1))
+
+    def __getitem__(self, v) -> Fraction:
+        try:
+            i = operator.index(v)
+        except TypeError:
+            raise KeyError(v) from None
+        if 1 <= i <= self._n:
+            return self._leaf
+        if 2 - self._n <= i <= -1:
+            return self._internal[-1 - i]
+        raise KeyError(v)
+
+    def values(self) -> ValuesView:
+        return _Atoms(self)
+
+    def items(self) -> ItemsView:
+        return _Pairs(self)
+
+
+class _Atoms(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        nu = self._mapping
+        return itertools.chain(itertools.repeat(nu._leaf, nu._n), nu._internal)
+
+
+class _Pairs(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping, _Atoms(self._mapping))
 
 
 class FiniteMeasureTree:
@@ -194,38 +274,41 @@ class FiniteMeasureTree:
         n = self.n
         return [(v, *kids[v]) for v in reversed(idx.order.tolist()) if v >= n], kids[0][0]
 
-    def _position(self, v: int) -> int:
-        """Index position of vertex ``v`` (see :class:`_Index`)."""
+    def _positions(self, *ids, leaves: bool = False) -> np.ndarray:
+        """Index positions (see :class:`_Index`) of arrays of vertex ids,
+        broadcast together and stacked along a new first axis.  Ids must
+        be integers (numpy's too; bools and floats raise ``TypeError``),
+        and an id that is not a vertex (a leaf, if ``leaves``) raises
+        ``StructureError``."""
+        arrays = np.broadcast_arrays(*ids)
+        for a in arrays:
+            if a.dtype.kind not in "iu" and a.size:  # [] is a float array
+                raise TypeError(f"vertex ids must be integers, got {a.dtype} ids")
+        # uint64 ids past 2^63 wrap to negative ones, which the range rejects
+        out = np.stack(arrays, dtype=np.int64, casting="unsafe")
         n = self.n
-        if not (1 <= v <= n or 2 - n <= v <= -1):
-            raise StructureError(f"{v} is not a vertex of this {n}-leaf tree")
-        return v - 1 if v > 0 else n - 1 - v
+        if leaves:
+            if out.size and (out.min() < 1 or out.max() > n):
+                raise StructureError(f"leaf ids must lie in 1..{n}")
+            out -= 1
+            return out
+        if out.size and (out.min() < 2 - n or out.max() > n or not out.all()):
+            raise StructureError(f"vertex ids must lie in 1..{n} or {2 - n}..-1")
+        return np.where(out > 0, out - 1, n - 1 - out)
 
     def _vertex(self, p: int) -> int:
-        """Vertex id at index position ``p``, the inverse of :meth:`_position`."""
+        """Vertex id at index position ``p``, the inverse of :meth:`_positions`."""
         return int(p) + 1 if p < self.n else self.n - 1 - int(p)
-
-    def _leaf_positions(self, *leaves) -> np.ndarray:
-        """Index positions of arrays of leaf ids, broadcast together and
-        stacked along a new first axis; raises for an id outside 1..N."""
-        out = np.stack(np.broadcast_arrays(*leaves))
-        out -= 1
-        if out.size and (out.min() < 0 or out.max() >= self.n):
-            raise StructureError(f"leaf ids must lie in 1..{self.n}")
-        return out
 
     # -- exact single-point queries ---------------------------------------------
 
     def branch_point(self, x: int, y: int, z: int) -> int:
         """The median vertex c(x, y, z), lying on all three pairwise paths."""
-        p = self.index.median(*(np.array([self._position(v)]) for v in (x, y, z)))[0]
-        return self._vertex(p)
+        return self._vertex(self.index.median(*self._positions([x], [y], [z]))[0])
 
     def component_leaf_counts(self, u: Sequence[int]) -> tuple[int, int, int]:
         """Leaf counts of the three components hanging off c(u1, u2, u3)."""
         x, y, z = u
-        if len({x, y, z}) != 3:
-            raise StructureError("component masses need three distinct leaves")
         return tuple(int(c) for c in self.triple_component_counts([x], [y], [z])[0])
 
     def component_masses(self, u: Sequence[int]) -> tuple[Fraction, Fraction, Fraction]:
@@ -247,7 +330,7 @@ class FiniteMeasureTree:
 
     def branch_point_distribution(self) -> Mapping[int, Fraction]:
         """nu(v) = P(c(U1, U2, U3) = v) for U_i iid uniform leaves, leaves
-        1..N first, then internal vertices -1, -2, ...; a read-only view.
+        1..N first, then internal vertices -1, -2, ...; a read-only mapping.
 
         For an internal vertex with component masses (a, b, c) this is 6abc;
         a leaf of mass p contributes 3p^2 - 2p^3 (the triples with at least
@@ -258,23 +341,21 @@ class FiniteMeasureTree:
         if self._nu is None:
             n = self.n
             cube = n**3
-            counts = self._component_count_array()
-            if n >= _INT64_PRODUCT_LEAVES:
-                counts = counts.astype(object)
+            dtype = np.int64 if n < _INT64_PRODUCT_LEAVES else object
+            counts = self._component_count_array().astype(dtype, copy=False)
             products, which = np.unique(counts.prod(axis=1), return_inverse=True)
             atoms = [Fraction(6 * p, cube) for p in products.tolist()]
-            nu = dict.fromkeys(self.leaf_ids, Fraction(3 * n - 2, cube))
-            nu.update(zip(self.topology.internal_vertices, map(atoms.__getitem__, which.tolist())))
-            self._nu = MappingProxyType(nu)
+            internal = tuple(map(atoms.__getitem__, which.tolist()))
+            self._nu = _BranchPointDistribution(Fraction(3 * n - 2, cube), internal)
         return self._nu
 
     def interval(self, x: int, y: int) -> tuple[int, ...]:
         """Vertices z with c(x, y, z) = z: the path from x to y inclusive."""
         idx = self.index
-        px, py = self._position(x), self._position(y)
-        anc = int(idx.lca(np.array([px]), np.array([py]))[0])
+        ends = self._positions([x], [y])
+        anc = int(idx.lca(*ends)[0])
         up, down = [], []
-        for p, side in ((px, up), (py, down)):
+        for p, side in zip(ends[:, 0].tolist(), (up, down)):
             while p != anc:
                 side.append(p)
                 p = int(idx.parent[p])
@@ -286,7 +367,33 @@ class FiniteMeasureTree:
         total = sum((nu[v] for v in self.interval(x, y)), Fraction(0))
         return total - Fraction(1, 2) * nu[x] - Fraction(1, 2) * nu[y]
 
-    # -- batched queries for Monte Carlo --------------------------------------
+    # -- batched queries --------------------------------------------------------
+
+    def r_mu_numerators(self, x, y) -> np.ndarray:
+        """2N^3 r_mu(x, y) for arrays of vertex ids (any shapes that
+        broadcast together), as integers in the broadcast shape.
+
+        With s(v) the nu-mass of the path from leaf 1 to v, the path from x
+        to y has mass s(x) + s(y) - 2 s(l) + nu(l), l = lca(x, y).  Every
+        s(v) is one prefix sum over the preorder: a vertex adds its atom
+        where its subtree opens and takes it back where the subtree closes.
+        Python ints replace int64 from ``_INT64_METRIC_LEAVES`` leaves on.
+        """
+        idx = self.index
+        n = self.n
+        # 2N^3 nu: 2(3N - 2) at a leaf, 12abc at an internal vertex
+        dtype = np.int64 if n < _INT64_METRIC_LEAVES else object
+        w = np.empty(2 * n - 2, dtype)
+        w[:n] = 2 * (3 * n - 2)
+        w[n:] = 12 * self._component_count_array().astype(dtype, copy=False).prod(axis=1)
+        steps = np.zeros(len(w) + 1, w.dtype)
+        steps[idx.first] = w
+        # leaf 1's subtree is the whole tree and never closes
+        np.subtract.at(steps, idx.first[1:] + 2 * idx.leafcnt[1:] - 1, w[1:])
+        s = np.cumsum(steps)[idx.first]
+        px, py = self._positions(x, y)
+        lca = idx.lca(px, py)
+        return s[px] + s[py] - 2 * s[lca] + w[lca] - w[px] // 2 - w[py] // 2
 
     def quartet_partners(self, a, b, c, d) -> np.ndarray:
         """For arrays of distinct leaf ids (any shapes that broadcast
@@ -297,16 +404,20 @@ class FiniteMeasureTree:
         depth(lca(c, d)) is the largest of the three pair sums; in a binary
         tree four distinct leaves make that maximum strict.  The six pairwise
         LCAs of a block of at most ``_QUARTET_BLOCK`` rows are found in one
-        stacked :meth:`_Index.lca` call, which bounds the temporaries.
+        stacked :meth:`_Index.lca_key` call, which bounds the temporaries;
+        the same six pairs show a repeated leaf.
         """
         idx = self.index
-        quad = self._leaf_positions(a, b, c, d)
+        quad = self._positions(a, b, c, d, leaves=True)
         shape = quad.shape[1:]
         quad = quad.reshape(4, -1)
         out = np.empty(quad.shape[1], np.int64)
         for lo in range(0, len(out), _QUARTET_BLOCK):
             rows = slice(lo, lo + _QUARTET_BLOCK)
-            depth = idx.depth[idx.lca(quad[_PAIR_LEFT, rows], quad[_PAIR_RIGHT, rows])]
+            left, right = quad[_PAIR_LEFT, rows], quad[_PAIR_RIGHT, rows]
+            if (left == right).any():
+                raise StructureError("quartets need four distinct leaves")
+            depth = idx.lca_key(left, right) >> idx.shift
             out[rows] = (depth[0::2] + depth[1::2]).argmax(axis=0) + 1
         return out.reshape(shape)
 
@@ -314,7 +425,10 @@ class FiniteMeasureTree:
         """Component leaf counts at the median, for arrays of distinct leaf
         ids; shape (len, 3), row order matching the sample order."""
         idx = self.index
-        pts = self._leaf_positions(a, b, c)
+        pts = self._positions(a, b, c, leaves=True)
+        # the pairs (a, b), (b, c), (c, a)
+        if (pts == pts[[1, 2, 0]]).any():
+            raise StructureError("component counts need three distinct leaves")
         v = idx.median(*pts)
         return np.stack([idx.component_leaf_count(v, p) for p in pts], axis=1)
 

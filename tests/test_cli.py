@@ -458,6 +458,23 @@ def test_tree_rmu_newick(capsys):
     assert rows[0] == "x,y,numerator,denominator"
 
 
+@pytest.mark.parametrize("alpha", ["0", "1"])
+def test_tree_rmu_rows_are_the_single_pair_metric(capsys, alpha):
+    # every pair x <= y in ascending id, each value in lowest terms
+    argv = ["tree", "rmu", "--ford-leaves", "25", "--alpha", alpha, "--seed", "4"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    rows = list(csv.reader(line for line in out.splitlines() if not line.startswith("#")))
+    assert rows[0] == ["x", "y", "numerator", "denominator"]
+    tree = sample_ford_tree(alpha, 25, stream(4))
+    vertices = sorted(tree.topology.vertices)
+    pairs = [(x, y) for x in vertices for y in vertices if x <= y]
+    assert [(int(x), int(y)) for x, y, _, _ in rows[1:]] == pairs
+    for (x, y), (_, _, num, den) in zip(pairs, rows[1:]):
+        val = tree.r_mu(x, y)
+        assert (int(num), int(den)) == (val.numerator, val.denominator)
+
+
 def _no_tree(*args, **kwargs):
     raise AssertionError("a tree was built")
 

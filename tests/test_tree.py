@@ -207,6 +207,39 @@ def test_nu_is_read_only():
     assert nu == dict(nu_oracle(ft))
 
 
+@pytest.mark.parametrize("n", [2, 3, 9])
+def test_nu_view_reads_like_a_dict(n, rng):
+    ft = FiniteMeasureTree(random_cladogram(rng, n))
+    nu = ft.branch_point_distribution()
+    expected = bf_nu(ft.topology)
+    order = [*range(1, n + 1), *range(-1, 1 - n, -1)]
+    assert len(nu) == 2 * n - 2 and list(nu) == list(nu.keys()) == order
+    values = [expected.get(v, Fraction(0)) for v in order]
+    assert [nu[v] for v in order] == list(nu.values()) == values
+    assert list(nu.items()) == list(zip(order, values))
+    assert nu == {v: expected.get(v, Fraction(0)) for v in order}
+    assert len(nu.values()) == len(nu.items()) == 2 * n - 2
+    for v in order:
+        assert v in nu and np.int32(v) in nu
+        assert nu[np.int64(v)] is nu[v] and nu.get(v) is nu[v]
+    # 0 and the ids just outside 1..N and -1..-(N - 2)
+    for bad in (0, n + 1, 1 - n, np.int64(n + 1), 1.0, "1", None):
+        assert bad not in nu and nu.get(bad) is None
+        with pytest.raises(KeyError):
+            nu[bad]
+    # one shared atom per leaf, and per distinct internal value
+    assert len({id(nu[v]) for v in range(1, n + 1)}) == 1
+    internal = [nu[v] for v in range(-1, 1 - n, -1)]
+    assert len({id(x) for x in internal}) == len(set(internal))
+    for v, value in ((1, Fraction(0)), (-1, Fraction(5)), (n + 1, Fraction(0))):
+        with pytest.raises(TypeError):
+            nu[v] = value
+        with pytest.raises(TypeError):
+            del nu[v]
+    assert not hasattr(nu, "update") and not hasattr(nu, "__dict__")
+    assert ft.branch_point_distribution() is nu
+
+
 def test_r_mu_diagonal_and_symmetry(rng):
     ft = FiniteMeasureTree(random_cladogram(rng, 10))
     vs = ft.topology.vertices
@@ -262,6 +295,49 @@ def test_r_mu_triangle_inequality(m, rng):
         assert r(y, z) <= r(y, x) + r(x, z)
 
 
+@pytest.mark.parametrize("m", [2, 3, 5, 9, 16])
+def test_r_mu_numerators_match_r_mu_on_every_pair(m, rng):
+    ft = FiniteMeasureTree(random_cladogram(rng, m))
+    vs = np.array(ft.topology.vertices)
+    x, y = np.meshgrid(vs, vs, indexing="ij")
+    got = ft.r_mu_numerators(x, y)
+    assert got.shape == x.shape and got.dtype == np.int64
+    den = 2 * m**3
+    expected = [[ft.r_mu(a, b) * den for b in vs.tolist()] for a in vs.tolist()]
+    assert got.tolist() == expected
+    # a row broadcast against a column
+    assert (ft.r_mu_numerators(vs[:, None], vs) == got).all()
+
+
+@pytest.mark.parametrize("name", ["comb300", "ford1_300"])
+def test_r_mu_numerators_on_deep_trees(name, monkeypatch):
+    ft = _component_tree(name)
+    vs = ft.topology.vertices
+    rng = np.random.default_rng(len(name))
+    pairs = [(vs[int(i)], vs[int(j)]) for i, j in rng.integers(0, len(vs), size=(40, 2))]
+    x, y = np.array(pairs).T
+    den = 2 * ft.n**3
+    got = ft.r_mu_numerators(x, y)
+    assert got.tolist() == [ft.r_mu(a, b) * den for a, b in pairs]
+    # the Python-int path that big trees take, forced on this one
+    monkeypatch.setattr(tree_module, "_INT64_METRIC_LEAVES", 0)
+    wide = ft.r_mu_numerators(x, y)
+    assert wide.dtype == object and wide.tolist() == got.tolist()
+    assert all(type(v) is int for v in wide.tolist())
+
+
+def test_r_mu_numerators_reject_non_vertices():
+    ft = build_comb_tree(6)
+    for bad in (0, 7, -5):
+        for args in (([bad], [1]), ([1, 2], [-1, bad])):
+            with pytest.raises(StructureError):
+                ft.r_mu_numerators(*args)
+    # an empty batch holds no id to check
+    assert ft.r_mu_numerators([], []).shape == (0,)
+    assert ft.quartet_partners([], [], [], []).shape == (0,)
+    assert ft.triple_component_counts([], [], []).shape == (0, 3)
+
+
 def test_interval_endpoints_and_identity(rng):
     t = random_cladogram(rng, 8)
     ft = FiniteMeasureTree(t)
@@ -298,6 +374,71 @@ def test_batched_queries_reject_leaf_ids_out_of_range():
                 with pytest.raises(StructureError):
                     ft.triple_component_counts(*quad[:3])
     assert ft.quartet_partners(*ok).tolist() == [1, 1]
+
+
+_PAIR = np.array([1, 2])
+
+
+@pytest.mark.parametrize(
+    "query,args",
+    [
+        ("branch_point", (1.0, 2, 3)),
+        ("branch_point", (1, True, 3)),
+        ("interval", (True, 3)),
+        ("interval", (2, 3.0)),
+        ("r_mu", (True, 3)),
+        ("r_mu", (-1, "2")),
+        ("component_leaf_counts", ((1, 2, 3.0),)),
+        ("quartet_partners", ([1.0], [2], [3], [4])),
+        ("quartet_partners", (_PAIR, _PAIR + 2, _PAIR + 4, np.array([True, False]))),
+        ("triple_component_counts", ([1.0], [2], [3])),
+        ("triple_component_counts", (_PAIR, _PAIR + 2, np.array([True, True]))),
+        ("r_mu_numerators", ([1.0], [2])),
+        ("r_mu_numerators", (np.array([True]), [2])),
+    ],
+)
+def test_vertex_ids_must_be_integers(query, args):
+    with pytest.raises(TypeError):
+        getattr(build_comb_tree(10), query)(*args)
+
+
+def test_numpy_integer_ids_pass():
+    ft = build_comb_tree(10)
+    assert ft.branch_point(np.int32(1), np.uint8(2), np.int64(3)) == ft.branch_point(1, 2, 3)
+    assert ft.interval(np.int16(-1), 3) == ft.interval(-1, 3)
+    assert ft.r_mu(np.int64(1), np.int8(-2)) == ft.r_mu(1, -2)
+    widths = (np.int8, np.uint16, np.int32, np.uint64)
+    quad = [np.array([1, 2], dt) + i for i, dt in enumerate(widths)]
+    expected = ft.quartet_partners(*(q.tolist() for q in quad)).tolist()
+    assert ft.quartet_partners(*quad).tolist() == expected
+    # a uint64 id past 2^63 is no leaf
+    with pytest.raises(StructureError):
+        ft.quartet_partners(np.array([2**64 - 1], np.uint64), [2], [3], [4])
+
+
+def test_triple_component_counts_reject_repeated_leaves():
+    ft = build_comb_tree(10)
+    with pytest.raises(StructureError):
+        ft.triple_component_counts([1], [1], [2])
+    rows = np.tile([[1, 2, 3]], (3 * tree_module._QUARTET_BLOCK, 1))
+    for i, j in itertools.combinations(range(3), 2):
+        bad = rows.copy()
+        bad[-1, j] = bad[-1, i]
+        with pytest.raises(StructureError):
+            ft.triple_component_counts(*bad.T)
+
+
+def test_quartet_partners_reject_repeated_leaves():
+    ft = build_comb_tree(10)
+    rows = np.array([[1, 2, 3, 4], [5, 6, 7, 8]])
+    assert ft.quartet_partners(*rows.T).shape == (2,)
+    # a repeat in any of the six pairs, in the last block of a long batch
+    long = np.tile(rows, (tree_module._QUARTET_BLOCK, 1))
+    for i, j in itertools.combinations(range(4), 2):
+        bad = long.copy()
+        bad[-1, j] = bad[-1, i]
+        with pytest.raises(StructureError):
+            ft.quartet_partners(*bad.T)
 
 
 def test_quartet_partners_against_oracle(rng):
@@ -434,6 +575,63 @@ def test_lca_at_every_query_length(name, n):
         pos[next(v for v in up[i] if v in above[j])] for i, j in zip(u.tolist(), w.tolist())
     ]
     assert idx.lca(u, w).tolist() == expected
+
+
+def _walk_lca(parent: list[int], u: int, v: int) -> int:
+    """LCA of two index positions by climbing the parent pointers."""
+    above = {u}
+    while parent[u] >= 0:
+        u = parent[u]
+        above.add(u)
+    while v not in above:
+        v = parent[v]
+    return v
+
+
+@pytest.mark.parametrize(
+    "alpha,n,pairs", [("0", 500, 3000), ("1/2", 500, 3000), ("1", 500, 3000), ("1", 100_000, 40)]
+)
+def test_lca_against_parent_walk(alpha, n, pairs):
+    ft = sample_ford_tree(alpha, n, np.random.default_rng(n + len(alpha)))
+    idx = ft.index
+    if n == 100_000:
+        # the comb-like tree's keys depth * 2^shift pass 2^31
+        assert int(idx.depth.max()) << idx.shift > 2**31
+        assert idx.sparse.dtype == np.int64
+    V = 2 * n - 2
+    rng = np.random.default_rng(pairs)
+    u, v = rng.integers(0, V, size=(2, pairs))
+    # the deepest vertices, u == v, and pairs with leaf 1 (position 0)
+    deep = np.argsort(idx.depth)[-pairs // 4 :]
+    u[: len(deep)] = deep
+    v[:5], u[5:10], v[10] = u[:5], 0, 0
+    parent = idx.parent.tolist()
+    expected = [_walk_lca(parent, a, b) for a, b in zip(u.tolist(), v.tolist())]
+    assert idx.lca(u, v).tolist() == expected
+    assert idx.lca(v, u).tolist() == expected
+    keys = idx.lca_key(u, v)
+    assert (keys >> idx.shift).tolist() == idx.depth[expected].tolist()
+
+
+def _argsort_children(idx) -> np.ndarray:
+    """The children array by a stable sort of the vertices by parent."""
+    n, V = idx.n_leaves, len(idx.parent)
+    by_parent = np.argsort(idx.parent[1:], kind="stable") + 1
+    children = np.zeros((V, 2), np.int64)
+    children[0] = by_parent[0]
+    children[n:] = by_parent[1:].reshape(V - n, 2)
+    return children
+
+
+def test_children_read_off_the_preorder():
+    rng = np.random.default_rng(2)
+    trees = [random_cladogram(rng, m) for m in (2, 3, 4, 5, 6, 7, 40)]
+    trees += [build_comb_tree(m).topology for m in (2, 3, 4, 300)]
+    trees += [sample_ford_tree(a, m, rng).topology for a in ("0", "1/2", "1") for m in (3, 8, 2000)]
+    for t in trees:
+        idx = FiniteMeasureTree(t).index
+        assert idx.children.dtype == np.int64
+        assert idx.children.tobytes() == _argsort_children(idx).tobytes()
 
 
 def test_sample_distinct_leaves(rng):
