@@ -26,7 +26,7 @@ event has the same total rate, so a run to time t draws a Poisson event
 count and then the iid moves in vectorized blocks; each move rewrites three
 fixed edge slots, with no rejection loop; a block of moves is applied in
 one loop.  The sample-shape vector of a tree, fixed or simulated, is
-computed exactly by one pass over its rooted view; the chain-vs-dual check
+computed exactly by one fold over its preorder; the chain-vs-dual check
 still estimates it, every digit of its state codes from one quartet query.
 Move targets, the unlabeled shape classes and the estimator's samples all
 find their states through the one state code of :mod:`alphaford.cladogram`.
@@ -483,25 +483,22 @@ class ChainState:
         self.jumps += events
         return events
 
-    def rooted_view(self) -> tuple[list[tuple[int, int, int]], int]:
-        """The current tree rooted at leaf 1, in the format of
-        :meth:`FiniteMeasureTree.rooted_view`, read by one DFS over the slots."""
+    def preorder(self) -> list[int]:
+        """Vertex positions of the current tree in a preorder from leaf 1, by
+        one DFS over the slots; leaf children (leaf l on slot l) come first."""
         n, ends, inc = self.n, self.ends, self.inc
-        top = ends[0][1]
-        order = []
-        stack = [(top, 0)]  # a vertex and the slot leading to its parent
+        order = [0]
+        stack = [(ends[0][1], 0)]  # an internal vertex and the slot to its parent
         while stack:
             v, up = stack.pop()
+            order.append(v)
             s0, s1, s2 = inc[v]
-            x, y = (s1, s2) if s0 == up else (s0, s2) if s1 == up else (s0, s1)
-            a, b = sum(ends[x]) - v, sum(ends[y]) - v
-            order.append((v, a, b))
-            if a >= n:
-                stack.append((a, x))
-            if b >= n:
-                stack.append((b, y))
-        order.reverse()  # each vertex was listed before its descendants
-        return order, top
+            for e in (s1, s2) if s0 == up else (s0, s2) if s1 == up else (s0, s1):
+                if e < n:
+                    order.append(e)
+                else:
+                    stack.append((sum(ends[e]) - v, e))
+        return order
 
     def as_tree(self) -> FiniteMeasureTree:
         """Snapshot of the current state as an immutable measure tree; the
@@ -624,21 +621,24 @@ def exact_shape_vector(tree: FiniteMeasureTree | ChainState, m: int) -> list[Fra
     ``enumerate_cladograms(m)``, the probability that m iid uniform leaves
     are distinct and span t.
 
-    One post-order pass over ``tree.rooted_view()`` (a measure tree's or a
-    chain state's) counts at every vertex the leaf subsets of its subtree,
-    up to m leaves, by the rooted shape they span: a vertex adds its
-    children's counts and, for every pair of child shapes, the product of
-    their counts at the joined shape.  At leaf 1's neighbour the m-subsets
-    are read off, and the (m-1)-subsets, joined by leaf 1, are the m-subsets
-    that hold it.  Labels are exchangeable, so the m! orderings of a subset
-    fall evenly on the states of its class.
+    One fold back over ``tree.preorder()`` (a measure tree's or a chain
+    state's) stacks per subtree its leaf subsets of up to m leaves, counted
+    by the rooted shape they span: a leaf pushes its one subset, a vertex
+    pops its subtrees' tables (the last two) and pushes their sum plus, for
+    each pair of child shapes, the product of their counts at the joined
+    shape.  The last, leaf 1's neighbour's, gives the m-subsets and the
+    (m-1)-subsets leaf 1 completes.  Labels are exchangeable, so the m!
+    orderings of a subset fall evenly on the states of its class.
     """
     join, read, state_class, class_size = _shape_classes(m)
     n = tree.n
-    order, top = tree.rooted_view()
-    tables = dict.fromkeys(range(n), {0: 1})  # shared, never written: a leaf spans shape 0
-    for v, a, b in order:
-        a, b = tables.pop(a), tables.pop(b)
+    leaf = {0: 1}  # shared, never written: a leaf spans shape 0
+    tables = []
+    for v in reversed(tree.preorder()[1:]):
+        if v < n:
+            tables.append(leaf)
+            continue
+        a, b = tables.pop(), tables.pop()
         table = dict(a)
         for j, count in b.items():
             table[j] = table.get(j, 0) + count
@@ -646,9 +646,9 @@ def exact_shape_vector(tree: FiniteMeasureTree | ChainState, m: int) -> list[Fra
             for j, k in join[i].items():
                 if j in b:
                     table[k] = table.get(k, 0) + count * b[j]
-        tables[v] = table
+        tables.append(table)
     counts = [0] * len(class_size)
-    for i, count in tables[top].items():
+    for i, count in tables[0].items():
         if i in read:
             counts[read[i]] += count
     orderings = math.factorial(m)

@@ -17,7 +17,8 @@ leaf 1, which is the connectivity check and keeps the preorder of positions
 (``_preorder``) and each position's parent (``_parent``, -1 for leaf 1) as
 two read-only int64 arrays, the one stored copy of the tree: the tree index
 (:mod:`alphaford.tree`) shares them, and :attr:`Cladogram.splits` and the
-edges of an array input are read off them.
+edges of an array input are read off them.  Leaf counts, vertex ids and
+edit labels must be integers (numpy's too), or ``TypeError`` is raised.
 
 Identity of labeled cladograms goes through :meth:`Cladogram.key`, the sorted
 tuple of internal-edge bipartitions encoded by the side that excludes label 1.
@@ -71,15 +72,20 @@ class StructureError(ValueError):
     """Raised when an operation would violate the cladogram invariants."""
 
 
-def _leaf_count(m) -> int:
-    """m as a Python int: integers (numpy's too) are read through
+def _integer(x, what: str) -> int:
+    """x as a Python int: integers (numpy's too) are read through
     ``operator.index``, and bools, floats and strings raise ``TypeError``."""
-    if isinstance(m, (bool, np.bool_)) or not hasattr(m, "__index__"):
-        raise TypeError(f"a leaf count must be an integer, got {m!r}")
-    return operator.index(m)
+    if isinstance(x, (bool, np.bool_)) or not hasattr(x, "__index__"):
+        raise TypeError(f"{what} must be an integer, got {x!r}")
+    return operator.index(x)
 
 
 def _edge(u: int, v: int) -> Edge:
+    """The edge (u, v), u < v; ids must be integers (numpy's too)."""
+    if type(u) is not int or type(v) is not int:  # one cheap test for Python ints
+        for x in (u, v):
+            if isinstance(x, (bool, np.bool_)) or not hasattr(x, "__index__"):
+                raise TypeError(f"vertex ids must be integers, got {type(x).__name__} ids")
     return (u, v) if u < v else (v, u)
 
 
@@ -90,7 +96,7 @@ class Cladogram:
     ----------
     m : int
         Number of leaves (>= 2), an integer (numpy's too; a bool, float or
-        string raises ``TypeError``).  Leaves carry vertex ids 1..m.
+        string raises ``TypeError``, as an id does).  Leaves carry ids 1..m.
     edges : (E, 2) signed integer ndarray, or iterable of (int, int)
         Undirected edges.  Internal vertices must use negative ids; others
         than -1..-(m-2) are renumbered onto those in descending order.  An
@@ -104,14 +110,14 @@ class Cladogram:
     )
 
     def __init__(self, m: int, edges: Iterable[Edge] | np.ndarray):
-        self.m = _leaf_count(m)
+        self.m = _integer(m, "a leaf count")
         self._adj: dict[int, tuple[int, ...]] | None = None
         self._splits: tuple[int, ...] | None = None
         self._key = None
         self._code_: tuple[int, ...] | None = None
         self._hash = None
         self._edges: tuple[Edge, ...] | None = None
-        if isinstance(edges, np.ndarray) and edges.dtype.kind == "i":
+        if isinstance(edges, np.ndarray) and edges.dtype.kind != "u":  # uint64 wraps in int64
             self._validate_array(edges)
             return
         edges = sorted(_edge(u, v) for u, v in edges)
@@ -162,6 +168,8 @@ class Cladogram:
     def _validate_array(self, edges: np.ndarray) -> None:
         """The checks of :meth:`_validate_pairs` on an (E, 2) integer array,
         in numpy, ending in the same walk."""
+        if edges.dtype.kind != "i":
+            raise TypeError(f"vertex ids must be integers, got {edges.dtype} ids")
         m = self.m
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise StructureError(f"an edge array must have shape (E, 2), got {edges.shape}")
@@ -345,8 +353,7 @@ class Cladogram:
         With the default ``new_label = m + 1`` no shifting occurs.
         """
         m = self.m
-        if new_label is None:
-            new_label = m + 1
+        new_label = m + 1 if new_label is None else _integer(new_label, "a leaf label")
         if not 1 <= new_label <= m + 1:
             raise StructureError(f"new label {new_label} out of range 1..{m + 1}")
         e = _edge(*edge)
@@ -364,6 +371,7 @@ class Cladogram:
         """Remove leaf ``label``, suppress the degree-2 vertex left behind,
         and shift labels > ``label`` down by one."""
         m = self.m
+        label = _integer(label, "a leaf label")
         if m <= 2:
             raise StructureError("cannot delete a leaf from a 2-cladogram")
         if not 1 <= label <= m:

@@ -42,7 +42,7 @@ from alphaford.cladogram import (
     MAX_ENUMERATION_LEAVES,
     Cladogram,
     StructureError,
-    _leaf_count,
+    _integer,
     enumerate_cladograms,
 )
 from alphaford.tree import FiniteMeasureTree
@@ -153,7 +153,7 @@ def sample_ford_cladogram(alpha, m: int, rng: np.random.Generator) -> Cladogram:
     Growth by weighted edge insertion followed by a uniform relabeling of the
     leaves, which makes the law exchangeable.
     """
-    m, alpha = _leaf_count(m), parse_alpha(alpha)
+    m, alpha = _integer(m, "a leaf count"), parse_alpha(alpha)
     edges = _grow_edges(alpha, m, rng)
     perm = rng.permutation(m) + 1
     return Cladogram(m, np.where(edges > 0, perm[np.maximum(edges, 1) - 1], edges))
@@ -165,7 +165,7 @@ def sample_ford_tree(alpha, n_leaves: int, rng: np.random.Generator) -> FiniteMe
     Same growth as :func:`sample_ford_cladogram`; the final label permutation
     is skipped because the measure tree carries no label information.
     """
-    n_leaves, alpha = _leaf_count(n_leaves), parse_alpha(alpha)
+    n_leaves, alpha = _integer(n_leaves, "a leaf count"), parse_alpha(alpha)
     return FiniteMeasureTree(Cladogram(n_leaves, _grow_edges(alpha, n_leaves, rng)))
 
 
@@ -176,7 +176,7 @@ def sample_kingman_cladogram(m: int, rng: np.random.Generator) -> Cladogram:
     builds one internal vertex per merger; the final merger joins the two
     remaining block vertices by an edge.
     """
-    m = _leaf_count(m)
+    m = _integer(m, "a leaf count")
     if m < 2:
         raise StructureError("need at least 2 leaves")
     if m == 2:
@@ -199,7 +199,7 @@ def sample_kingman_cladogram(m: int, rng: np.random.Generator) -> Cladogram:
 def build_comb_tree(n_leaves: int) -> FiniteMeasureTree:
     """The comb: a spine of n-2 internal vertices, one tooth leaf each, and
     one leaf at either end.  Labels run 1 (left end), 2..n-1 (teeth), n."""
-    n_leaves = _leaf_count(n_leaves)
+    n_leaves = _integer(n_leaves, "a leaf count")
     if n_leaves < 2:
         raise StructureError("need at least 2 leaves")
     if n_leaves == 2:

@@ -112,17 +112,12 @@ class _Index:
         level = positions[:V] - closed[:V]  # the depth at each preorder position
         self.depth = depth = np.empty(V, np.int64)
         depth[order] = level
-        # children in ascending position, the order internal_component_counts
-        # reports; leaf 1 stores its one child twice, and the leaf rows are
-        # never read
+        # a row per internal vertex -1, -2, ...: its children in ascending
+        # position, the order internal_component_counts reports
         start = first[n:]
         one = order[start + 1]
         two = order[start + 2 * leafcnt[one]]
-        children = np.zeros((V, 2), np.int64)
-        children[0] = order[1]
-        children[n:, 0] = np.minimum(one, two)
-        children[n:, 1] = np.maximum(one, two)
-        self.children = children
+        self.children = np.column_stack([np.minimum(one, two), np.maximum(one, two)])
 
         # positions lie below 2^shift, and the levels j < K have 2^j <= V
         K = self.shift = shift = V.bit_length()
@@ -170,8 +165,8 @@ class _Index:
         return (fa <= fu) & (fu <= fa + 2 * self.leafcnt[a] - 2)
 
     def component_leaf_count(self, v: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Leaves in the component of (tree minus v) containing u, u != v."""
-        c0, c1 = self.children[v, 0], self.children[v, 1]
+        """Leaves in the component of (tree minus internal v) containing u != v."""
+        c0, c1 = self.children[v - self.n_leaves].T
         child = np.where(self.is_ancestor(c0, u), c0, c1)
         below = self.is_ancestor(v, u)
         return np.where(below, self.leafcnt[child], self.n_leaves - self.leafcnt[v])
@@ -265,14 +260,10 @@ class FiniteMeasureTree:
     def __repr__(self) -> str:
         return f"FiniteMeasureTree(n={self.n})"
 
-    def rooted_view(self) -> tuple[list[tuple[int, int, int]], int]:
-        """The tree rooted at leaf 1, on dense ids (leaf i is i - 1, internal
-        vertices from N on): a (vertex, child, child) triple per internal
-        vertex, children first, and leaf 1's neighbour."""
-        idx = self.index
-        kids = idx.children.tolist()
-        n = self.n
-        return [(v, *kids[v]) for v in reversed(idx.order.tolist()) if v >= n], kids[0][0]
+    def preorder(self) -> np.ndarray:
+        """Vertex positions (see :class:`_Index`) in the preorder from leaf 1
+        that validated the topology: the stored read-only array, no copy."""
+        return self.topology._preorder
 
     def _positions(self, *ids, leaves: bool = False) -> np.ndarray:
         """Index positions (see :class:`_Index`) of arrays of vertex ids,
@@ -321,7 +312,7 @@ class FiniteMeasureTree:
         -1, -2, ...: the two child subtrees, then the rest."""
         idx = self.index
         n = self.n
-        return np.column_stack([idx.leafcnt[idx.children[n:]], n - idx.leafcnt[n:]])
+        return np.column_stack([idx.leafcnt[idx.children], n - idx.leafcnt[n:]])
 
     def internal_component_counts(self) -> dict[int, tuple[int, int, int]]:
         """For each internal vertex, the leaf counts of its three components."""

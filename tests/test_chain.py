@@ -736,13 +736,56 @@ def test_exact_shape_vector_depends_on_the_tree_from_six_leaves():
 
 @pytest.mark.parametrize("n", [5, 6, 9, 128])
 def test_exact_shape_vector_of_chain_state_matches_its_snapshot(n):
-    # the chain's rooted view and the snapshot's _Index feed the same DP
+    # the chain's slot DFS and the snapshot's stored preorder feed the same fold
     for alpha, t in itertools.product(["0", "1/2", "1"], [0, 0.05, 0.3]):
         state = ChainState(sample_ford_tree(alpha, n, stream(42, n)), alpha, stream(43, n))
         state.run_until(t)
         tree = state.as_tree()
         for m in range(2, 9):
             assert exact_shape_vector(state, m) == exact_shape_vector(tree, m)
+
+
+def test_exact_shape_vector_builds_no_tree_index(monkeypatch):
+    # the fold reads the topology's stored preorder, not the LCA index
+    def no_index(tree):
+        raise AssertionError("read tree.index")
+
+    tree = sample_ford_tree("1/2", 64, stream(44))
+    monkeypatch.setattr(FiniteMeasureTree, "index", property(no_index))
+    for m in range(2, 9):
+        assert sum(exact_shape_vector(tree, m)) == Fraction(math.perm(64, m), 64**m)
+
+
+def test_exact_shape_vector_of_a_deep_big_tree_sums_exactly():
+    # alpha = 1 grows a comb-like tree of depth ~1e5; its 6-subset counts
+    # pass 2^63, and its fold stack must not recurse
+    n = 100_000
+    tree = sample_ford_tree("1", n, stream(45))
+    assert sum(exact_shape_vector(tree, 6)) == Fraction(math.perm(n, 6), n**6)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_exact_shape_vector_of_two_and_three_leaves(n):
+    # leaf 1's neighbour is a leaf (n = 2) or the one internal vertex (n = 3);
+    # the m-cladograms of m <= 3 form one state, and more leaves than n span none
+    tree = build_comb_tree(n)
+    for m in range(2, 9):
+        expected = Fraction(math.perm(n, m), n**m)
+        assert exact_shape_vector(tree, m) == [expected] * len(enumerate_cladograms(m))
+
+
+@pytest.mark.parametrize("n", [5, 9, 128])
+def test_chain_state_preorder_is_a_preorder_from_leaf_one(n):
+    for alpha, t in itertools.product(["0", "1"], [0, 0.3]):
+        state = ChainState(sample_ford_tree(alpha, n, stream(46, n)), alpha, stream(47, n))
+        state.run_until(t)
+        order = state.preorder()
+        assert order[0] == 0
+        assert sorted(order) == list(range(2 * n - 2))
+        # each vertex's parent is the previous vertex or one of its
+        # ancestors: every subtree follows its root, unbroken
+        idx = state.as_tree().index
+        assert idx.is_ancestor(idx.parent[order[1:]], np.array(order[:-1])).all()
 
 
 def test_exact_shape_vector_rejects_m_out_of_range():

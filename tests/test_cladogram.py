@@ -270,6 +270,51 @@ def test_leaf_count_must_be_an_integer(form, m):
     assert type(Cladogram(np.int32(4), edges).m) is int
 
 
+_STAR_3 = [(1, -1), (2, -1), (3, -1)]
+
+
+@pytest.mark.parametrize(
+    "edges, kind",
+    [
+        ([(True, -1), (2, -1), (3, -1)], "bool"),
+        ([(1, -1), (2, np.True_), (3, -1)], "bool"),
+        ([(1.0, -1), (2, -1), (3, -1)], "float"),
+        ([(1, -1), (2, np.float64(-1)), (3, -1)], "float64"),
+        ([("1", -1), (2, -1), (3, -1)], "str"),
+        (np.array(_STAR_3, float), "float64"),
+        (np.array(_STAR_3, bool), "bool"),
+        (np.array(_STAR_3, object), "object"),
+    ],
+)
+def test_vertex_ids_must_be_integers(edges, kind):
+    # numpy 1.x names its scalar bool "bool_"
+    with pytest.raises(TypeError, match=f"vertex ids must be integers, got {kind}"):
+        Cladogram(3, edges)
+
+
+def test_numpy_integer_vertex_ids_pass():
+    star = Cladogram(3, _STAR_3)
+    assert Cladogram(3, [(np.int64(u), np.int8(v)) for u, v in _STAR_3]) == star
+    for dtype in (np.int8, np.int32):
+        assert Cladogram(3, np.array(_STAR_3, dtype)) == star
+    # unsigned ids hold no internal vertex: a structure error, not a type error
+    with pytest.raises(StructureError):
+        Cladogram(3, np.array([(1, 4), (2, 4), (3, 4)], np.uint64))
+
+
+@pytest.mark.parametrize("label", [True, np.True_, 2.0, 2.5, "2", None])
+def test_edit_labels_must_be_integers(label):
+    comb = build_comb_tree(6).topology
+    with pytest.raises(TypeError, match="leaf label must be an integer"):
+        comb.delete_leaf(label)
+    edge = comb.edges[0]
+    if label is not None:  # None asks for the default label m + 1
+        with pytest.raises(TypeError, match="leaf label must be an integer"):
+            comb.insert_leaf(edge, new_label=label)
+    assert comb.delete_leaf(np.int64(2)) == comb.delete_leaf(2)
+    assert comb.insert_leaf(edge, new_label=np.int32(2)) == comb.insert_leaf(edge, new_label=2)
+
+
 def test_edge_array_must_have_two_columns():
     with pytest.raises(StructureError, match="shape"):
         Cladogram(3, np.array([1, -1, 2, -1, 3, -1]))

@@ -614,13 +614,11 @@ def test_lca_against_parent_walk(alpha, n, pairs):
 
 
 def _argsort_children(idx) -> np.ndarray:
-    """The children array by a stable sort of the vertices by parent."""
-    n, V = idx.n_leaves, len(idx.parent)
+    """The children of the internal vertices by a stable sort of the
+    vertices by parent; the first, leaf 1's neighbour, is leaf 1's, which
+    has no row."""
     by_parent = np.argsort(idx.parent[1:], kind="stable") + 1
-    children = np.zeros((V, 2), np.int64)
-    children[0] = by_parent[0]
-    children[n:] = by_parent[1:].reshape(V - n, 2)
-    return children
+    return by_parent[1:].reshape(-1, 2)
 
 
 def test_children_read_off_the_preorder():
@@ -668,29 +666,3 @@ def test_index_against_oracle_on_deep_trees(name):
             z = x
         assert ft.branch_point(x, y, z) == bf_median(t, x, y, z)
         assert ft.interval(x, y) == tuple(reversed(bf_path(t, x, y)))
-
-
-def _check_rooted_view(ft):
-    t = ft.topology
-    n = ft.n
-    ids = list(range(1, n + 1)) + sorted(t.internal_vertices, reverse=True)
-    triples, top = ft.rooted_view()
-    assert ids[top] == t.adjacency[1][0]
-    assert sorted(v for v, _, _ in triples) == list(range(n, len(ids)))
-    seen = set(range(n))
-    for v, c1, c2 in triples:
-        # both children are listed before v, and hang off v away from leaf 1
-        assert c1 in seen and c2 in seen and c1 != c2
-        assert {ids[c1], ids[c2]} == set(t.adjacency[ids[v]]) - {bf_path(t, ids[v], 1)[-2]}
-        seen.add(v)
-
-
-@pytest.mark.parametrize("name", ["comb300", "ford1_300"])
-def test_rooted_view_lists_children_first(name):
-    _check_rooted_view(_component_tree(name))
-
-
-def test_rooted_view_lists_children_first_small_trees():
-    rng = np.random.default_rng(7)
-    for m in [2, 3, 4] * 10:
-        _check_rooted_view(FiniteMeasureTree(random_cladogram(rng, m)))
