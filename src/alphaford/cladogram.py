@@ -81,11 +81,12 @@ def _integer(x, what: str) -> int:
 
 
 def _edge(u: int, v: int) -> Edge:
-    """The edge (u, v), u < v; ids must be integers (numpy's too)."""
+    """The edge (u, v), u < v, of Python ints; ids must be integers (numpy's too)."""
     if type(u) is not int or type(v) is not int:  # one cheap test for Python ints
         for x in (u, v):
             if isinstance(x, (bool, np.bool_)) or not hasattr(x, "__index__"):
                 raise TypeError(f"vertex ids must be integers, got {type(x).__name__} ids")
+        u, v = operator.index(u), operator.index(v)
     return (u, v) if u < v else (v, u)
 
 

@@ -381,16 +381,24 @@ def estimate_mass_moments(
 def exact_tree_moment(tree: FiniteMeasureTree, k) -> Fraction:
     """Exact E[eta^k] over uniform distinct leaf triples of a fixed tree.
 
-    Sums over internal vertices: a distinct triple has its branch point at v
-    with one sample in each component, so each ordered component assignment
-    contributes (product of counts) * eta^k exactly.
-    """
+    A row (a, b, c) of ``tree.component_counts()`` adds the sum over its six
+    orderings of a^p b^q c^r, (p, q, r) = k + 1: for p >= q >= r that is
+    (abc)^r (s_x s_y - s_(x+y)), x = p - r, y = q - r, with the power sums
+    s_j = a^j + b^j + c^j (s_0 = 3), in Python ints once per distinct sorted
+    row, times its multiplicity."""
     k = _norm_index(k)
     n = tree.n
     if n < 3:
         raise StructureError(f"component masses need 3 distinct leaves, the tree has {n}")
+    counts = np.sort(tree.component_counts(), axis=1)
+    rows, mult = np.unique(counts[:, 0] * n + counts[:, 1], return_counts=True)
+    r, q, p = sorted(x + 1 for x in k)
+    x, y, xy = p - r, q - r, p + q - 2 * r
     acc = 0
-    for counts in tree.internal_component_counts().values():
-        for a, b, c in itertools.permutations(counts):
-            acc += a ** (k[0] + 1) * b ** (k[1] + 1) * c ** (k[2] + 1)
+    for row, w in zip(rows.tolist(), mult.tolist()):
+        a, b = divmod(row, n)
+        c = n - a - b
+        acc += w * (a * b * c) ** r * (
+            (a**x + b**x + c**x) * (a**y + b**y + c**y) - a**xy - b**xy - c**xy
+        )
     return Fraction(acc, n ** sum(k) * n * (n - 1) * (n - 2))

@@ -3,30 +3,27 @@ the branch point distribution, and the mass metric.
 
 A :class:`FiniteMeasureTree` is a binary tree with N leaves carrying uniform
 mass 1/N each (an element of the N-leaf slice of binary algebraic measure
-trees).  Leaf labels of the underlying topology are kept for addressing but
-carry no probabilistic meaning.
+trees).  Leaf labels are kept for addressing but carry no probabilistic
+meaning.  Single-point queries return exact rationals.
 
-Single-point queries return exact rationals.  Batched queries (used by the
-Monte Carlo estimators and the pairwise mass metric) run on flat numpy arrays
-read from the preorder walk from leaf 1 that
-:class:`~alphaford.cladogram.Cladogram` records when it validates the tree,
-and share its arrays instead of walking again.  A subtree occupies a run of
-preorder positions, which gives O(1) ancestor tests, picks the child of v that
-leads to u, and places each vertex's two children.  The ends of those runs,
-and from them the subtree leaf counts and the depths, are found in numpy from
-the preorder alone, with no per-vertex Python loop.  A sparse table over the
-preorder answers LCA queries in O(1): its entries are packed keys
-depth * 2^shift + position, so one minimum picks the shallowest vertex and a
-mask or a shift reads its position or depth.  Quartets are read by the
-four-point condition: ab|cd iff the depths of lca(a, b) and lca(c, d) have the
-largest sum of the three pairings, so one stacked LCA call per block of rows
-answers a batch.  The branch point distribution is a read-only mapping over
-one shared leaf atom and one shared ``Fraction`` per distinct internal atom.
-Vertex ids must be integers: bools, floats and strings raise ``TypeError``.
+Everything runs on flat numpy arrays read from the preorder walk from leaf 1
+that :class:`~alphaford.cladogram.Cladogram` records when it validates the
+tree.  A subtree is a run of preorder positions: that gives O(1) ancestor
+tests and each vertex's two children, and the run ends (found in numpy, with
+no per-vertex loop) give the subtree leaf counts and depths.  One table of
+them, ``component_counts()``, holds the three component leaf counts at each
+internal vertex; nu, ``r_mu_numerators`` and the exact mass moments read it.
+A sparse table of packed keys depth * 2^shift + position, built by the first
+LCA query, answers LCA queries in O(1); quartets follow by the four-point
+condition: ab|cd iff the depths of lca(a, b) and lca(c, d) have the largest
+sum of the three pairings.  nu is a read-only mapping over one shared leaf
+atom and one shared ``Fraction`` per distinct internal atom.  Vertex ids must
+be integers: bools, floats and strings raise ``TypeError``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections.abc import ItemsView, Mapping, Sequence, ValuesView
@@ -81,21 +78,19 @@ class _Index:
     and the preorder itself (these two are the cladogram's, not copies).
 
     The subtree at v is the run of 2 leafcnt[v] - 1 preorder positions from
-    ``first[v]``, which answers ancestor tests and gives the children: the
-    first child of an internal vertex follows it in the preorder, and the
-    second follows the first child's subtree.  A vertex is named in the LCA
-    table by one packed key, depth * 2^shift + position, so comparing keys
-    compares depths first and a minimum needs no depth lookups.
-    ``sparse[j, i]`` is the smallest key of a parent of the vertices at
-    preorder positions i..i+2^j-1; every shallowest vertex of a range
-    (min first, max first] is a child of the LCA, so the range's minimum is
-    the LCA's key."""
+    ``first[v]``: the first child of an internal vertex follows it, and the
+    second follows the first child's subtree.  The LCA table, built by the
+    first LCA query, names a vertex by one key depth * 2^shift + position, so
+    a minimum compares depths first: ``sparse[j, i]`` is the smallest key of
+    a parent of the vertices at preorder positions i..i+2^j-1, and as every
+    shallowest vertex of a range (min first, max first] is a child of the
+    LCA, the range's minimum is the LCA's key."""
 
     def __init__(self, clad: Cladogram):
         n = clad.m
         self.n_leaves = n
         V = 2 * n - 2
-        self.parent = parent = clad._parent
+        self.parent = clad._parent
         self.order = order = clad._preorder
         self.first = first = np.empty(V, np.int64)
         first[order] = np.arange(V)
@@ -113,19 +108,23 @@ class _Index:
         self.depth = depth = np.empty(V, np.int64)
         depth[order] = level
         # a row per internal vertex -1, -2, ...: its children in ascending
-        # position, the order internal_component_counts reports
+        # position, the order component_counts reports
         start = first[n:]
         one = order[start + 1]
         two = order[start + 2 * leafcnt[one]]
         self.children = np.column_stack([np.minimum(one, two), np.maximum(one, two)])
 
-        # positions lie below 2^shift, and the levels j < K have 2^j <= V
-        K = self.shift = shift = V.bit_length()
-        self.mask = (1 << shift) - 1
+        # positions lie below 2^shift, and the table's levels j < shift have 2^j <= V
+        self.shift = V.bit_length()
+        self.mask = (1 << self.shift) - 1
+
+    @functools.cached_property
+    def sparse(self) -> np.ndarray:
+        rest, K, V = self.order[1:], self.shift, len(self.order)
         sparse = np.zeros((K, V), np.int64)
         # position 0 holds leaf 1, which has no parent; no range
         # (min first, max first] reads it, and it keeps the key 0
-        np.bitwise_or((level[1:] - 1) << shift, parent[order[1:]], out=sparse[0, 1:])
+        np.bitwise_or((self.depth[rest] - 1) << K, self.parent[rest], out=sparse[0, 1:])
         for j in range(1, K):
             half = 1 << (j - 1)
             np.minimum(
@@ -133,7 +132,7 @@ class _Index:
                 sparse[j - 1, half : V - half + 1],
                 out=sparse[j, : V - 2 * half + 1],
             )
-        self.sparse = sparse
+        return sparse
 
     # -- vectorized primitives (positions in, positions out) -------------------
 
@@ -141,11 +140,12 @@ class _Index:
         """Packed key depth * 2^shift + position of lca(u, v): for u != v
         the smallest table key over preorder positions (min first, max
         first]; u's own key for u == v."""
+        sparse = self.sparse  # a first query builds it before its own temporaries
         fu, fv = self.first[u], self.first[v]
         hi = np.maximum(fu, fv)
         lo = np.minimum(np.minimum(fu, fv) + 1, hi)
         j = np.frexp(hi - lo + 1)[1] - 1  # floor(log2)
-        key = np.minimum(self.sparse[j, lo], self.sparse[j, hi - (1 << j) + 1])
+        key = np.minimum(sparse[j, lo], sparse[j, hi - (1 << j) + 1])
         same = fu == fv
         if same.any():
             key = np.where(same, (self.depth[u] << self.shift) | u, key)
@@ -307,17 +307,11 @@ class FiniteMeasureTree:
         n = self.n
         return tuple(Fraction(c, n) for c in self.component_leaf_counts(u))
 
-    def _component_count_array(self) -> np.ndarray:
+    def component_counts(self) -> np.ndarray:
         """(N - 2, 3) leaf counts of the components at internal vertices
-        -1, -2, ...: the two child subtrees, then the rest."""
-        idx = self.index
-        n = self.n
+        -1, -2, ...: the two child subtrees, then the side of leaf 1."""
+        idx, n = self.index, self.n
         return np.column_stack([idx.leafcnt[idx.children], n - idx.leafcnt[n:]])
-
-    def internal_component_counts(self) -> dict[int, tuple[int, int, int]]:
-        """For each internal vertex, the leaf counts of its three components."""
-        counts = self._component_count_array()
-        return dict(zip(self.topology.internal_vertices, map(tuple, counts.tolist())))
 
     def branch_point_distribution(self) -> Mapping[int, Fraction]:
         """nu(v) = P(c(U1, U2, U3) = v) for U_i iid uniform leaves, leaves
@@ -333,7 +327,7 @@ class FiniteMeasureTree:
             n = self.n
             cube = n**3
             dtype = np.int64 if n < _INT64_PRODUCT_LEAVES else object
-            counts = self._component_count_array().astype(dtype, copy=False)
+            counts = self.component_counts().astype(dtype, copy=False)
             products, which = np.unique(counts.prod(axis=1), return_inverse=True)
             atoms = [Fraction(6 * p, cube) for p in products.tolist()]
             internal = tuple(map(atoms.__getitem__, which.tolist()))
@@ -376,7 +370,7 @@ class FiniteMeasureTree:
         dtype = np.int64 if n < _INT64_METRIC_LEAVES else object
         w = np.empty(2 * n - 2, dtype)
         w[:n] = 2 * (3 * n - 2)
-        w[n:] = 12 * self._component_count_array().astype(dtype, copy=False).prod(axis=1)
+        w[n:] = 12 * self.component_counts().astype(dtype, copy=False).prod(axis=1)
         steps = np.zeros(len(w) + 1, w.dtype)
         steps[idx.first] = w
         # leaf 1's subtree is the whole tree and never closes
@@ -424,10 +418,20 @@ class FiniteMeasureTree:
         return np.stack([idx.component_leaf_count(v, p) for p in pts], axis=1)
 
     def sample_distinct_leaves(self, count: int, k: int, rng: np.random.Generator) -> np.ndarray:
-        """(count, k) array of leaf ids, each row without repetition."""
+        """(count, k) array of leaf ids, each row uniform over the ordered
+        k-tuples of distinct leaves: iid rows with a repeat redrawn while k
+        iid leaves are distinct with probability (n)_k / n^k >= 1/8; past
+        that, a uniform k-subset per row by Floyd's algorithm, shuffled."""
         n = self.n
         if k > n:
             raise StructureError(f"cannot draw {k} distinct leaves from {n}")
+        if np.prod(1 - np.arange(k) / n) < 1 / 8:
+            out = np.empty((count, k), np.int64)
+            for j, top in enumerate(range(n - k + 1, n + 1)):
+                # a leaf t <= top the row holds already is replaced by top
+                t = rng.integers(1, top + 1, size=count)
+                out[:, j] = np.where((out[:, :j] == t[:, None]).any(axis=1), top, t)
+            return rng.permuted(out, axis=1, out=out)
         out = rng.integers(1, n + 1, size=(count, k))
         while True:
             bad = np.zeros(count, dtype=bool)

@@ -302,6 +302,17 @@ def test_numpy_integer_vertex_ids_pass():
         Cladogram(3, np.array([(1, 4), (2, 4), (3, 4)], np.uint64))
 
 
+def test_numpy_integer_vertex_ids_are_stored_as_python_ints():
+    # the pair path stores Python ints, as the array path does, so numpy
+    # scalars do not leak into edges, vertices or the edits built on them
+    t = Cladogram(3, [(np.int64(1), np.int32(-1)), (np.int8(2), -1), (3, np.int16(-1))])
+    grown = t.insert_leaf((np.int64(-1), np.int32(2)), new_label=np.int64(2))
+    for c in (t, grown, grown.delete_leaf(np.int8(3))):
+        ids = [x for e in c.edges for x in e] + list(c.vertices)
+        assert all(type(x) is int for x in ids), ids
+    assert t.edges == ((-1, 1), (-1, 2), (-1, 3))
+
+
 @pytest.mark.parametrize("label", [True, np.True_, 2.0, 2.5, "2", None])
 def test_edit_labels_must_be_integers(label):
     comb = build_comb_tree(6).topology

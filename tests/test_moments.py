@@ -345,6 +345,40 @@ def test_exact_tree_moment_against_brute_force(k, rng):
         assert exact_tree_moment(ft, k) == bf_tree_moment(ft, k)
 
 
+def loop_tree_moment(tree, k) -> Fraction:
+    """The per-vertex loop: every internal vertex, its counts in all six
+    orderings, each term a^(k1+1) b^(k2+1) c^(k3+1) in Python ints."""
+    n = tree.n
+    acc = 0
+    for counts in tree.component_counts().tolist():
+        for a, b, c in itertools.permutations(counts):
+            acc += a ** (k[0] + 1) * b ** (k[1] + 1) * c ** (k[2] + 1)
+    return Fraction(acc, n ** sum(k) * n * (n - 1) * (n - 2))
+
+
+INDICES_S6 = [k for k in itertools.product(range(7), repeat=3) if sum(k) <= 6]
+
+
+@pytest.mark.parametrize("alpha", ["0", "1/2", "1", None])
+def test_exact_tree_moment_matches_the_per_vertex_loop(alpha):
+    # every index of degree <= 6 (unsorted ones too, each a different
+    # assignment of exponents to the sorted powers); None is the comb
+    for n in (3, 4, 7, 40, 2000):
+        if alpha is None:
+            ft = build_comb_tree(n)
+        else:
+            ft = sample_ford_tree(alpha, n, stream(50, n))
+        for k in INDICES_S6:
+            assert exact_tree_moment(ft, k) == loop_tree_moment(ft, k), (n, k)
+
+
+def test_exact_tree_moment_of_a_deep_big_tree_matches_the_per_vertex_loop():
+    # alpha = 1: about N / 2 distinct sorted count rows, powers far past 2^63
+    ft = sample_ford_tree("1", 100_000, stream(51))
+    for k in [(1, 0, 0), (2, 1, 0), (0, 3, 3), (1, 4, 1)]:
+        assert exact_tree_moment(ft, k) == loop_tree_moment(ft, k), k
+
+
 def test_estimate_constant_index_is_exact():
     ft = build_comb_tree(50)
     est = estimate_mass_moments(ft, [(0, 0, 0)], 500, stream(9))

@@ -1,4 +1,9 @@
+import contextlib
+import functools
 import itertools
+import math
+import signal
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -6,10 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from alphaford import tree as tree_module
+from alphaford.chain import exact_shape_vector
 from alphaford.cladogram import Cladogram, StructureError, enumerate_cladograms
 from alphaford.ford import build_comb_tree, sample_ford_tree
+from alphaford.moments import exact_tree_moment
 from alphaford.tree import FiniteMeasureTree
 
 from conftest import (
@@ -171,8 +179,8 @@ def nu_oracle(ft: FiniteMeasureTree) -> list[tuple[int, Fraction]]:
     n = ft.n
     cube = n**3
     out = [(leaf, Fraction(3 * n - 2, cube)) for leaf in range(1, n + 1)]
-    counts = ft.internal_component_counts()
-    out += [(v, Fraction(6 * a * b * c, cube)) for v, (a, b, c) in counts.items()]
+    counts = ft.component_counts().tolist()
+    out += [(-i, Fraction(6 * a * b * c, cube)) for i, (a, b, c) in enumerate(counts, 1)]
     return out
 
 
@@ -521,9 +529,9 @@ def test_component_counts_against_bfs_oracle(name):
         expected = tuple(leaf_count(next(c for c in comps if x in c)) for x in u)
         assert tuple(int(c) for c in counts) == expected
         assert ft.component_leaf_counts(u) == expected
-    internal = ft.internal_component_counts()
-    assert set(internal) == set(t.internal_vertices)
-    for v, (c1, c2, rest) in internal.items():
+    counts = ft.component_counts()
+    assert counts.shape == (len(t.internal_vertices), 3) and counts.dtype == np.int64
+    for v, (c1, c2, rest) in zip(t.internal_vertices, counts.tolist()):
         comps = bf_components(t, v)
         # the third entry is the component holding leaf 1, the root of the index
         assert rest == leaf_count(next(c for c in comps if 1 in c))
@@ -613,6 +621,46 @@ def test_lca_against_parent_walk(alpha, n, pairs):
     assert (keys >> idx.shift).tolist() == idx.depth[expected].tolist()
 
 
+def test_exact_statistics_build_no_lca_table(monkeypatch):
+    # nu, the count table, the exact moments and Phi^m read subtree counts,
+    # the children and the preorder; only an LCA query needs the table
+    def refuse(idx):
+        raise AssertionError("built the LCA table")
+
+    monkeypatch.setattr(tree_module._Index, "sparse", property(refuse))
+    for ft in (sample_ford_tree("1/2", 300, np.random.default_rng(8)), build_comb_tree(40)):
+        assert sum(ft.branch_point_distribution().values()) == 1
+        assert ft.component_counts().sum() == ft.n * (ft.n - 2)
+        assert exact_tree_moment(ft, (1, 0, 0)) == Fraction(1, 3)
+        assert sum(exact_shape_vector(ft, 5)) == Fraction(math.perm(ft.n, 5), ft.n**5)
+        assert "sparse" not in vars(ft.index)
+
+
+def test_lca_queries_build_the_table_once(monkeypatch):
+    builds = []
+    build = tree_module._Index.sparse.func
+
+    def counted(idx):
+        builds.append(idx)
+        return build(idx)
+
+    table = functools.cached_property(counted)
+    table.__set_name__(tree_module._Index, "sparse")
+    monkeypatch.setattr(tree_module._Index, "sparse", table)
+    a, b, c, d = np.array([[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]]).T
+    queries = [
+        lambda ft: ft.quartet_partners(a, b, c, d),
+        lambda ft: ft.triple_component_counts(a, b, c),
+        lambda ft: ft.r_mu_numerators(a, -b),
+    ]
+    for query in queries:
+        ft = sample_ford_tree("1/3", 60, np.random.default_rng(9))
+        builds.clear()
+        first = query(ft)
+        assert (query(ft) == first).all()
+        assert builds == [ft.index]
+
+
 def _argsort_children(idx) -> np.ndarray:
     """The children of the internal vertices by a stable sort of the
     vertices by parent; the first, leaf 1's neighbour, is leaf 1's, which
@@ -639,6 +687,88 @@ def test_sample_distinct_leaves(rng):
     assert draws.min() >= 1 and draws.max() <= 10
     for row in draws:
         assert len(set(row.tolist())) == 4
+
+
+def _redraw_whole_rows(n, count, k, rng):
+    """The sampler's first regime written out: iid rows, every row with a
+    repeat redrawn whole until none is left."""
+    out = rng.integers(1, n + 1, size=(count, k))
+    while True:
+        bad = np.array([len(set(row)) < k for row in out.tolist()], dtype=bool)
+        if not bad.any():
+            return out
+        out[bad] = rng.integers(1, n + 1, size=(int(bad.sum()), k))
+
+
+@pytest.mark.parametrize("n,k", [(3, 3), (4, 3), (10, 4), (40, 8), (100, 12), (2000, 4)])
+def test_sample_distinct_leaves_keeps_its_seeded_stream(n, k):
+    # where k iid leaves are distinct with probability >= 1/8 (every seeded
+    # use so far) the rows are the redraw loop's, draw for draw
+    ft = build_comb_tree(n)
+    got = ft.sample_distinct_leaves(300, k, np.random.default_rng(n * k))
+    assert got.tolist() == _redraw_whole_rows(n, 300, k, np.random.default_rng(n * k)).tolist()
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: float):
+    def expire(signum, frame):
+        raise TimeoutError(f"took longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+def test_sample_distinct_leaves_close_to_every_leaf_returns():
+    # 20 iid leaves of 20 are distinct with probability 20!/20^20 ~ 2e-8, so
+    # redrawing whole rows until they are distinct does not finish
+    ft = build_comb_tree(20)
+    rng = np.random.default_rng(3)
+    with _time_limit(5):
+        every = ft.sample_distinct_leaves(1, 20, rng)
+        most = ft.sample_distinct_leaves(100, 16, rng)
+    assert sorted(every[0].tolist()) == list(range(1, 21))
+    assert most.shape == (100, 16) and most.min() >= 1 and most.max() <= 20
+    assert all(len(set(row)) == 16 for row in most.tolist())
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_sample_distinct_leaves_uniform_at_all_but_one_leaf(n):
+    # k = n - 1 iid leaves are distinct with probability 0.19 at n = 5 (the
+    # redraw regime) and 0.09 at n = 6 (a Floyd subset, shuffled); each of
+    # the n! ordered rows is equally likely in both
+    ft = build_comb_tree(n)
+    cells = math.factorial(n)
+    rows = ft.sample_distinct_leaves(100 * cells, n - 1, np.random.default_rng(11 + n))
+    code = (rows - 1) @ (n ** np.arange(n - 1))
+    observed = np.unique(code, return_counts=True)[1]
+    assert len(observed) == cells
+    assert chisquare(observed).pvalue > 1e-3
+
+
+def test_sample_distinct_leaves_past_the_redraw_regime_on_a_big_tree():
+    # 645 iid leaves of 10^5 are distinct with probability < 1/8, 644 are not;
+    # the draw holds the k columns of a row, never a row of all n leaves
+    n, count = 100_000, 100
+    ft = build_comb_tree(n)
+    k = next(k for k in range(n) if math.perm(n, k) * 8 < n**k)
+    assert k == 645
+    tracemalloc.start()
+    try:
+        rows = ft.sample_distinct_leaves(count, k, np.random.default_rng(12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (count, k) and rows.min() >= 1 and rows.max() <= n
+    assert (np.diff(np.sort(rows, axis=1), axis=1) > 0).all()
+    assert peak < 32 * rows.nbytes < count * n * 8
+    # each column is uniform over the leaves
+    assert chisquare(np.bincount((rows[:, -1] - 1) * 10 // n, minlength=10)).pvalue > 1e-3
 
 
 @settings(max_examples=25, deadline=None)
