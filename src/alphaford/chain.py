@@ -386,8 +386,11 @@ class ChainState:
     good, stored leaf first, and the N - 3 internal edges fill slots
     N..2N-4.  ``ends[e]`` holds the endpoints of edge e and ``inc[v]`` the
     slots at v (one at a leaf, three inside).
-    A move draws the leaf, the class of the insertion edge and its index,
-    and rewrites three slots in place.  Self-moves are events too: every
+    A move draws the leaf k, the class of the insertion edge and its index,
+    and rewrites three slots in place: the insertion edge z and the two
+    edges f and g at the vertex v that k hangs off (see :meth:`_steps`).
+    ``inc[v]`` is rewritten in place, as is one entry at each of two other
+    vertices; no list is allocated.  Self-moves are events too: every
     event has rate N(N - 1 - 3 alpha), whatever the state, and a move
     reinserting the leaf where it stood leaves the state unchanged.  So a run
     over [s, t) is a Poisson(N(N - 1 - 3 alpha)(t - s)) number of iid moves,
@@ -422,31 +425,40 @@ class ChainState:
         k = int(rng.integers(n))
         if rng.random() * self._w_all < self._w_ext:
             z = int(rng.integers(n - 1))
-            return not self._steps((k,), (True,), (z + (z >= k),))
-        return not self._steps((k,), (False,), (n + int(rng.integers(n - 4)),))
+            return not self._steps((k,), (z + (z >= k),))
+        return not self._steps((k,), (n + int(rng.integers(n - 4)),))
 
-    def _steps(self, ks, exts, zs) -> int:
-        """Move leaf k onto slot z for each (k, external, z) in turn; returns
-        the number of self-moves, which ``self_moves`` adds up.
+    def _steps(self, ks, zs) -> int:
+        """Move leaf k onto slot z for each (k, z) in turn; returns the
+        number of self-moves, which ``self_moves`` adds up.
 
         Leaf k hangs off v, whose other slots x and y lead to a and b.  The
         internal one of them (y if both are) merges away as f; the other, g,
         becomes (a, b), so a leaf keeps its slot.  An external z is a leaf
-        slot other than k; an internal z is drawn from N..2N-5 and remapped
-        past f here.  z = g puts k back where it stood.  Otherwise z = (p, q)
-        becomes (p, v), which keeps a leaf p in its own slot, and f becomes
-        (v, q).
+        slot other than k, below N and so below f; an internal z is drawn
+        from N..2N-5 and remapped past f here.  z = g puts k back where it
+        stood.  Otherwise z = (p, q) becomes (p, v), which keeps a leaf p in
+        its own slot, f becomes (v, q), and ``inc[v]`` becomes [k, z, f].
         """
         n = self.n
         ends, inc = self.ends, self.inc
         stays = 0
-        for k, external, z in zip(ks, exts, zs):
+        for k, z in zip(ks, zs):
             v = ends[k][1]
-            s0, s1, s2 = inc[v]
-            x, y = (s1, s2) if s0 == k else (s0, s2) if s1 == k else (s0, s1)
-            f, g = (y, x) if y >= n else (x, y)
-            if not external:
-                z += z >= f
+            at_v = inc[v]
+            s0, s1, s2 = at_v
+            if s0 == k:
+                x, y = s1, s2
+            elif s1 == k:
+                x, y = s0, s2
+            else:
+                x, y = s0, s1
+            if y >= n:
+                f, g = y, x
+            else:
+                f, g = x, y
+            if z >= f:
+                z += 1
             if z == g:
                 stays += 1  # reinsertion at the merged edge
                 continue
@@ -460,7 +472,9 @@ class ChainState:
             at_b, at_q = inc[b], inc[q]
             at_b[at_b.index(f)] = g
             at_q[at_q.index(z)] = f
-            inc[v] = [k, z, f]
+            at_v[0] = k
+            at_v[1] = z
+            at_v[2] = f
         self.self_moves += stays
         return stays
 
@@ -478,7 +492,7 @@ class ChainState:
             ext = rng.random(size) * self._w_all < self._w_ext
             r = rng.integers(np.where(ext, n - 1, n - 4))
             z = np.where(ext, r + (r >= k), n + r)
-            self._steps(k.tolist(), ext.tolist(), z.tolist())
+            self._steps(k.tolist(), z.tolist())
         self.time = horizon
         self.jumps += events
         return events
@@ -524,16 +538,31 @@ class ChainState:
 
 def simulate_chain(state: ChainState, horizon: float, observe_times=(), observers=()):
     """Run ``state`` to ``horizon``, calling each observer at the requested
-    times (and at the horizon).  Returns a trajectory summary."""
+    times (and at the horizon), which must lie in [``state.time``,
+    ``horizon``]; one outside raises ``ValueError`` before any draw.
+    Returns a trajectory summary."""
     times = sorted(set(float(t) for t in observe_times) | {float(horizon)})
     if times[0] < state.time:
         raise ValueError("observation times must not precede the current time")
+    if times[-1] > horizon:
+        raise ValueError(f"observation times must not pass the horizon {horizon}")
     observations = []
     jumps = 0
     for t in times:
         jumps += state.run_until(t)
         observations.append((t, [obs(state) for obs in observers]))
     return {"time": state.time, "jumps": jumps, "observations": observations}
+
+
+@lru_cache(maxsize=None)
+def _triple_columns(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """A (4, T) array whose column i holds the columns 0, j, k, l of the
+    i-th label triple 1 < j + 1 < k + 1 < l + 1 of an m-tuple, in the
+    digit order of :func:`alphaford.cladogram._triple_code`, and the base-3
+    weights of those T digits."""
+    triples = list(itertools.combinations(range(1, m), 3))
+    columns = np.array([(0, *t) for t in triples], np.int64).reshape(-1, 4).T
+    return columns, 3 ** np.arange(len(triples) - 1, -1, -1, dtype=np.int64)
 
 
 def _shape_indices(tree: FiniteMeasureTree, tuples: np.ndarray) -> np.ndarray:
@@ -543,10 +572,10 @@ def _shape_indices(tree: FiniteMeasureTree, tuples: np.ndarray) -> np.ndarray:
     code (:func:`alphaford.cladogram._triple_code`): one quartet query
     answers every digit of every row."""
     m = tuples.shape[1]
-    j, k, l = np.array(list(itertools.combinations(range(1, m), 3)), np.int64).reshape(-1, 3).T
-    digits = tree.quartet_partners(tuples[:, :1], tuples[:, j], tuples[:, k], tuples[:, l])
-    code = digits @ 3 ** np.arange(len(j) - 1, -1, -1, dtype=np.int64)
-    return enumerate_cladograms(m).locate(code)
+    columns, weights = _triple_columns(m)
+    # (4, T, rows): the leaves 1, j, k, l of every digit of every row
+    digits = tree.quartet_partners(*tuples.T[columns])
+    return enumerate_cladograms(m).locate(weights @ digits)
 
 
 def estimate_shape_vector(tree, m: int, samples: int, rng):
@@ -557,11 +586,9 @@ def estimate_shape_vector(tree, m: int, samples: int, rng):
         raise ValueError(f"need samples >= 1, got {samples}")
     states = enumerate_cladograms(m)  # bounds m before any draw
     draws = rng.integers(1, tree.n + 1, size=(samples, m))
-    distinct = np.ones(samples, dtype=bool)
-    for i in range(m):
-        for j in range(i + 1, m):
-            distinct &= draws[:, i] != draws[:, j]
-    draws = draws[distinct]  # frees the full batch before classifying
+    # a row repeats a leaf iff two neighbours of its sorted copy are equal
+    ranked = np.sort(draws, axis=1)
+    draws = draws[(ranked[:, 1:] != ranked[:, :-1]).all(axis=1)]
     counts = np.bincount(_shape_indices(tree, draws), minlength=len(states))
     return counts / samples, counts
 

@@ -174,12 +174,14 @@ class Cladogram:
         m = self.m
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise StructureError(f"an edge array must have shape (E, 2), got {edges.shape}")
-        edges = edges.astype(np.int64)
-        if edges.size and edges.min() < 2 - m:
+        self._check_size(len(edges))
+        edges = edges.astype(np.int64, copy=False)
+        low = edges.min()
+        if low < 2 - m:
             internal = np.unique(edges[edges < 0])
             edges = np.where(edges < 0, np.searchsorted(internal, edges) - len(internal), edges)
-        self._check_size(len(edges))
-        if edges.min() < 2 - m or edges.max() > m or not edges.all():
+            low = -len(internal)
+        if low < 2 - m or edges.max() > m or not edges.all():
             raise self._id_error()
         V = 2 * m - 2
         pos = np.where(edges > 0, edges - 1, m - 1 - edges)

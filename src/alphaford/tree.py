@@ -43,10 +43,9 @@ _INT64_METRIC_LEAVES = 1 << 20
 
 # quartet_partners: rows per stacked LCA call, and the pairs (ab, cd, ac, bd,
 # ad, bc) of the quartet's columns a, b, c, d, the two pairs of each split
-# adjacent
+# adjacent: their left ends, then their right ends
 _QUARTET_BLOCK = 1 << 13
-_PAIR_LEFT = [0, 2, 0, 1, 0, 1]
-_PAIR_RIGHT = [1, 3, 2, 3, 3, 2]
+_PAIRS = np.array([[0, 2, 0, 1, 0, 1], [1, 3, 2, 3, 3, 2]])
 
 
 def _subtree_spans(order: np.ndarray, n: int) -> np.ndarray:
@@ -71,11 +70,25 @@ def _subtree_spans(order: np.ndarray, n: int) -> np.ndarray:
     return pairs[np.searchsorted(pairs, target)] - target
 
 
+@functools.lru_cache(maxsize=64)
+def _level_offsets(V: int) -> np.ndarray:
+    """Flat offsets into the LCA table of a tree of V vertices by the bit
+    length e of a range's length L, 2^(e-1) <= L < 2^e: row 0 holds that of
+    level e - 1, added to the range's first position, row 1 that minus
+    2^(e-1) - 1, added to its last.  No range has length 0, so column 0 is
+    never read."""
+    e = np.arange(V.bit_length() + 1)
+    start = (e - 1) * V
+    return np.stack([start, start + 1 - (1 << e >> 1)])
+
+
 class _Index:
     """Flat-array view of a tree rooted at leaf 1, on vertex positions (leaf v
     at v - 1, internal v at n - 1 - v), read from the preorder walk that
-    validated the cladogram: parents, depths, children, subtree leaf counts,
-    and the preorder itself (these two are the cladogram's, not copies).
+    validated the cladogram: parents, depths, subtree leaf counts, and the
+    preorder itself (these two are the cladogram's, not copies).  Each
+    internal vertex's two children, ``children``, are found on first read:
+    the quartet and LCA queries never read them.
 
     The subtree at v is the run of 2 leafcnt[v] - 1 preorder positions from
     ``first[v]``: the first child of an internal vertex follows it, and the
@@ -107,16 +120,18 @@ class _Index:
         level = positions[:V] - closed[:V]  # the depth at each preorder position
         self.depth = depth = np.empty(V, np.int64)
         depth[order] = level
-        # a row per internal vertex -1, -2, ...: its children in ascending
-        # position, the order component_counts reports
-        start = first[n:]
-        one = order[start + 1]
-        two = order[start + 2 * leafcnt[one]]
-        self.children = np.column_stack([np.minimum(one, two), np.maximum(one, two)])
-
         # positions lie below 2^shift, and the table's levels j < shift have 2^j <= V
         self.shift = V.bit_length()
         self.mask = (1 << self.shift) - 1
+
+    @functools.cached_property
+    def children(self) -> np.ndarray:
+        """A row per internal vertex -1, -2, ...: its children in ascending
+        position, the order component_counts reports."""
+        order, start, leafcnt = self.order, self.first[self.n_leaves :], self.leafcnt
+        one = order[start + 1]
+        two = order[start + 2 * leafcnt[one]]
+        return np.column_stack([np.minimum(one, two), np.maximum(one, two)])
 
     @functools.cached_property
     def sparse(self) -> np.ndarray:
@@ -140,12 +155,15 @@ class _Index:
         """Packed key depth * 2^shift + position of lca(u, v): for u != v
         the smallest table key over preorder positions (min first, max
         first]; u's own key for u == v."""
-        sparse = self.sparse  # a first query builds it before its own temporaries
+        sparse = self.sparse.ravel()  # a first query builds it before its own temporaries
+        start, end = _level_offsets(len(self.order))
         fu, fv = self.first[u], self.first[v]
         hi = np.maximum(fu, fv)
-        lo = np.minimum(np.minimum(fu, fv) + 1, hi)
-        j = np.frexp(hi - lo + 1)[1] - 1  # floor(log2)
-        key = np.minimum(sparse[j, lo], sparse[j, hi - (1 << j) + 1])
+        lo = np.minimum(fu, fv)
+        lo += 1
+        np.minimum(lo, hi, out=lo)  # u == v reads the range [hi, hi]
+        e = np.frexp(hi - lo + 1)[1]  # the bit length of the range's length
+        key = np.minimum(sparse.take(start.take(e) + lo), sparse.take(end.take(e) + hi))
         same = fu == fv
         if same.any():
             key = np.where(same, (self.depth[u] << self.shift) | u, key)
@@ -276,7 +294,7 @@ class FiniteMeasureTree:
             if a.dtype.kind not in "iu" and a.size:  # [] is a float array
                 raise TypeError(f"vertex ids must be integers, got {a.dtype} ids")
         # uint64 ids past 2^63 wrap to negative ones, which the range rejects
-        out = np.stack(arrays, dtype=np.int64, casting="unsafe")
+        out = np.array(arrays, np.int64)
         n = self.n
         if leaves:
             if out.size and (out.min() < 1 or out.max() > n):
@@ -399,7 +417,7 @@ class FiniteMeasureTree:
         out = np.empty(quad.shape[1], np.int64)
         for lo in range(0, len(out), _QUARTET_BLOCK):
             rows = slice(lo, lo + _QUARTET_BLOCK)
-            left, right = quad[_PAIR_LEFT, rows], quad[_PAIR_RIGHT, rows]
+            left, right = quad[_PAIRS, rows]
             if (left == right).any():
                 raise StructureError("quartets need four distinct leaves")
             depth = idx.lca_key(left, right) >> idx.shift

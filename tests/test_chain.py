@@ -1,3 +1,4 @@
+import collections
 import copy
 import itertools
 import math
@@ -511,6 +512,61 @@ def test_as_tree_validates_the_slot_table():
             Cladogram(12, [(label[u], label[w]) for u, w in bad.ends])
         with pytest.raises(StructureError, match=re.escape(str(pairs.value))):
             bad.as_tree()
+
+
+# start trees of the move-kernel oracle: combs, a caterpillar whose labels
+# do not run along the spine, the three-cherry tree, and seeded Ford trees
+KERNEL_STARTS = {
+    **{f"comb{n}": (lambda n=n: build_comb_tree(n)) for n in (5, 6, 7, 8)},
+    "caterpillar7": lambda: FiniteMeasureTree.from_newick("((3,7),1,(5,(2,(4,6))));"),
+    "three_cherries6": lambda: FiniteMeasureTree.from_newick("((1,2),(3,4),(5,6));"),
+    **{
+        f"ford{n}_{alpha}": (lambda n=n, alpha=alpha: sample_ford_tree(alpha, n, stream(47, n)))
+        for n in (6, 7, 8)
+        for alpha in ("0", "1/2")
+    },
+}
+
+
+@pytest.mark.parametrize("start", KERNEL_STARTS)
+def test_move_kernel_matches_cladogram_edits(start):
+    # every leaf k and every slot index z the kernel can be handed, each on a
+    # fresh state: per class of the insertion edge, the trees reached are the
+    # trees the edits reach over the reduced tree's edges of that class, as
+    # multisets; one z per leaf, a slot k's vertex held, is the self-move
+    tree = KERNEL_STARTS[start]()
+    t, n = tree.topology, tree.n
+    for k in range(n):
+        reduced = t.delete_leaf(k + 1)
+        expected = {True: collections.Counter(), False: collections.Counter()}
+        for edge in reduced.edges:
+            expected[edge[1] > 0][chain_move(t, k + 1, edge)] += 1
+        assert sum(expected[True].values()) == n - 1
+        reached = {True: collections.Counter(), False: collections.Counter()}
+        stays = []
+        for z in [*range(k), *range(k + 1, n), *range(n, 2 * n - 4)]:
+            state = ChainState(tree, "1/2", stream(48))
+            at_v = set(state.inc[state.ends[k][1]])
+            stayed = state._steps([k], [z])
+            state.audit()
+            got = state.as_tree().topology
+            reached[z < n][got] += 1
+            assert (got == t) == bool(stayed)
+            if stayed:
+                stays.append(z)
+                assert z in at_v - {k}
+        assert len(stays) == 1
+        assert reached == expected
+
+
+def test_simulate_chain_rejects_observation_times_past_the_horizon(monkeypatch):
+    state = ChainState(sample_ford_tree("1/2", 20, stream(49)), "1/2", stream(50))
+    twin = copy.deepcopy(state.rng)
+    monkeypatch.setattr(state, "_steps", _no_step)
+    with pytest.raises(ValueError, match="horizon"):
+        simulate_chain(state, 1.0, observe_times=[0.5, 2.0])
+    assert (state.time, state.jumps) == (0.0, 0)
+    assert state.rng.random() == twin.random()  # nothing was drawn
 
 
 JUMP_ALPHAS = ["0", "1/3", "1"]
