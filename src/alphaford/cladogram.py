@@ -203,13 +203,18 @@ class Cladogram:
     def _walk(self, slots: list[int]) -> None:
         """Depth-first walk from leaf 1 over the neighbour slots (leaf p's
         neighbour at p, internal p's at 3p - 2m .. 3p - 2m + 2, each run in
-        ascending vertex id).  Each popped internal vertex pushes its two
-        slots other than the one holding its parent.  With the edge count
-        and degrees checked, the graph is a tree iff the first V - 1 pops
-        after leaf 1 reach every vertex once: a cycle makes the preorder
-        repeat a vertex, and a second component leaves one out.  Its
-        preorder and parents are kept, read-only, for :attr:`splits`,
-        :attr:`edges` and the index."""
+        ascending vertex id).  An internal vertex's two slots other than the
+        one holding its parent are its children a, b, and b, the larger id,
+        is a leaf whenever either is.  The walk visits b next: a leaf b at
+        once, going on with a; an internal b after pushing a for later.  Any
+        other leaf is followed by the vertex popped from the stack.  The walk
+        stops when the stack runs out, or at the latest after V - 1 turns,
+        each a visit and at most one leaf visited at once.  With V - 1 edges
+        and the degrees checked, the graph is a tree iff it is connected, so
+        iff the walk, which never leaves leaf 1's component, reaches every
+        vertex; a tree's walk visits each vertex once.  Its preorder and
+        parents are kept, read-only, for :attr:`splits`, :attr:`edges` and
+        the index."""
         m = self.m
         V = 2 * m - 2
         shift = 2 * m
@@ -217,9 +222,10 @@ class Cladogram:
         top = slots[0]  # leaf 1's neighbour; a leaf's only neighbour is its parent
         parent[top] = 0
         order = [0]
-        stack = [-1, top]  # popping -1 ends a walk that runs out early
-        push, visit = stack.append, order.append
-        for v in itertools.islice(iter(stack.pop, -1), V - 1):
+        stack = [-1]  # popping -1 ends a walk that runs out early
+        push, pop, visit = stack.append, stack.pop, order.append
+        v = top
+        for _ in range(V - 1):
             visit(v)
             if v >= m:  # three slots, unrolled: a slice per vertex costs more
                 s = 3 * v - shift
@@ -229,8 +235,16 @@ class Cladogram:
                 elif b == p:
                     b = slots[s + 2]
                 parent[a] = parent[b] = v
-                push(a)
-                push(b)
+                if b < m:
+                    visit(b)
+                    v = a
+                else:
+                    push(a)
+                    v = b
+            else:
+                v = pop()
+                if v < 0:
+                    break
         preorder = np.array(order, np.int64)
         seen = np.zeros(V, bool)
         seen[preorder] = True

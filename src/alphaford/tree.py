@@ -13,12 +13,15 @@ tests and each vertex's two children, and the run ends (found in numpy, with
 no per-vertex loop) give the subtree leaf counts and depths.  One table of
 them, ``component_counts()``, holds the three component leaf counts at each
 internal vertex; nu, ``r_mu_numerators`` and the exact mass moments read it.
-A sparse table of packed keys depth * 2^shift + position, built by the first
-LCA query, answers LCA queries in O(1); quartets follow by the four-point
-condition: ab|cd iff the depths of lca(a, b) and lca(c, d) have the largest
-sum of the three pairings.  nu is a read-only mapping over one shared leaf
-atom and one shared ``Fraction`` per distinct internal atom.  Vertex ids must
-be integers: bools, floats and strings raise ``TypeError``.
+The LCA table, built by the first LCA query, holds the N - 1 LCAs of
+preorder-adjacent leaf pairs as packed int64 keys depth * 2^shift + position
+in a sparse table of about (N - 1) log2(N) values: the LCA of two leaves is
+the shallowest adjacent LCA between them, one range minimum, and that of any
+two vertices an ancestor test or the LCA of two leaves.  Quartets follow by
+the four-point condition: ab|cd iff the depths of lca(a, b) and lca(c, d)
+have the largest sum of the three pairings.  nu is a read-only mapping over
+one shared leaf atom and one shared ``Fraction`` per distinct internal atom.
+Vertex ids must be integers: bools, floats and strings raise ``TypeError``.
 """
 
 from __future__ import annotations
@@ -71,14 +74,15 @@ def _subtree_spans(order: np.ndarray, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _level_offsets(V: int) -> np.ndarray:
-    """Flat offsets into the LCA table of a tree of V vertices by the bit
-    length e of a range's length L, 2^(e-1) <= L < 2^e: row 0 holds that of
-    level e - 1, added to the range's first position, row 1 that minus
-    2^(e-1) - 1, added to its last.  No range has length 0, so column 0 is
-    never read."""
-    e = np.arange(V.bit_length() + 1)
-    start = (e - 1) * V
+def _level_offsets(width: int) -> np.ndarray:
+    """Flat offsets into an LCA table of ``width`` columns by the bit length
+    e of a range's length L, 2^(e-1) <= L < 2^e: row 0 holds that of level
+    e - 1, added to the range's first column, row 1 that minus 2^(e-1) - 1,
+    added to its last.  The empty range of a leaf with itself at rank r
+    (L = 0, e = 0, last column r - 1) reads flat index r - width twice: in
+    bounds, as r <= width, and the key read is discarded."""
+    e = np.arange(width.bit_length() + 1)
+    start = (e - 1) * width
     return np.stack([start, start + 1 - (1 << e >> 1)])
 
 
@@ -92,12 +96,17 @@ class _Index:
 
     The subtree at v is the run of 2 leafcnt[v] - 1 preorder positions from
     ``first[v]``: the first child of an internal vertex follows it, and the
-    second follows the first child's subtree.  The LCA table, built by the
-    first LCA query, names a vertex by one key depth * 2^shift + position, so
-    a minimum compares depths first: ``sparse[j, i]`` is the smallest key of
-    a parent of the vertices at preorder positions i..i+2^j-1, and as every
-    shallowest vertex of a range (min first, max first] is a child of the
-    LCA, the range's minimum is the LCA's key."""
+    second follows the first child's subtree; its last position holds a
+    leaf.  The LCA table, built by the first LCA query, names a vertex by
+    one key depth * 2^shift + position, so a minimum compares depths first.
+    It holds the N - 1 LCAs of the preorder-adjacent leaves l_t, l_t+1: the
+    parent of the vertex that follows l_t in the preorder, whose first
+    child's subtree ends with l_t and whose second child's begins with
+    l_t+1 (for t = 0, leaf 1, the root).  ``sparse[j, t]`` is the smallest
+    of their keys t..t+2^j-1, and the LCA of leaves l_s, l_t, s < t, is the
+    shallowest of the adjacent LCAs s..t-1 (Bender and Farach-Colton, LATIN
+    2000), the minimum of keys s..t-1.  The same build sets ``rank``, each
+    leaf's t."""
 
     def __init__(self, clad: Cladogram):
         n = clad.m
@@ -120,7 +129,7 @@ class _Index:
         level = positions[:V] - closed[:V]  # the depth at each preorder position
         self.depth = depth = np.empty(V, np.int64)
         depth[order] = level
-        # positions lie below 2^shift, and the table's levels j < shift have 2^j <= V
+        # positions lie below 2^shift
         self.shift = V.bit_length()
         self.mask = (1 << self.shift) - 1
 
@@ -135,48 +144,69 @@ class _Index:
 
     @functools.cached_property
     def sparse(self) -> np.ndarray:
-        rest, K, V = self.order[1:], self.shift, len(self.order)
-        sparse = np.zeros((K, V), np.int64)
-        # position 0 holds leaf 1, which has no parent; no range
-        # (min first, max first] reads it, and it keeps the key 0
-        np.bitwise_or((self.depth[rest] - 1) << K, self.parent[rest], out=sparse[0, 1:])
+        order, n = self.order, self.n_leaves
+        at = np.flatnonzero(order < n)  # the leaves' preorder positions, leaf 1's 0
+        self.rank = np.empty(n, np.int64)
+        self.rank[order[at]] = np.arange(n)
+        # the parent of the vertex after leaf l_t is lca(l_t, l_t+1)
+        after = order[at[:-1] + 1]
+        K, C = (n - 1).bit_length(), n - 1
+        sparse = np.zeros((K, C), np.int64)
+        np.bitwise_or((self.depth[after] - 1) << self.shift, self.parent[after], out=sparse[0])
         for j in range(1, K):
             half = 1 << (j - 1)
             np.minimum(
-                sparse[j - 1, : V - 2 * half + 1],
-                sparse[j - 1, half : V - half + 1],
-                out=sparse[j, : V - 2 * half + 1],
+                sparse[j - 1, : C - 2 * half + 1],
+                sparse[j - 1, half : C - half + 1],
+                out=sparse[j, : C - 2 * half + 1],
             )
         return sparse
 
     # -- vectorized primitives (positions in, positions out) -------------------
 
-    def lca_key(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Packed key depth * 2^shift + position of lca(u, v): for u != v
-        the smallest table key over preorder positions (min first, max
-        first]; u's own key for u == v."""
+    def leaf_key(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Packed key depth * 2^shift + position of lca(u, v) for leaf
+        positions: the smallest table key over columns min rank .. max
+        rank - 1; u's own key for u == v."""
         sparse = self.sparse.ravel()  # a first query builds it before its own temporaries
-        start, end = _level_offsets(len(self.order))
-        fu, fv = self.first[u], self.first[v]
-        hi = np.maximum(fu, fv)
-        lo = np.minimum(fu, fv)
-        lo += 1
-        np.minimum(lo, hi, out=lo)  # u == v reads the range [hi, hi]
+        start, end = _level_offsets(self.n_leaves - 1)
+        ru, rv = self.rank[u], self.rank[v]
+        hi = np.maximum(ru, rv)
+        lo = np.minimum(ru, rv)
+        hi -= 1
         e = np.frexp(hi - lo + 1)[1]  # the bit length of the range's length
         key = np.minimum(sparse.take(start.take(e) + lo), sparse.take(end.take(e) + hi))
-        same = fu == fv
+        same = ru == rv
         if same.any():
             key = np.where(same, (self.depth[u] << self.shift) | u, key)
         return key
 
+    def lca_key(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Packed key of lca(u, v) for any positions.  Of the two, a opens
+        first in the preorder and b at or after it: the LCA is a if b lies
+        in a's subtree, and else that of the last leaves of their subtrees."""
+        order, leafcnt = self.order, self.leafcnt
+        fu, fv = self.first[u], self.first[v]
+        lo = np.minimum(fu, fv)
+        hi = np.maximum(fu, fv)
+        a, b = order[lo], order[hi]
+        last = np.stack([lo + 2 * leafcnt[a] - 2, hi + 2 * leafcnt[b] - 2])
+        inside = hi <= last[0]
+        # leaf 1's subtree, the whole tree, would end one past the last
+        # position; it holds every vertex, so its leaf key is discarded
+        np.minimum(last, len(order) - 1, out=last)
+        key = self.leaf_key(*order[last])
+        return np.where(inside, (self.depth[a] << self.shift) | a, key)
+
     def lca(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.lca_key(u, v) & self.mask
 
-    def median(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    def median(self, x: np.ndarray, y: np.ndarray, z: np.ndarray, leaves=False) -> np.ndarray:
         # two of the three pairwise LCAs coincide and the third lies above
         # them; the median is the deepest, the largest key
-        key = np.maximum(self.lca_key(x, y), self.lca_key(y, z))
-        return np.maximum(key, self.lca_key(x, z)) & self.mask
+        lca_key = self.leaf_key if leaves else self.lca_key
+        key = np.maximum(lca_key(x, y), lca_key(y, z))
+        return np.maximum(key, lca_key(x, z)) & self.mask
 
     def is_ancestor(self, a: np.ndarray, u: np.ndarray) -> np.ndarray:
         fa, fu = self.first[a], self.first[u]
@@ -407,7 +437,7 @@ class FiniteMeasureTree:
         depth(lca(c, d)) is the largest of the three pair sums; in a binary
         tree four distinct leaves make that maximum strict.  The six pairwise
         LCAs of a block of at most ``_QUARTET_BLOCK`` rows are found in one
-        stacked :meth:`_Index.lca_key` call, which bounds the temporaries;
+        stacked :meth:`_Index.leaf_key` call, which bounds the temporaries;
         the same six pairs show a repeated leaf.
         """
         idx = self.index
@@ -420,7 +450,7 @@ class FiniteMeasureTree:
             left, right = quad[_PAIRS, rows]
             if (left == right).any():
                 raise StructureError("quartets need four distinct leaves")
-            depth = idx.lca_key(left, right) >> idx.shift
+            depth = idx.leaf_key(left, right) >> idx.shift
             out[rows] = (depth[0::2] + depth[1::2]).argmax(axis=0) + 1
         return out.reshape(shape)
 
@@ -432,7 +462,7 @@ class FiniteMeasureTree:
         # the pairs (a, b), (b, c), (c, a)
         if (pts == pts[[1, 2, 0]]).any():
             raise StructureError("component counts need three distinct leaves")
-        v = idx.median(*pts)
+        v = idx.median(*pts, leaves=True)
         return np.stack([idx.component_leaf_count(v, p) for p in pts], axis=1)
 
     def sample_distinct_leaves(self, count: int, k: int, rng: np.random.Generator) -> np.ndarray:

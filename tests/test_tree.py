@@ -621,6 +621,99 @@ def test_lca_against_parent_walk(alpha, n, pairs):
     assert (keys >> idx.shift).tolist() == idx.depth[expected].tolist()
 
 
+@pytest.mark.parametrize("n", [2, 3, 33, 100_000])
+def test_lca_table_holds_the_adjacent_leaf_lcas(n):
+    # N - 1 columns, one per pair of preorder-adjacent leaves, each the
+    # packed key of their LCA; leaf 1 comes first in the preorder
+    ft = sample_ford_tree("1/2", n, np.random.default_rng(n))
+    idx = ft.index
+    assert idx.sparse.shape == ((n - 1).bit_length(), n - 1)
+    assert idx.sparse.dtype == np.int64
+    leaves = idx.order[idx.order < n]
+    assert leaves[0] == 0 and idx.rank[leaves].tolist() == list(range(n))
+    sample = np.random.default_rng(1).integers(0, n - 1, size=min(n - 1, 500))
+    parent = idx.parent.tolist()
+    lca = [_walk_lca(parent, int(leaves[t]), int(leaves[t + 1])) for t in sample.tolist()]
+    assert idx.sparse[0, sample].tolist() == [(int(idx.depth[w]) << idx.shift) | w for w in lca]
+
+
+@pytest.mark.parametrize("name", ["comb", "ford"])
+@pytest.mark.parametrize("n", [33, 65])
+def test_leaf_lca_on_every_leaf_pair(name, n):
+    # every leaf pair, leaf 1 and u == v included, so the table range
+    # min rank .. max rank - 1 takes every length from 0 to N - 1
+    rng = np.random.default_rng(n + 1)
+    ft = build_comb_tree(n) if name == "comb" else sample_ford_tree("1/3", n, rng)
+    idx = ft.index
+    u, v = (x.ravel() for x in np.meshgrid(np.arange(n), np.arange(n)))
+    parent = idx.parent.tolist()
+    expected = [_walk_lca(parent, a, b) for a, b in zip(u.tolist(), v.tolist())]
+    keys = idx.leaf_key(u, v)
+    assert (keys & idx.mask).tolist() == expected
+    assert (keys >> idx.shift).tolist() == idx.depth[expected].tolist()
+    assert (idx.leaf_key(u, v) == idx.lca_key(u, v)).all()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lca_median_and_quartets_on_the_smallest_trees(n):
+    ft = build_comb_tree(n)
+    t, idx = ft.topology, ft.index
+    vs = list(t.vertices)
+    pos = ft._positions(vs)[0]
+    for i, j in itertools.product(range(len(vs)), repeat=2):
+        path = bf_path(t, 1, vs[i])
+        expected = next(w for w in path if w in bf_path(t, 1, vs[j]))
+        assert ft._vertex(idx.lca(pos[[i]], pos[[j]])[0]) == expected
+    for x, y, z in itertools.product(vs, repeat=3):
+        assert ft.branch_point(x, y, z) == bf_median(t, x, y, z)
+    leaves = np.arange(n)
+    for x, y, z in itertools.product(leaves, repeat=3):
+        got = idx.median(*np.array([[x], [y], [z]]), leaves=True)[0]
+        assert ft._vertex(got) == bf_median(t, x + 1, y + 1, z + 1)
+    if n == 3:
+        assert ft.triple_component_counts([1, 3], [2, 1], [3, 2]).tolist() == [[1, 1, 1]] * 2
+    assert ft.quartet_partners([], [], [], []).shape == (0,)
+    with pytest.raises(StructureError):
+        ft.quartet_partners([1], [2], [n], [1])
+
+
+def _walk_interval(parent: list[int], u: int, v: int) -> list[int]:
+    """Positions on the path u..v, by climbing the parent pointers."""
+    top = _walk_lca(parent, u, v)
+    up, down = [u], [v]
+    for side in (up, down):
+        while side[-1] != top:
+            side.append(parent[side[-1]])
+    return up + down[-2::-1]
+
+
+def test_vertex_lca_on_ancestor_pairs_and_leaf_one():
+    # the vertex path: a pair whose later vertex lies in the earlier one's
+    # subtree, pairs with leaf 1, whose subtree runs to the last position,
+    # and vertices with themselves, against the parent walk
+    ft = sample_ford_tree("1", 200, np.random.default_rng(200))
+    idx, n = ft.index, ft.n
+    parent = idx.parent.tolist()
+    rng = np.random.default_rng(3)
+    pairs = []
+    for u in rng.integers(1, 2 * n - 2, size=60).tolist():
+        a = u
+        for _ in range(int(rng.integers(1, int(idx.depth[u]) + 1))):
+            a = parent[a]
+        pairs += [(a, u), (u, a), (0, u), (u, 0), (u, u)]
+    pairs += [(0, 0), (0, 2 * n - 3)]
+    nu = ft.branch_point_distribution()
+    den = 2 * n**3
+    x, y = (np.array([ft._vertex(p) for p in side]) for side in zip(*pairs))
+    expected = []
+    for (pu, pv), a, b in zip(pairs, x.tolist(), y.tolist()):
+        path = [ft._vertex(p) for p in _walk_interval(parent, pu, pv)]
+        assert ft.interval(a, b) == tuple(path)
+        total = sum((nu[w] for w in path), Fraction(0)) - (nu[a] + nu[b]) / 2
+        expected.append(total * den)
+    assert ft.r_mu_numerators(x, y).tolist() == expected
+
+
 def test_exact_statistics_build_no_lca_table(monkeypatch):
     # nu, the count table, the exact moments and Phi^m read subtree counts,
     # the children and the preorder; only an LCA query needs the table
