@@ -50,6 +50,7 @@ from alphaford.cladogram import (
     StructureError,
     _insert_split_leaf,
     _triple_code,
+    _triple_tables,
     enumerate_cladograms,
 )
 from alphaford.ford import _evaluate, _law, _times, sample_ford_tree
@@ -559,10 +560,10 @@ def _triple_columns(m: int) -> tuple[np.ndarray, np.ndarray]:
     """A (4, T) array whose column i holds the columns 0, j, k, l of the
     i-th label triple 1 < j + 1 < k + 1 < l + 1 of an m-tuple, in the
     digit order of :func:`alphaford.cladogram._triple_code`, and the base-3
-    weights of those T digits."""
+    weights of those T digits, read from the code's own tables."""
     triples = list(itertools.combinations(range(1, m), 3))
     columns = np.array([(0, *t) for t in triples], np.int64).reshape(-1, 4).T
-    return columns, 3 ** np.arange(len(triples) - 1, -1, -1, dtype=np.int64)
+    return columns, _triple_tables(m)[2]
 
 
 def _shape_indices(tree: FiniteMeasureTree, tuples: np.ndarray) -> np.ndarray:

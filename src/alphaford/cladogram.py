@@ -431,6 +431,8 @@ _SMALL_LABELS = tuple(
     tuple(x for x in range(1, MAX_ENUMERATION_LEAVES + 1) if mask >> x & 1)
     for mask in range(1 << (MAX_ENUMERATION_LEAVES + 1))
 )
+# The same tuples as one object array, gathered by arrays of masks.
+_LABEL_TUPLES = np.fromiter(_SMALL_LABELS, dtype=object, count=len(_SMALL_LABELS))
 # Each such mask's rank in the order of label tuples (the key's order), and size.
 _BY_LABELS = sorted(range(len(_SMALL_LABELS)), key=_SMALL_LABELS.__getitem__)
 _LABEL_RANK = np.array(sorted(range(len(_BY_LABELS)), key=_BY_LABELS.__getitem__))
@@ -505,6 +507,32 @@ def num_cladograms(m: int) -> int:
 # code, read from split masks and from quartet queries on a sampled tree.
 
 
+@lru_cache(maxsize=None)
+def _triple_tables(m: int):
+    """The read-only tables of :func:`_triple_code` for m labels, built once
+    per m: ``first`` and ``second``, the digit bitsets of every mask over
+    labels 1..m; ``weights``, the base-3 weight 3^(T-1-i) of digit i of the
+    T triples, descending; ``table``, a (ceil(T / 8), 256) array whose row r
+    sums the weights of the bits set in a byte read at bit 8r; and ``base``,
+    3 times the sum of the weights."""
+    triples = np.array(list(itertools.combinations(range(2, m + 1), 3)), np.int64).reshape(-1, 3)
+    j, k, l = (1 << triples.T)[:, None, :]
+    bits = 1 << np.arange(len(triples), dtype=np.int64)
+    part = np.arange(1 << (m + 1))[:, None] & (j | k | l)
+    # bit i of first[v] (second[v]): mask v holds k and l but not j (j and l
+    # but not k) of triple i
+    first = np.where(part == k | l, bits, 0).sum(axis=1)
+    second = np.where(part == j | l, bits, 0).sum(axis=1)
+    weights = 3 ** np.arange(len(triples) - 1, -1, -1, dtype=np.int64)
+    padded = np.zeros(-len(triples) % 8 + len(triples), np.int64)
+    padded[: len(triples)] = weights
+    byte_bits = np.arange(256)[:, None] >> np.arange(8) & 1
+    table = (padded.reshape(-1, 1, 8) * byte_bits).sum(axis=2)
+    for a in (first, second, weights, table):
+        a.flags.writeable = False
+    return first, second, weights, table, 3 * int(weights.sum())
+
+
 def _triple_code(masks: np.ndarray, m: int) -> np.ndarray:
     """The state code of each row of m-cladogram split masks (int64, the
     masks of a row along the last axis).
@@ -518,21 +546,18 @@ def _triple_code(masks: np.ndarray, m: int) -> np.ndarray:
     or of every label but 1, resolves no triple, so the code depends only on
     the set of nontrivial splits in a row: rows need no sorting, and repeats
     and trivial masks are harmless.
+
+    The digit bitsets a (label 1 pairs with j) and b (with k) of a row are
+    ORed from tables built once per m (:func:`_triple_tables`).  Digit i is
+    3 - 2 a_i - b_i, so the code is 3 sum(w) - 2 W(a) - W(b), where W sums
+    the weights w_i of a bitset's digits, one 256-entry table per byte.
     """
-    triples = list(itertools.combinations(range(2, m + 1), 3))
-    values = np.arange(1 << (m + 1))
-    # bit i of first[v] (second[v]): mask v holds k and l but not j (j and l
-    # but not k) of triple i
-    first, second = np.zeros((2, len(values)), dtype=np.int64)
-    for i, (j, k, l) in enumerate(triples):
-        part = values & ((1 << j) | (1 << k) | (1 << l))
-        first[part == (1 << k) | (1 << l)] |= 1 << i
-        second[part == (1 << j) | (1 << l)] |= 1 << i
+    first, second, _, table, base = _triple_tables(m)
     a = np.bitwise_or.reduce(first[masks], axis=-1)
     b = np.bitwise_or.reduce(second[masks], axis=-1)
-    code = np.zeros(masks.shape[:-1], dtype=np.int64)
-    for i in range(len(triples)):
-        code = 3 * code + 3 - 2 * (a >> i & 1) - (b >> i & 1)
+    code = np.full(masks.shape[:-1], base, dtype=np.int64)
+    for shift, row in zip(range(0, 8 * len(table), 8), table):
+        code -= 2 * row[a >> shift & 255] + row[b >> shift & 255]
     return code
 
 
@@ -567,11 +592,11 @@ class Cladograms(Sequence):
     @cached_property
     def keys(self) -> tuple:
         """:attr:`Cladogram.key` of each state: its row sorted by the rank of
-        each mask's label tuple, the tuples shared from ``_SMALL_LABELS``."""
-        masks = self.masks
-        rows = np.take_along_axis(masks, np.argsort(_LABEL_RANK[masks], axis=1), axis=1).tolist()
-        # tuple(map(...)) would leave each key tuple over-allocated
-        return tuple((self.m, tuple([_SMALL_LABELS[s] for s in row])) for row in rows)
+        each mask's label tuple, the tuples shared from ``_SMALL_LABELS`` and
+        gathered for the whole table at once by one object-array lookup."""
+        masks, m = self.masks, self.m
+        rows = np.take_along_axis(masks, np.argsort(_LABEL_RANK[masks], axis=1), axis=1)
+        return tuple([(m, tuple(row)) for row in _LABEL_TUPLES[rows].tolist()])
 
     @cached_property
     def cherries(self) -> np.ndarray:

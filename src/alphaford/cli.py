@@ -97,15 +97,20 @@ def _emit(out: str | None, text: str) -> None:
         fh.write(text)
 
 
-def _csv_artifact(config: RunConfig, header: list[str], rows) -> str:
-    lines = [
+def _csv_lines(config: RunConfig, header: list[str], lines) -> str:
+    """The CSV artifact of these data lines, each a ready line of text."""
+    out = [
         f"# alphaford-version: {__version__}",
         f"# config-hash: {config.hash()}",
         f"# seed: {config.seed}",
         ",".join(header),
     ]
-    lines.extend(",".join(str(x) for x in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    out.extend(lines)
+    return "\n".join(out) + "\n"
+
+
+def _csv_artifact(config: RunConfig, header: list[str], rows) -> str:
+    return _csv_lines(config, header, (",".join(map(str, row)) for row in rows))
 
 
 def _json_artifact(config: RunConfig, data) -> str:
@@ -367,8 +372,15 @@ def _tree_from_params(p: dict, seed: int) -> FiniteMeasureTree:
 def _cmd_tree_nu(config: RunConfig) -> str:
     tree = _tree_from_params(config.params, config.seed)
     nu = tree.branch_point_distribution()
-    rows = [(v, val.numerator, val.denominator) for v, val in sorted(nu.items())]
-    return _csv_artifact(config, ["vertex", "numerator", "denominator"], rows)
+    # nu's keys run leaves 1..N, then -1, -2, ...: sorted, the internal part
+    # comes first, reversed.  Atoms are shared, so each is formatted once.
+    vertices, atoms = list(nu), list(nu.values())
+    text = {id(x): x for x in atoms}
+    text = {i: f",{x.numerator},{x.denominator}" for i, x in text.items()}
+    n = tree.n
+    pairs = zip(vertices[n:][::-1] + vertices[:n], atoms[n:][::-1] + atoms[:n])
+    lines = [f"{v}{text[id(x)]}" for v, x in pairs]
+    return _csv_lines(config, ["vertex", "numerator", "denominator"], lines)
 
 
 _RMU_MAX_LEAVES = 200

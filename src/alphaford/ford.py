@@ -61,7 +61,9 @@ __all__ = [
 @dataclass(frozen=True)
 class ExactDistribution:
     """Exact law on the m-cladograms, keyed by canonical key; the table
-    lists the states in the order of ``enumerate_cladograms(m)``."""
+    lists the states in the order of ``enumerate_cladograms(m)``.  The law
+    is exchangeable, so the states of one unlabeled class (and any others
+    of equal probability) share one ``Fraction`` object."""
 
     alpha: Fraction
     m: int
@@ -249,11 +251,15 @@ def _law(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def exact_distribution(alpha, m: int) -> ExactDistribution:
-    """Exact alpha-Ford law on m-cladograms, 2 <= m <= 8."""
+    """Exact alpha-Ford law on m-cladograms, 2 <= m <= 8.  One ``Fraction``
+    is built per distinct evaluated numerator, and every state with that
+    value shares it: the states of one unlabeled class always do."""
     num, den = _law(m)
     alpha = parse_alpha(alpha)
     den, states = _evaluate(den, alpha), enumerate_cladograms(m)
-    table = {key: Fraction(n, den) for key, n in zip(states.keys, _evaluate(num, alpha))}
+    values = _evaluate(num, alpha).tolist()
+    atom = {n: Fraction(n, den) for n in set(values)}
+    table = dict(zip(states.keys, map(atom.__getitem__, values)))
     return ExactDistribution(alpha, m, table)
 
 

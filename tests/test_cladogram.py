@@ -12,6 +12,7 @@ from alphaford.cladogram import (
     _delete_split_leaf,
     _split_key,
     _triple_code,
+    _triple_tables,
     enumerate_cladograms,
     from_newick,
     num_cladograms,
@@ -421,6 +422,57 @@ def test_triple_code_is_injective(m):
     trivial = np.broadcast_to([2 << j for j in range(1, m)] + [(1 << (m + 1)) - 4], (len(masks), m))
     padded = np.concatenate([masks[:, ::-1], masks, trivial], axis=1)
     assert (_triple_code(padded, m) == _triple_code(masks, m)).all()
+
+
+def triple_code_oracle(masks, m):
+    """The state code digit by digit, one loop turn per label triple, with
+    its bitset tables built afresh."""
+    triples = list(itertools.combinations(range(2, m + 1), 3))
+    values = np.arange(1 << (m + 1))
+    first, second = np.zeros((2, len(values)), dtype=np.int64)
+    for i, (j, k, l) in enumerate(triples):
+        part = values & ((1 << j) | (1 << k) | (1 << l))
+        first[part == (1 << k) | (1 << l)] |= 1 << i
+        second[part == (1 << j) | (1 << l)] |= 1 << i
+    a = np.bitwise_or.reduce(first[masks], axis=-1)
+    b = np.bitwise_or.reduce(second[masks], axis=-1)
+    code = np.zeros(masks.shape[:-1], dtype=np.int64)
+    for i in range(len(triples)):
+        code = 3 * code + 3 - 2 * (a >> i & 1) - (b >> i & 1)
+    return code
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_triple_code_matches_the_per_triple_loop(m):
+    # every state, padded rows, and random masks in 2-D and in the 3-D
+    # shape of the move tables (T = 4, 10, 20, 35 digits fill 1, 2, 3, 5
+    # bytes of the weight tables at m = 5..8)
+    masks = enumerate_cladograms(m).masks
+    code = _triple_code(masks, m)
+    assert code.dtype == np.int64 and code.tolist() == triple_code_oracle(masks, m).tolist()
+    trivial = np.broadcast_to([2 << j for j in range(1, m)] + [(1 << (m + 1)) - 4], (len(masks), m))
+    padded = np.concatenate([masks[:, ::-1], masks, trivial], axis=1)
+    assert _triple_code(padded, m).tolist() == triple_code_oracle(padded, m).tolist()
+    rng = np.random.default_rng(m)
+    for shape_ in [(500, m), (7, 40, 2 * m - 3)]:
+        random = rng.integers(0, 1 << (m + 1), size=shape_)
+        assert _triple_code(random, m).tolist() == triple_code_oracle(random, m).tolist()
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_triple_code_tables_are_cached_and_read_only(m):
+    tables = _triple_tables(m)
+    assert _triple_tables(m) is tables
+    arrays = [x for x in tables if isinstance(x, np.ndarray)]
+    assert len(arrays) == 4
+    for a in arrays:
+        assert a.dtype == np.int64 and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+    _, _, weights, table, base = tables
+    n = len(list(itertools.combinations(range(2, m + 1), 3)))
+    assert weights.tolist() == [3**i for i in range(n - 1, -1, -1)]
+    assert table.shape == (-(-n // 8), 256) and base == 3 * sum(weights.tolist())
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])

@@ -14,7 +14,9 @@ from scipy import stats
 from alphaford._rng import stream
 from alphaford.cladogram import Cladogram, StructureError, enumerate_cladograms, shape
 from alphaford.ford import (
+    _evaluate,
     _grow_edges,
+    _law,
     build_comb_tree,
     deletion_stability_check,
     exact_distribution,
@@ -281,6 +283,27 @@ def test_exact_exchangeability_under_relabeling(rng):
                         ],
                     )
                     assert dist.table[relabeled.key] == dist.table[t.key]
+
+
+@pytest.mark.parametrize("alpha", ["0", "1/3", "1/2", "1", "99991/100003"])
+def test_exact_table_is_one_fraction_per_state_value(alpha):
+    # against a Fraction built per state from the evaluated numerators, key
+    # order included; equal values share one atom object
+    alpha = Fraction(alpha)
+    for m in range(2, 9):
+        num, den = _law(m)
+        den = _evaluate(den, alpha)
+        expected = [Fraction(n, den) for n in _evaluate(num, alpha).tolist()]
+        table = exact_distribution(alpha, m).table
+        assert list(table) == list(enumerate_cladograms(m).keys)
+        assert list(table.values()) == expected
+        assert all(type(p) is Fraction for p in table.values())
+        assert len({id(p) for p in table.values()}) == len(set(expected))
+
+
+def test_exact_m8_law_holds_one_atom_per_unlabeled_shape():
+    # the four unlabeled 8-cladograms take four distinct values at alpha = 1/3
+    assert len({id(p) for p in exact_distribution("1/3", 8).table.values()}) == 4
 
 
 def test_exact_guard():

@@ -565,9 +565,11 @@ def test_index_ancestor_tests_every_vertex_pair():
 @pytest.mark.parametrize("name", ["comb", "ford"])
 @pytest.mark.parametrize("n", [33, 65])
 def test_lca_at_every_query_length(name, n):
-    # every position pair, so the sparse-table range (min first, max first]
-    # takes every length from 1 (u == v) to V - 1; V = 64 and 128 put the
-    # lengths on both sides of each power of two
+    # every vertex pair, u == v included, at every preorder distance from
+    # 1 to V - 1 (V = 64 and 128).  Vertex pairs go through lca_key's
+    # ancestor test and its reduction to the last leaves of the two
+    # subtrees; the table ranges over leaf ranks, of every length, are
+    # covered by test_leaf_lca_on_every_leaf_pair
     rng = np.random.default_rng(n)
     ft = build_comb_tree(n) if name == "comb" else sample_ford_tree("1/3", n, rng)
     t, idx = ft.topology, ft.index
