@@ -49,6 +49,7 @@ from alphaford.cladogram import (
     Cladogram,
     StructureError,
     _insert_split_leaf,
+    _integer,
     _triple_code,
     _triple_tables,
     enumerate_cladograms,
@@ -192,6 +193,7 @@ class RateMatrix:
 def forward_rate_matrix(alpha, m: int) -> RateMatrix:
     """Forward chain: insertion edges weighted 1 - alpha (external) / alpha
     (internal).  Total rate at every state is m(m - 1 - 3 alpha)."""
+    m = _integer(m, "a leaf count")
     alpha, mt = parse_alpha(alpha), _move_tables(m)
     return RateMatrix(alpha, m, mt, (mt.external, mt.internal))
 
@@ -199,6 +201,7 @@ def forward_rate_matrix(alpha, m: int) -> RateMatrix:
 def backward_rate_matrix(alpha, m: int) -> RateMatrix:
     """Backward chain: displaced leaf weighted 1 - alpha (cherry) / alpha
     (non-cherry), any insertion edge.  Entrywise q_bwd(t', t) = q_fwd(t, t')."""
+    m = _integer(m, "a leaf count")
     alpha, mt = parse_alpha(alpha), _move_tables(m)
     return RateMatrix(alpha, m, mt, (mt.cherry, mt.non_cherry))
 
@@ -213,6 +216,7 @@ def _beta_coefficients(m: int, n_cherries: np.ndarray) -> np.ndarray:
 def beta_potential(alpha, m: int) -> dict:
     """The potential beta(t) = (1 - 2 alpha) (#cherries(t) (2m - 5) - m(m - 1)),
     keyed by canonical key in state order; identically zero at alpha = 1/2."""
+    m = _integer(m, "a leaf count")
     alpha, mt = parse_alpha(alpha), _move_tables(m)
     values = _evaluate(_beta_coefficients(m, mt.n_cherries), alpha)
     return {key: Fraction(x, alpha.denominator) for key, x in zip(enumerate_cladograms(m).keys, values)}
@@ -238,6 +242,7 @@ def _rate_discrepancy(mt: MoveTables, beta: np.ndarray) -> np.ndarray:
 def verify_beta_is_rate_discrepancy(alpha, m: int) -> bool:
     """Exact check: total backward rate minus total forward rate equals the
     potential at every state (self-moves included on both sides)."""
+    m = _integer(m, "a leaf count")
     alpha, mt = parse_alpha(alpha), _move_tables(m)
     residual = _rate_discrepancy(mt, _beta_coefficients(m, mt.n_cherries))
     return not any(_evaluate(residual, alpha))
@@ -262,6 +267,7 @@ def verify_invariance(alpha, m: int) -> Fraction:
     with q_raw including self-moves on the diagonal.  Returns the maximum
     absolute residual (zero iff the alpha-Ford law is stationary), formed on
     the law's integer numerators and evaluated at alpha."""
+    m = _integer(m, "a leaf count")
     alpha, mt = parse_alpha(alpha), _move_tables(m)
     (num, den), ch, diag = _law(m), mt.n_cherries, np.arange(len(enumerate_cladograms(m)))
     moves = (mt.src, diag), (mt.tgt, diag), (mt.external, ch), (mt.internal, m - ch)
@@ -270,33 +276,27 @@ def verify_invariance(alpha, m: int) -> Fraction:
     return Fraction(top, _evaluate(den, alpha) * alpha.denominator)
 
 
-# Higham (2005): the diagonal [q/q] Pade approximant r_q of exp, numerator
-# coefficients b_0..b_q, and the largest 1-norm theta_q at which r_q(A) meets
-# double precision in backward error.
-_PADE = {
-    3: (1.495585217958292e-2, (120, 60, 12, 1)),
-    5: (2.539398330063230e-1, (30240, 15120, 3360, 420, 30, 1)),
-    7: (9.504178996162932e-1, (17297280, 8648640, 1995840, 277200, 25200, 1512, 56, 1)),
-    9: (2.097847961257068, (17643225600, 8821612800, 2075673600, 302702400, 30270240,
-                            2162160, 110880, 3960, 90, 1)),
-    13: (5.371920351148152, (64764752532480000, 32382376266240000, 7771770303897600,
-                             1187353796428800, 129060195264000, 10559470521600,
-                             670442572800, 33522128640, 1323241920, 40840800, 960960,
-                             16380, 182, 1)),
-}
+# Higham (2005): the numerator coefficients b_k = (26 - k)! / (k! (13 - k)!)
+# of the diagonal [13/13] Pade approximant r_13 of exp, and the largest 1-norm
+# theta_13 at which r_13(A) meets double precision in backward error.
+_PADE13 = tuple(math.factorial(26 - k) // math.factorial(k) // math.factorial(13 - k)
+                for k in range(14))
+_THETA13 = 5.371920351148152
 
 
 def matrix_exponential(mat: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(t * mat) by scaling and squaring with diagonal Pade approximants.
+    """exp(t * mat) by scaling and squaring with the [13/13] Pade approximant.
 
     N. J. Higham, "The scaling and squaring method for the matrix exponential
-    revisited", SIAM J. Matrix Anal. Appl. 26(4), 2005, Algorithm 2.3: with
-    A = t * mat, the [q/q] approximant of degree q = 3, 5, 7 or 9 is used if
-    the 1-norm of A is at most theta_q (0.0150, 0.254, 0.950, 2.10);
-    otherwise A is scaled by 2^-s, s = ceil(log2(|A|_1 / theta_13)) with
-    theta_13 = 5.37, the degree-13 approximant is formed and squared s times.
-    Each approximant solves (V - U) X = V + U, with U and V its odd and even
-    parts."""
+    revisited", SIAM J. Matrix Anal. Appl. 26(4), 2005, Algorithm 2.3, at
+    degree 13 only: A = t * mat is scaled by 2^-s, s = max(0, ceil(log2(
+    |A|_1 / theta_13))) with theta_13 = 5.37, r_13 is formed from A^2, A^4
+    and A^6 in six matrix products and one solve (V - U) X = V + U, with U
+    and V its odd and even parts, and X is squared s times.  The algorithm's
+    lower degrees 3, 5, 7 and 9 only save products at 1-norms up to 2.10;
+    the generators this package exponentiates sit above that (the m = 6
+    Feynman-Kac checks at 16-30) except the 3-state m = 4 dual, which costs
+    microseconds at any degree."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix_exponential needs a square matrix")
@@ -311,25 +311,16 @@ def matrix_exponential(mat: np.ndarray, t: float = 1.0) -> np.ndarray:
         norm = np.abs(a).sum(axis=0).max(initial=0.0)
     if not math.isfinite(norm):
         raise ValueError(f"t * mat overflows at t={t}")
-    q = next((q for q in (3, 5, 7, 9) if norm <= _PADE[q][0]), 13)
-    s = 0 if q < 13 else max(0, math.ceil(math.log2(norm / _PADE[13][0])))
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
     a = a / 2.0**s
-    b = _PADE[q][1]
-    eye = np.eye(len(a))
+    b, eye = _PADE13, np.eye(len(a))
     a2 = a @ a
-    if q < 13:
-        powers = [eye, a2]
-        while len(powers) <= q // 2:
-            powers.append(powers[-1] @ a2)
-        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
-        v = sum(b[2 * k] * p for k, p in enumerate(powers))
-    else:
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
     x = np.linalg.solve(v - u, v + u)
     for _ in range(s):
         x = x @ x
@@ -658,6 +649,7 @@ def exact_shape_vector(tree: FiniteMeasureTree | ChainState, m: int) -> list[Fra
     (m-1)-subsets leaf 1 completes.  Labels are exchangeable, so the m!
     orderings of a subset fall evenly on the states of its class.
     """
+    m = _integer(m, "a leaf count")
     join, read, state_class, class_size = _shape_classes(m)
     n = tree.n
     leaf = {0: 1}  # shared, never written: a leaf spans shape 0
@@ -707,6 +699,7 @@ def _duality_samples(alpha, m, n_leaves, t, replicates, seed, initial):
     array of per-replicate chain estimates at time t, the tilted backward
     propagator exp(t (Q_bwd + diag beta)), and the exact shape vector of the
     initial tree."""
+    m = _integer(m, "a leaf count")
     if not 0 <= t < math.inf or replicates < 2:
         raise ValueError(f"need finite t >= 0 and replicates >= 2, got t={t}, {replicates=}")
     if initial is not None and initial.n != n_leaves:

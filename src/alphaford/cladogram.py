@@ -496,6 +496,7 @@ def double_factorial(n: int) -> int:
 
 def num_cladograms(m: int) -> int:
     """|C_m| = (2m-5)!!."""
+    m = _integer(m, "a leaf count")
     if m < 2:
         raise ValueError("m >= 2 required")
     return double_factorial(2 * m - 5)
@@ -637,16 +638,22 @@ class Cladograms(Sequence):
         return tuple(Cladogram(m, e) for e in np.stack([up, ids], axis=2).tolist())
 
 
-@lru_cache(maxsize=None)
 def enumerate_cladograms(m: int) -> Cladograms:
     """All (2m-5)!! labeled m-cladograms, sorted by canonical key: leaf m
     inserted at every edge of every (m-1)-cladogram gives each once, and the
-    sorted rows are ordered as their :func:`_split_key` by mask ranks."""
+    sorted rows are ordered as their :func:`_split_key` by mask ranks.  The
+    table is cached per m, read as a Python int, so numpy's integers share
+    it."""
+    return _enumerate(_integer(m, "a leaf count"))
+
+
+@lru_cache(maxsize=None)
+def _enumerate(m: int) -> Cladograms:
     if not 2 <= m <= MAX_ENUMERATION_LEAVES:
         raise StructureError(f"enumeration supports 2 <= m <= {MAX_ENUMERATION_LEAVES}, got {m}")
     masks = np.zeros((1, 0), dtype=np.int64)
     if m > 3:
-        masks = _insert_split_leaf(enumerate_cladograms(m - 1).masks, m - 1, m).reshape(-1, m - 3)
+        masks = _insert_split_leaf(_enumerate(m - 1).masks, m - 1, m).reshape(-1, m - 3)
         rank = np.sort(_LABEL_RANK[masks], axis=1)
         masks = np.sort(masks[np.lexsort(rank.T[::-1])], axis=1)
     return Cladograms(m, masks)

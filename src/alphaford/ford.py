@@ -222,8 +222,13 @@ def _evaluate(coeffs: np.ndarray, alpha: Fraction):
 
 
 def _times(coeffs: np.ndarray, poly) -> np.ndarray:
-    """Each row of ``coeffs`` times the polynomial ``poly``."""
-    return np.array([np.convolve(row, poly) for row in coeffs])
+    """Each row of ``coeffs`` times the polynomial ``poly``: one shifted
+    multiply-add over the whole array per coefficient of ``poly``."""
+    w = coeffs.shape[1]
+    out = np.zeros((len(coeffs), w + len(poly) - 1), dtype=coeffs.dtype)
+    for i, c in enumerate(poly):
+        out[:, i:i + w] += c * coeffs
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -254,6 +259,7 @@ def exact_distribution(alpha, m: int) -> ExactDistribution:
     """Exact alpha-Ford law on m-cladograms, 2 <= m <= 8.  One ``Fraction``
     is built per distinct evaluated numerator, and every state with that
     value shares it: the states of one unlabeled class always do."""
+    m = _integer(m, "a leaf count")
     num, den = _law(m)
     alpha = parse_alpha(alpha)
     den, states = _evaluate(den, alpha), enumerate_cladograms(m)
@@ -267,6 +273,7 @@ def deletion_stability_check(alpha, m: int) -> tuple[bool, Fraction]:
     """Marginalize the m-leaf law by deleting a uniform leaf and compare to
     the (m-1)-leaf law.  Returns (exact equality, max residual), from the
     residual R(r) of sum_{(t, k) -> r} N_m(t) D_{m-1} = m D_m N_{m-1}(r)."""
+    m = _integer(m, "a leaf count")
     if m < 3:
         raise StructureError("deletion stability needs m >= 3")
     num, den = _law(m)

@@ -17,6 +17,7 @@ from alphaford.chain import (
     _duality_samples,
     _move_tables,
     _rate_discrepancy,
+    _shape_classes,
     _shape_indices,
     _stationarity_residual,
     _tilted_backward,
@@ -313,6 +314,42 @@ def test_m4_uniform_is_stationary():
     assert np.abs(pi @ fwd.to_dense()).max() < 1e-12
 
 
+class _NoDraws:
+    """A generator that fails the test if anything is drawn from it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from the generator ({name})")
+
+
+@pytest.mark.parametrize("m", [5.0, 5.5, True, "5"])
+def test_chain_leaf_count_must_be_an_integer(m):
+    caches = (_move_tables, _law, _shape_classes)
+    cached = [f.cache_info().currsize for f in caches]
+    tree = build_comb_tree(8)
+    calls = [
+        *(lambda f=f: f("1/3", m) for f in (
+            forward_rate_matrix, backward_rate_matrix, beta_potential,
+            verify_beta_is_rate_discrepancy, verify_invariance,
+        )),
+        lambda: verify_feynman_kac("1/3", m, 0.5),
+        lambda: estimate_shape_vector(tree, m, 10, _NoDraws()),
+        lambda: exact_shape_vector(tree, m),
+        lambda: verify_chain_diffusion_duality("1/3", m, 8, 0.5, 2, initial=tree),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="leaf count must be an integer"):
+            call()
+    assert [f.cache_info().currsize for f in caches] == cached
+
+
+def test_chain_reads_numpy_leaf_counts_as_ints():
+    q = forward_rate_matrix("1/3", np.int64(5))
+    assert type(q.m) is int and q.tables is _move_tables(5)
+    assert exact_shape_vector(build_comb_tree(8), np.int64(6)) == exact_shape_vector(
+        build_comb_tree(8), 6
+    )
+
+
 # -- matrix exponential ---------------------------------------------------------------
 
 
@@ -349,7 +386,10 @@ def test_expm_guards():
         matrix_exponential(np.ones((2, 2)), 1e308)
 
 
-# 1-norm bounds of the Pade degrees 3, 5, 7, 9 and 13 (Higham 2005)
+# 1-norm bounds of the Pade degrees 3, 5, 7, 9 and 13 (Higham 2005).
+# matrix_exponential uses degree 13 alone, scaled by 2^-s for norms above
+# theta_13; the lower entries only set the norms of small-norm probes, at
+# which Higham's full algorithm would pick a lower degree.
 _THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
           9: 2.097847961257068, 13: 5.371920351148152}
 
@@ -368,10 +408,15 @@ def _expm_case(case):
     if kind == "jordan":
         x = float(Fraction(arg))
         return np.array([[x, 1.0], [0.0, x]]), math.exp(x) * np.array([[1.0, 1.0], [0.0, 1.0]])
-    if kind == "fwd":
-        a = 0.5 * forward_rate_matrix(rest[0], int(arg)).to_dense()
+    if kind == "fwd":  # at t = 1/2 unless a time follows
+        t = float(Fraction(rest[1])) if len(rest) > 1 else 0.5
+        a = t * forward_rate_matrix(rest[0], int(arg)).to_dense()
     elif kind == "bwd":
         a = 0.5 * _tilted_backward(Fraction(rest[0]), int(arg))
+    elif kind == "norm":  # seeded, nonnegative, every column summing to arg:
+        # its spectral radius is its 1-norm, so every Pade term weighs in
+        a = np.abs(np.random.default_rng(13).standard_normal((12, 12)))
+        a *= float(arg) / a.sum(axis=0)
     else:  # random: 1-norm just under theta_q, or 12 theta_13 (4 squarings)
         q = int(arg)
         a = np.random.default_rng(q).standard_normal((12, 12))
@@ -385,6 +430,9 @@ def _expm_case(case):
         # every generator the package exponentiates, at t = 1/2 (up to 3 squarings)
         *(f"{kind}:{m}:{a}" for kind in ("fwd", "bwd") for m in (4, 5, 6, 7) for a in ALPHAS),
         *(f"random:{q}" for q in _THETA),
+        # tiny norms, and 1-norms just below and just above theta_13 (s = 0, s = 1)
+        *(f"norm:{x:.6g}" for x in (1e-8, 1e-3, 0.999 * _THETA[13], 1.001 * _THETA[13])),
+        *(f"fwd:7:{a}:1/100" for a in ("0", "1/3")),  # the 945-state generator, unscaled
         *(f"rotation:{x}" for x in ("1/100", "1/5", "9/10", "2", "5", "40")),
         *(f"jordan:{x}" for x in ("-1", "1/100", "2", "39")),
     ],

@@ -10,6 +10,7 @@ from alphaford.cladogram import (
     Cladogram,
     StructureError,
     _delete_split_leaf,
+    _enumerate,
     _split_key,
     _triple_code,
     _triple_tables,
@@ -179,6 +180,22 @@ def test_enumeration_counts_large():
 def test_enumeration_guard():
     with pytest.raises(StructureError):
         enumerate_cladograms(9)
+
+
+@pytest.mark.parametrize("m", [5.0, 5.5, True, "5"])
+def test_enumeration_leaf_count_must_be_an_integer(m):
+    cached = _enumerate.cache_info().currsize
+    for call in (enumerate_cladograms, num_cladograms):
+        with pytest.raises(TypeError, match="leaf count must be an integer"):
+            call(m)
+    assert _enumerate.cache_info().currsize == cached
+
+
+def test_enumeration_reads_numpy_leaf_counts_as_ints():
+    # one cached table per m: a numpy scalar must not key a second one
+    assert enumerate_cladograms(np.int64(6)) is enumerate_cladograms(6)
+    assert type(enumerate_cladograms(np.int32(6)).m) is int
+    assert num_cladograms(np.int64(6)) == 105 and type(num_cladograms(np.int64(6))) is int
 
 
 def test_shape_is_identity_on_four_leaf_trees():

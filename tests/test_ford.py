@@ -17,6 +17,7 @@ from alphaford.ford import (
     _evaluate,
     _grow_edges,
     _law,
+    _times,
     build_comb_tree,
     deletion_stability_check,
     exact_distribution,
@@ -311,6 +312,17 @@ def test_exact_guard():
         exact_distribution("1/2", 9)
 
 
+@pytest.mark.parametrize("m", [5.0, 5.5, True, "5"])
+def test_exact_leaf_count_must_be_an_integer(m):
+    cached = _law.cache_info().currsize
+    for call in (exact_distribution, deletion_stability_check):
+        with pytest.raises(TypeError, match="leaf count must be an integer"):
+            call("1/2", m)
+    assert _law.cache_info().currsize == cached
+    law = exact_distribution("1/2", np.int64(5))
+    assert type(law.m) is int and law == exact_distribution("1/2", 5)
+
+
 def test_as_vector_rejects_states_of_another_size():
     dist = exact_distribution(0, 6)
     assert sum(dist.as_vector(enumerate_cladograms(6))) == 1
@@ -320,6 +332,18 @@ def test_as_vector_rejects_states_of_another_size():
 
 
 # -- deletion stability ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rows,width,degree", [(945, 4, 2), (10395, 5, 4), (105, 3, 3), (1, 1, 1)])
+def test_times_matches_a_per_row_convolution(rows, width, degree):
+    rng = np.random.default_rng(rows)
+    coeffs = rng.integers(-10**6, 10**6, size=(rows, width))
+    poly = rng.integers(-10**6, 10**6, size=degree)
+    expected = np.array([np.convolve(row, poly) for row in coeffs])
+    for p in (poly, poly.tolist()):  # the callers pass int64 arrays and int lists
+        got = _times(coeffs, p)
+        assert got.dtype == np.int64 and np.array_equal(got, expected)
+
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
