@@ -728,46 +728,32 @@ def from_newick(s: str) -> Cladogram:
 
     Accepts any binary unrooted Newick with integer leaf labels: the top
     level must have 3 children (or 2 for the two-leaf tree), every other
-    internal node exactly 2.  Internal vertices are numbered -1, -2, ... in
-    the order their parentheses open.  Whitespace around ``(``, ``)``, ``,``
-    and ``;``, line breaks included, is ignored; inside a label it is an
-    error.  Iterative, so nesting depth is unlimited.
+    internal node exactly 2.  The string is split into the tokens ``(``,
+    ``)``, ``,`` and labels and read in one loop over them, with a stack of
+    the open internal vertices: ``(`` opens one, ``,`` and ``)`` hand the
+    finished node to the innermost, and ``)`` also closes it.  Internal
+    vertices are numbered -1, -2, ... in the order their parentheses open.
+    Whitespace around ``(``, ``)``, ``,`` and ``;``, line breaks included, is
+    ignored; inside a label it is an error.  Iterative, so nesting depth is
+    unlimited.
     """
     s = re.sub(r"\s*([(),;])\s*", r"\1", s).strip().removesuffix(";")
-    n = len(s)
-    pos = 0
-    open_nodes: list[tuple[int, list[int]]] = []  # (vertex, children so far)
-    children: dict[int, list[int]] = {}
-    next_id = 0
-    while True:
-        if pos < n and s[pos] == "(":
-            next_id -= 1
-            open_nodes.append((next_id, []))
-            pos += 1
-            continue
-        start = pos
-        while pos < n and s[pos] not in ",()":
-            pos += 1
-        token = s[start:pos]
-        if not token.isdecimal() or int(token) == 0:
-            raise StructureError(f"leaf label {token!r} is not a positive integer")
-        node = int(token)
-        # attach the finished node, closing every parenthesis that follows it
-        while open_nodes:
-            open_nodes[-1][1].append(node)
-            if pos < n and s[pos] == ",":
-                pos += 1
-                break
-            if pos < n and s[pos] == ")":
-                pos += 1
-                node, kids = open_nodes.pop()
-                children[node] = kids
-                continue
-            raise StructureError(f"expected ')' at position {pos}")
+    children: dict[int, list[int]] = {}  # internal vertex -> children so far
+    open_nodes: list[int] = []
+    node = None  # the finished node that the next ',' or ')' hands on
+    for token in re.findall(r"[(),]|[^(),]+", s):
+        if token == "(" and node is None:
+            open_nodes.append(-1 - len(children))
+            children[open_nodes[-1]] = []
+        elif token in ",)" and node is not None and open_nodes:
+            children[open_nodes[-1]].append(node)
+            node = open_nodes.pop() if token == ")" else None
+        elif node is None and token.isdecimal() and int(token) > 0:
+            node = int(token)
         else:
-            break
-    if pos != n:
-        raise StructureError(f"trailing characters at position {pos}")
+            raise StructureError(f"unexpected {token!r} in Newick string")
+    if node is None or open_nodes:
+        raise StructureError("Newick string ends before its tree does")
     top = children.get(node, [node])
     if sorted(top) == [1, 2]:
         return Cladogram(2, [(1, 2)])

@@ -181,8 +181,6 @@ def sample_kingman_cladogram(m: int, rng: np.random.Generator) -> Cladogram:
     m = _integer(m, "a leaf count")
     if m < 2:
         raise StructureError("need at least 2 leaves")
-    if m == 2:
-        return Cladogram(2, [(1, 2)])
     blocks = list(range(1, m + 1))
     edges = []
     for k in range(m, 2, -1):
@@ -204,12 +202,10 @@ def build_comb_tree(n_leaves: int) -> FiniteMeasureTree:
     n_leaves = _integer(n_leaves, "a leaf count")
     if n_leaves < 2:
         raise StructureError("need at least 2 leaves")
-    if n_leaves == 2:
-        return FiniteMeasureTree(Cladogram(2, [(1, 2)]))
     spine = [-i for i in range(1, n_leaves - 1)]
-    edges = [(spine[0], 1), (spine[-1], n_leaves)]
-    edges += [(s, t) for s, t in zip(spine, spine[1:])]
-    edges += [(spine[i], i + 2) for i in range(len(spine))]
+    path = [1, *spine, n_leaves]
+    edges = list(zip(path, path[1:]))
+    edges += [(s, i + 2) for i, s in enumerate(spine)]
     return FiniteMeasureTree(Cladogram(n_leaves, edges))
 
 

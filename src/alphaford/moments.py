@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from alphaford._rng import parse_alpha
-from alphaford.cladogram import StructureError, double_factorial
+from alphaford.cladogram import StructureError, _integer, double_factorial
 from alphaford.tree import FiniteMeasureTree
 
 __all__ = [
@@ -271,6 +271,7 @@ def kingman_closed_form(k) -> Fraction:
 def kingman_univariate(k: int) -> Fraction:
     """Univariate alpha = 0 moment E[eta_1^k]:
     (2k(k(k+6)+11) + 36) / (3(k+1)(k+2)^2(k+3))."""
+    k = _integer(k, "k")
     if k < 0:
         raise ValueError("k must be nonnegative")
     return Fraction(2 * k * (k * (k + 6) + 11) + 36, 3 * (k + 1) * (k + 2) ** 2 * (k + 3))

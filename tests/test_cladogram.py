@@ -582,13 +582,40 @@ def test_newick_roundtrip_deep_trees(alpha):
     assert repr(t).startswith("Cladogram(m=1500, '(")
 
 
-# "(1 2,3,4);": whitespace inside a label separates nothing, and is no leaf 12
+# "(1 2,3,4);": whitespace inside a label separates nothing, and is no leaf 12;
+# a label right after ")" names an internal node, which is not read, and an
+# empty item is no leaf: "((1,2)5,3,4);", "((1,2),3,4)5;" and "(1,,2,3);" would
+# each be a valid tree if it were skipped
 @pytest.mark.parametrize(
-    "text", ["", "(1,2", "(1,2,(3,4)", "(1,,3);", "(1,2,-3);", "(0,2,3);", "(1 2,3,4);"]
+    "text",
+    [
+        "", "(1,2", "(1,2,(3,4)", "(1,,3);", "(1,2,-3);", "(0,2,3);", "(1 2,3,4);",
+        "1;", "(1,2,3));", "(1,2,3)(4);", "((1,2),3,4)x;", "(1,(2,3)4,5);", "(,1,2);",
+        "(1,2,3),", "()", "(1,2,());", "(1,2,3);;", "(a,2,3);", "(1:0.1,2,3);",
+        "((1),2,3);", "(1,2,2);", "(1,2,4);", "((1,2),(3,4));",
+        "((1,2)5,3,4);", "((1,2),3,4)5;", "(1,,2,3);",
+    ],
 )
 def test_newick_malformed_is_structure_error(text):
     with pytest.raises(StructureError):
         from_newick(text)
+
+
+@pytest.mark.parametrize(
+    "text, edges",
+    [
+        (
+            "((1,2),(3,4),5);",
+            ((-3, -1), (-3, 3), (-3, 4), (-2, -1), (-2, 1), (-2, 2), (-1, 5)),
+        ),
+        (
+            "(1,(2,3),(4,(5,6)));",
+            ((-4, -3), (-4, 5), (-4, 6), (-3, -1), (-3, 4), (-2, -1), (-2, 2), (-2, 3), (-1, 1)),
+        ),
+    ],
+)
+def test_newick_numbers_internal_vertices_as_parentheses_open(text, edges):
+    assert from_newick(text).edges == edges
 
 
 def test_newick_ignores_whitespace_around_punctuation():

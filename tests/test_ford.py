@@ -205,6 +205,12 @@ def test_kingman_sampler_matches_alpha_zero(m):
     assert chisquare_pvalue(counts, dist.table, n) > CHI2_REJECT
 
 
+def test_two_leaf_builders_give_the_one_tree_with_no_draw():
+    t2 = Cladogram(2, [(1, 2)])
+    assert build_comb_tree(2).topology == t2
+    assert sample_kingman_cladogram(2, _NoDraws()) == t2
+
+
 def test_kingman_m4_cherry_pairing_probability():
     # exact: 18 merge histories, 6 producing the {1,2},{3,4} pairing
     hist = kingman_history_distribution(4)

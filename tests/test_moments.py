@@ -69,6 +69,16 @@ def test_kingman_univariate_values():
     assert kingman_univariate(3) == Fraction(264, 1800) == Fraction(11, 75)
 
 
+def test_kingman_univariate_index_must_be_an_integer():
+    # no bool, float or string is read as an index; numpy integers are integers
+    for k in (True, 2.0, "2"):
+        with pytest.raises(TypeError, match="k must be an integer"):
+            kingman_univariate(k)
+    assert kingman_univariate(np.int64(2)) == Fraction(1, 5)
+    with pytest.raises(ValueError):
+        kingman_univariate(-1)
+
+
 def test_moment_degree_past_the_recursion_limit():
     k = sys.getrecursionlimit() + 100
     assert moment(0, (k, 0, 0)) == kingman_univariate(k)
