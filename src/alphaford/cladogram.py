@@ -106,17 +106,11 @@ class Cladogram:
         pair.  Both forms check the same things, with the same messages.
     """
 
-    __slots__ = (
-        "m", "_edges", "_adj", "_preorder", "_parent", "_splits", "_key", "_code_", "_hash",
-    )
+    __slots__ = ("m", "_edges", "_adj", "_preorder", "_parent")
 
     def __init__(self, m: int, edges: Iterable[Edge] | np.ndarray):
         self.m = _integer(m, "a leaf count")
         self._adj: dict[int, tuple[int, ...]] | None = None
-        self._splits: tuple[int, ...] | None = None
-        self._key = None
-        self._code_: tuple[int, ...] | None = None
-        self._hash = None
         self._edges: tuple[Edge, ...] | None = None
         if isinstance(edges, np.ndarray) and edges.dtype.kind != "u":  # uint64 wraps in int64
             self._validate_array(edges)
@@ -294,18 +288,17 @@ class Cladogram:
     def splits(self) -> tuple[int, ...]:
         """Internal-edge splits as sorted integer bitmasks.
 
-        Bit x stands for label x, and each split is stored as its side
-        without label 1: rooted at leaf 1, the leaf set below the edge.  One
-        pass over the recorded preorder, backwards, computes them all.
+        Bit x stands for label x, and each split is given as its side
+        without label 1: rooted at leaf 1, the leaf set below the edge.  Each
+        call reads them all off the recorded walk, in one pass over the
+        preorder, backwards; nothing is stored.
         """
-        if self._splits is None:
-            m, order, parent = self.m, self._preorder.tolist(), self._parent.tolist()
-            side = [2 << p for p in range(m)] + [0] * (m - 2)
-            for v in reversed(order[2:]):  # children before parents
-                side[parent[v]] |= side[v]
-            top = order[1]  # leaf 1's neighbour: its edge is external
-            self._splits = tuple(sorted(side[v] for v in range(m, 2 * m - 2) if v != top))
-        return self._splits
+        m, order, parent = self.m, self._preorder.tolist(), self._parent.tolist()
+        side = [2 << p for p in range(m)] + [0] * (m - 2)
+        for v in reversed(order[2:]):  # children before parents
+            side[parent[v]] |= side[v]
+        top = order[1]  # leaf 1's neighbour: its edge is external
+        return tuple(sorted(side[v] for v in range(m, 2 * m - 2) if v != top))
 
     @property
     def key(self) -> tuple:
@@ -314,15 +307,15 @@ class Cladogram:
         Each split is the sorted tuple of leaf labels on the bipartition side
         that does not contain label 1; external edges are excluded.  Equal
         keys characterize labeled isomorphism, and the encoding is stable
-        across processes (plain integer tuples).
+        across processes (plain integer tuples).  Each call reads it off the
+        recorded walk through :attr:`splits`; nothing is stored.
         """
-        if self._key is None:
-            self._key = _split_key(self.m, self.splits)
-        return self._key
+        return _split_key(self.m, self.splits)
 
     @property
     def _code(self) -> tuple[int, ...]:
-        """O(m) canonical code, read from the recorded preorder.
+        """O(m) canonical code, read off the recorded walk on each call and
+        not stored.
 
         Rooted at leaf 1, each internal vertex is named by the larger of its
         two children's smallest leaf labels, a bijection onto 3..m.  Entry i
@@ -330,22 +323,20 @@ class Cladogram:
         vertex named i - m + 4 after that (leaf 1 standing in for the parent
         of leaf 1's neighbour).
         """
-        if self._code_ is None:
-            m, order, parent = self.m, self._preorder.tolist(), self._parent.tolist()
-            low = list(range(1, m + 1)) + [0] * (m - 2)  # smallest label below
-            name = list(range(1, m + 1)) + [0] * (m - 2)
-            for v in reversed(order[2:]):  # children before parents
-                p, x = parent[v], low[v]
-                if low[p]:
-                    name[p] = max(low[p], x)
-                    low[p] = min(low[p], x)
-                else:
-                    low[p] = x
-            code = [0] * (2 * m - 3)
-            for v in order[1:]:
-                code[name[v] - 2 if v < m else name[v] + m - 4] = name[parent[v]]
-            self._code_ = tuple(code)
-        return self._code_
+        m, order, parent = self.m, self._preorder.tolist(), self._parent.tolist()
+        low = list(range(1, m + 1)) + [0] * (m - 2)  # smallest label below
+        name = list(range(1, m + 1)) + [0] * (m - 2)
+        for v in reversed(order[2:]):  # children before parents
+            p, x = parent[v], low[v]
+            if low[p]:
+                name[p] = max(low[p], x)
+                low[p] = min(low[p], x)
+            else:
+                low[p] = x
+        code = [0] * (2 * m - 3)
+        for v in order[1:]:
+            code[name[v] - 2 if v < m else name[v] + m - 4] = name[parent[v]]
+        return tuple(code)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cladogram):
@@ -353,9 +344,9 @@ class Cladogram:
         return self.m == other.m and self._code == other._code
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.m, self._code))
-        return self._hash
+        """The hash of ``(m, _code)``, the code read off the recorded walk on
+        each call; nothing is stored."""
+        return hash((self.m, self._code))
 
     def __repr__(self) -> str:
         return f"Cladogram(m={self.m}, {to_newick(self)!r})"
@@ -723,19 +714,24 @@ def to_newick(t: Cladogram) -> str:
     return "".join(out) + ";"
 
 
+# a leaf label as to_newick writes it; other digits and leading zeros are no label
+_LEAF_LABEL = re.compile(r"[1-9][0-9]*")
+
+
 def from_newick(s: str) -> Cladogram:
     """Parse the output of :func:`to_newick` back into a cladogram.
 
-    Accepts any binary unrooted Newick with integer leaf labels: the top
-    level must have 3 children (or 2 for the two-leaf tree), every other
-    internal node exactly 2.  The string is split into the tokens ``(``,
-    ``)``, ``,`` and labels and read in one loop over them, with a stack of
-    the open internal vertices: ``(`` opens one, ``,`` and ``)`` hand the
-    finished node to the innermost, and ``)`` also closes it.  Internal
-    vertices are numbered -1, -2, ... in the order their parentheses open.
-    Whitespace around ``(``, ``)``, ``,`` and ``;``, line breaks included, is
-    ignored; inside a label it is an error.  Iterative, so nesting depth is
-    unlimited.
+    Accepts any binary unrooted Newick whose leaf labels are positive
+    integers written as :func:`to_newick` writes them: ASCII digits with no
+    leading zero (``[1-9][0-9]*``).  The top level must have 3 children (or
+    2 for the two-leaf tree), every other internal node exactly 2.  The
+    string is split into the tokens ``(``, ``)``, ``,`` and labels and read
+    in one loop over them, with a stack of the open internal vertices:
+    ``(`` opens one, ``,`` and ``)`` hand the finished node to the
+    innermost, and ``)`` also closes it.  Internal vertices are numbered
+    -1, -2, ... in the order their parentheses open.  Whitespace around
+    ``(``, ``)``, ``,`` and ``;``, line breaks included, is ignored; inside a
+    label it is an error.  Iterative, so nesting depth is unlimited.
     """
     s = re.sub(r"\s*([(),;])\s*", r"\1", s).strip().removesuffix(";")
     children: dict[int, list[int]] = {}  # internal vertex -> children so far
@@ -748,7 +744,7 @@ def from_newick(s: str) -> Cladogram:
         elif token in ",)" and node is not None and open_nodes:
             children[open_nodes[-1]].append(node)
             node = open_nodes.pop() if token == ")" else None
-        elif node is None and token.isdecimal() and int(token) > 0:
+        elif node is None and _LEAF_LABEL.fullmatch(token):
             node = int(token)
         else:
             raise StructureError(f"unexpected {token!r} in Newick string")

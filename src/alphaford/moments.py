@@ -153,11 +153,6 @@ def _row(k: MultiIndex, x0: int, x1: int) -> tuple[int, dict]:
     return constants[0], {j: w for j, w in row.items() if w}
 
 
-def _generator_row(k: MultiIndex, part: int) -> tuple[int, dict]:
-    """Part ``part`` of 2 Omega f^k in integers: A0 for 0, A1 for 1."""
-    return _row(k, 1 - part, part)
-
-
 def _sort_dec(k: MultiIndex, i: int) -> MultiIndex:
     """k - e_i, sorted."""
     return tuple(sorted(k[:i] + (k[i] - 1,) + k[i + 1 :]))

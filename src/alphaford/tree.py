@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from collections.abc import ItemsView, Mapping, Sequence, ValuesView
+from collections.abc import Mapping, Sequence, ValuesView
 from fractions import Fraction
 
 import numpy as np
@@ -223,8 +223,9 @@ class _Index:
 class _BranchPointDistribution(Mapping):
     """nu as a read-only mapping, keys in the order leaves 1..N, then
     internal vertices -1, -2, ...: every leaf reads the one leaf atom, and
-    internal vertex -i the i-th entry of a tuple of shared atoms.  Its
-    views iterate the atoms themselves, with no lookup per key."""
+    internal vertex -i the i-th entry of a tuple of shared atoms.  Its own
+    view is ``values()``, which iterates the atoms themselves with no lookup
+    per key; ``keys()`` and ``items()`` are ``Mapping``'s."""
 
     __slots__ = ("_leaf", "_internal", "_n")
 
@@ -253,9 +254,6 @@ class _BranchPointDistribution(Mapping):
     def values(self) -> ValuesView:
         return _Atoms(self)
 
-    def items(self) -> ItemsView:
-        return _Pairs(self)
-
 
 class _Atoms(ValuesView):
     __slots__ = ()
@@ -263,13 +261,6 @@ class _Atoms(ValuesView):
     def __iter__(self):
         nu = self._mapping
         return itertools.chain(itertools.repeat(nu._leaf, nu._n), nu._internal)
-
-
-class _Pairs(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return zip(self._mapping, _Atoms(self._mapping))
 
 
 class FiniteMeasureTree:

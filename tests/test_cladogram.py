@@ -585,7 +585,10 @@ def test_newick_roundtrip_deep_trees(alpha):
 # "(1 2,3,4);": whitespace inside a label separates nothing, and is no leaf 12;
 # a label right after ")" names an internal node, which is not read, and an
 # empty item is no leaf: "((1,2)5,3,4);", "((1,2),3,4)5;" and "(1,,2,3);" would
-# each be a valid tree if it were skipped
+# each be a valid tree if it were skipped.  A leaf label is ASCII digits with
+# no leading zero, as to_newick writes it: "(١,2,3);" (Arabic-Indic one),
+# "(1,2,３);" (fullwidth three), "(01,2,3);" and "((1,2),003,4);" would each
+# read as a tree if labels went through str.isdecimal and int
 @pytest.mark.parametrize(
     "text",
     [
@@ -594,6 +597,7 @@ def test_newick_roundtrip_deep_trees(alpha):
         "(1,2,3),", "()", "(1,2,());", "(1,2,3);;", "(a,2,3);", "(1:0.1,2,3);",
         "((1),2,3);", "(1,2,2);", "(1,2,4);", "((1,2),(3,4));",
         "((1,2)5,3,4);", "((1,2),3,4)5;", "(1,,2,3);",
+        "(\u0661,2,3);", "(1,2,\uff13);", "(01,2,3);", "((1,2),003,4);",
     ],
 )
 def test_newick_malformed_is_structure_error(text):

@@ -451,6 +451,43 @@ def test_cli_and_dual_paths_never_load_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+NO_IDENTITY_READS = """
+import sys
+from alphaford import cli, cladogram
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a cladogram's key, splits, == or hash was read")
+
+clad = cladogram.Cladogram
+clad.key = clad.splits = property(refuse)
+clad.__eq__ = clad.__hash__ = refuse
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ford", "exact", "--alpha", "1/3", "--m", "7"],
+        ["chain", "run", "--alpha", "1/4", "--leaves", "128", "--t", "0.5", "--replicates", "4",
+         "--threads", "1"],
+    ],
+)
+def test_commands_read_no_cladogram_identity(capsys, argv):
+    """The exact law and a chain run from a 128-leaf Ford tree read no
+    tree's key, splits, ``==`` or hash: in a fresh interpreter whose
+    ``Cladogram`` raises on each, they exit 0 and write the bytes of an
+    unpatched run."""
+    path = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", NO_IDENTITY_READS, *argv],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and done.stdout == out
+
+
 def test_tree_rmu_newick(capsys):
     code, out, _ = run_cli(capsys, "tree", "rmu", "--newick", "(1,(2,3),(4,5));")
     assert code == 0
@@ -493,6 +530,14 @@ def test_tree_rmu_rejects_a_large_newick_tree(capsys):
     code, out, err = run_cli(capsys, "tree", "rmu", "--newick", newick)
     assert code == 2 and out == ""
     assert "200 leaves" in json.loads(err.strip())["message"]
+
+
+def test_tree_nu_rejects_a_non_ascii_leaf_label(capsys):
+    # an Arabic-Indic one is a decimal digit to str.isdecimal and int, but no
+    # label to_newick writes
+    code, out, err = run_cli(capsys, "tree", "nu", "--newick", "(\u0661,2,3);")
+    assert code == 2 and out == ""
+    assert json.loads(err.strip())["error"] == "StructureError"
 
 
 def test_tree_requires_one_source(capsys):

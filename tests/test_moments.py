@@ -13,7 +13,7 @@ from alphaford._rng import stream
 from alphaford.cladogram import StructureError
 from alphaford.ford import build_comb_tree, sample_ford_tree
 from alphaford.moments import (
-    _generator_row,
+    _row,
     comb_moment,
     crt_dirichlet_moment,
     estimate_mass_moments,
@@ -240,16 +240,16 @@ def test_generator_integer_rows_by_hand():
         ),
     }
     for k, (a0, a1) in rows.items():
-        assert _generator_row(k, 0) == a0
-        assert _generator_row(k, 1) == a1
+        assert _row(k, 1, 0) == a0
+        assert _row(k, 0, 1) == a1
 
 
 def test_generator_top_coefficient_summed_from_the_pieces():
     for k in itertools.product(range(13), repeat=3):
         s = sum(k)
         if s <= 12:
-            assert _generator_row(k, 0)[1][k] == -2 * (s + 3) * (s + 2)
-            assert _generator_row(k, 1)[1][k] == 6 * (s + 3)
+            assert _row(k, 1, 0)[1][k] == -2 * (s + 3) * (s + 2)
+            assert _row(k, 0, 1)[1][k] == 6 * (s + 3)
             for alpha in (Fraction(1, 3), Fraction(3, 4)):
                 top = monomial_generator_action(alpha, k).coefficients[k]
                 assert top == -(s + 3) * (s + 2 - 3 * alpha)
